@@ -4,8 +4,8 @@ Components (see DESIGN.md, "Analysis architecture"):
 
 - :mod:`repro.analysis.linter` + :mod:`repro.analysis.rules` — the lint
   runner and rule registry: single-file AST rules (DET001, AD001/2,
-  API001, SER001, PERF001, TAPE001, MP001) and whole-program dataflow
-  rules (DET002, TAPE002, MP002, SER002);
+  API001, SER001, PERF001, TAPE001, RB001) and whole-program dataflow
+  rules (DET002, TAPE002, SER002, PERF002);
 - :mod:`repro.analysis.index` — the whole-program index (symbol tables,
   import resolution, call graph) the project rules run against;
 - :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` — the

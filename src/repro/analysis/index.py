@@ -26,7 +26,7 @@ consume:
   ``items``, ...) that would connect everything to everything.
 
 Reachability queries (:meth:`ProjectIndex.reachable_from`) power the
-TAPE002 capture-path and MP002 worker-path rules.
+TAPE002 capture-path and PERF002 replay-path rules.
 """
 
 from __future__ import annotations

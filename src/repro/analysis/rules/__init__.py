@@ -12,10 +12,8 @@ Codes
   (:class:`HotLoopDtypeRule`)
 - ``TAPE001`` — op dispatch bypassing ``apply_ctx``'s capture hook
   (:class:`TapeBypassRule`)
-- ``MP001`` — shard-result summation bypassing the fixed-order tree
-  reduction (:class:`ShardReductionRule`)
-- ``RB001`` — checkpoint-path writes bypassing the atomic writer, or IPC
-  ``recv`` without a poll deadline (:class:`RobustIORule`)
+- ``RB001`` — checkpoint-path writes bypassing the atomic writer
+  (:class:`RobustIORule`)
 
 Whole-program (dataflow/call-graph) rules:
 
@@ -23,8 +21,6 @@ Whole-program (dataflow/call-graph) rules:
   Tensor, or memory-selection sink (:class:`RNGTaintRule`)
 - ``TAPE002`` — tensor-valued control flow in capture-reachable functions
   not declared via ``mark_unsafe`` (:class:`ShapeStabilityRule`)
-- ``MP002`` — module-level mutable state mutated on the worker path, or
-  locks/threads created pre-fork (:class:`ForkSafetyRule`)
 - ``SER002`` — ``__init__`` attributes of state-carrying classes missing
   from their ``state_dict``/``load_state_dict`` pair
   (:class:`CheckpointContractRule`)
@@ -39,8 +35,6 @@ from repro.analysis.rules.api import ExportHygieneRule
 from repro.analysis.rules.autograd import InplaceMutationRule, LateBindingClosureRule
 from repro.analysis.rules.checkpoint_contract import CheckpointContractRule
 from repro.analysis.rules.determinism import SeedlessRNGRule
-from repro.analysis.rules.fork_safety import ForkSafetyRule
-from repro.analysis.rules.multiprocess import ShardReductionRule
 from repro.analysis.rules.perf import HotLoopDtypeRule
 from repro.analysis.rules.rng_flow import RNGTaintRule
 from repro.analysis.rules.robustness import RobustIORule
@@ -52,7 +46,6 @@ __all__ = [
     "AllocDisciplineRule",
     "CheckpointContractRule",
     "ExportHygieneRule",
-    "ForkSafetyRule",
     "HotLoopDtypeRule",
     "InplaceMutationRule",
     "LateBindingClosureRule",
@@ -60,7 +53,6 @@ __all__ = [
     "RobustIORule",
     "SeedlessRNGRule",
     "ShapeStabilityRule",
-    "ShardReductionRule",
     "StateDictSerializableRule",
     "TapeBypassRule",
     "default_rules",
@@ -69,9 +61,9 @@ __all__ = [
 
 _RULE_CLASSES = (SeedlessRNGRule, InplaceMutationRule, LateBindingClosureRule,
                  ExportHygieneRule, StateDictSerializableRule, HotLoopDtypeRule,
-                 TapeBypassRule, ShardReductionRule, RobustIORule,
-                 RNGTaintRule, ShapeStabilityRule, ForkSafetyRule,
-                 CheckpointContractRule, AllocDisciplineRule)
+                 TapeBypassRule, RobustIORule, RNGTaintRule,
+                 ShapeStabilityRule, CheckpointContractRule,
+                 AllocDisciplineRule)
 
 
 def default_rules():

@@ -37,7 +37,7 @@ from repro.analysis.index import FunctionInfo, ProjectIndex
 from repro.analysis.linter import ProjectRule, Violation
 
 #: Call-graph entry points of a tape replay (forward slice), matched by
-#: qualified method name like MP002's ``worker_main`` root.
+#: qualified method name.
 _REPLAY_ROOTS = {
     "Tape.replay",
     "Tape._replay_fallback",

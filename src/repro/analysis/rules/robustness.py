@@ -1,28 +1,18 @@
-"""RB001 — crash-safety hygiene on the checkpoint and IPC paths.
+"""RB001 — crash-safety hygiene on the checkpoint path.
 
-Two robustness invariants this repo's failure model depends on are easy
-to erode one convenience call at a time:
+The failure model depends on an invariant that is easy to erode one
+convenience call at a time: **every file write on the checkpoint path is
+atomic.**  The ``repro.runtime`` package owns run-critical persistent
+state (checkpoints, manifests, failure reports); a plain
+``open(path, "w")`` or ``Path.write_bytes`` there can be torn by a crash
+mid-write — exactly the corrupt-hybrid state the crash-consistency sweep
+exists to rule out.  All writes must route through
+:func:`repro.runtime.checkpoint.atomic_write_bytes` (the one function
+allowed to touch the filesystem directly).
 
-1. **Every file write on the checkpoint path is atomic.**  The
-   ``repro.runtime`` package owns run-critical persistent state
-   (checkpoints, manifests, failure reports); a plain ``open(path, "w")``
-   or ``Path.write_bytes`` there can be torn by a crash mid-write —
-   exactly the corrupt-hybrid state the crash-consistency sweep exists to
-   rule out.  All writes must route through
-   :func:`repro.runtime.checkpoint.atomic_write_bytes` (the one function
-   allowed to touch the filesystem directly).
-
-2. **Every IPC receive has a deadline.**  In ``repro.parallel``, a bare
-   ``Connection.recv()`` blocks forever on a dead or wedged peer; the
-   hardened receive path polls with a bounded deadline first
-   (``conn.poll(timeout)``), so a vanished worker surfaces as a
-   :class:`WorkerFailure` instead of a hung trainer.  The rule flags any
-   ``.recv(...)`` whose enclosing function never calls ``.poll(...)``.
-
-Deliberately blocking receives (the worker's request loop, which *wants*
-to sleep until its parent speaks) carry a justified
-``# repro-lint: disable=RB001``; the append-only JSONL event log, whose
-line-at-a-time appends are crash-safe by construction, does the same.
+The append-only JSONL event log, whose line-at-a-time appends are
+crash-safe by construction, carries a justified
+``# repro-lint: disable=RB001``.
 """
 
 from __future__ import annotations
@@ -55,18 +45,11 @@ def _is_write_mode_open(call: ast.Call) -> bool:
 
 class RobustIORule(LintRule):
     code = "RB001"
-    description = ("checkpoint-path file write bypassing the atomic writer, "
-                   "or IPC recv without a poll deadline")
+    description = "checkpoint-path file write bypassing the atomic writer"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
-        scope = module.package_parts[:-1]
-        if "runtime" in scope:
-            yield from self._check_writes(module)
-        if "parallel" in scope:
-            yield from self._check_receives(module)
-
-    # -- 1: non-atomic writes in repro.runtime --------------------------
-    def _check_writes(self, module: ModuleSource) -> Iterator[Violation]:
+        if "runtime" not in module.package_parts[:-1]:
+            return
         exempt_spans = [
             (node.lineno, node.end_lineno)
             for node in ast.walk(module.tree)
@@ -92,38 +75,3 @@ class RobustIORule(LintRule):
                     f".{node.func.attr}() on the checkpoint path is not "
                     f"atomic; a crash mid-write leaves a torn file — use "
                     f"repro.runtime.checkpoint.atomic_write_bytes")
-
-    # -- 2: deadline-less receives in repro.parallel --------------------
-    def _check_receives(self, module: ModuleSource) -> Iterator[Violation]:
-        functions = [node for node in ast.walk(module.tree)
-                     if isinstance(node, _FUNC_NODES)]
-        nested: set[int] = set()
-        for func in functions:
-            for child in ast.walk(func):
-                if child is not func and isinstance(child, _FUNC_NODES):
-                    nested.add(id(child))
-        reported: set[int] = set()
-        for func in functions:
-            if id(func) in nested:
-                continue
-            recvs = []
-            has_poll = False
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Attribute):
-                    if node.func.attr == "recv":
-                        recvs.append(node)
-                    elif node.func.attr == "poll":
-                        has_poll = True
-            if has_poll:
-                continue
-            for node in recvs:
-                if node.lineno in reported:
-                    continue
-                reported.add(node.lineno)
-                yield self.violation(
-                    module, node.lineno,
-                    "Connection.recv() with no deadline: the enclosing "
-                    "function never calls .poll(timeout), so a dead or "
-                    "wedged peer hangs this process forever — poll with a "
-                    "bounded deadline first (see WorkerPool._receive)")

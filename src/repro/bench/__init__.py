@@ -3,7 +3,7 @@
 ``python -m repro bench`` runs the suite; see :mod:`repro.bench.suites`
 for what is measured and :mod:`repro.bench.harness` for how.  The committed
 baselines live at the repo root (``BENCH_pr3.json``, ``BENCH_pr4.json``,
-``BENCH_pr5.json``, ``BENCH_pr8.json``, ``BENCH_pr9.json``).
+``BENCH_pr8.json``, ``BENCH_pr9.json``).
 """
 
 from repro.bench.harness import BenchTiming, speedup, time_callable
@@ -14,8 +14,6 @@ from repro.bench.suites import (
     PROBE_MAX_ACCURACY_DELTA,
     REQUIRED_SPEEDUP,
     RIDGE_REQUIRED_SPEEDUP,
-    SHARDING_BENCH_WORKERS,
-    SHARDING_REQUIRED_SPEEDUP,
     TAPE_REQUIRED_SPEEDUP,
     build_ssl_step,
     eval_probe_bench,
@@ -23,7 +21,6 @@ from repro.bench.suites import (
     memory_bench,
     op_microbenches,
     run_suite,
-    sharding_bench,
     ssl_step_bench,
     tape_replay_bench,
 )
@@ -35,8 +32,6 @@ __all__ = [
     "PROBE_MAX_ACCURACY_DELTA",
     "REQUIRED_SPEEDUP",
     "RIDGE_REQUIRED_SPEEDUP",
-    "SHARDING_BENCH_WORKERS",
-    "SHARDING_REQUIRED_SPEEDUP",
     "TAPE_REQUIRED_SPEEDUP",
     "BenchTiming",
     "build_ssl_step",
@@ -45,7 +40,6 @@ __all__ = [
     "memory_bench",
     "op_microbenches",
     "run_suite",
-    "sharding_bench",
     "speedup",
     "ssl_step_bench",
     "tape_replay_bench",

@@ -37,17 +37,6 @@ REQUIRED_SPEEDUP = 1.5
 #: eager-dispatch step by at least this factor (full shapes only).
 TAPE_REQUIRED_SPEEDUP = 1.3
 
-#: PR 5 acceptance bar: the 3-worker sharded step must beat the serial
-#: sharded step by at least this factor.  Only asserted when the host
-#: actually has that many cores to run on — on fewer cores the workers
-#: time-slice one CPU and a parallel speedup is physically impossible, so
-#: the bench reports honest numbers without the bar (mirroring how smoke
-#: mode omits the full-shape bars).
-SHARDING_REQUIRED_SPEEDUP = 1.5
-
-#: Worker count the sharding acceptance bar is measured at.
-SHARDING_BENCH_WORKERS = 3
-
 #: PR 9 acceptance bar: the closed-form ridge probe must beat the SGD
 #: linear probe by at least this factor per accuracy-matrix cell (full
 #: shapes only), while agreeing within PROBE_MAX_ACCURACY_DELTA.
@@ -224,78 +213,6 @@ def tape_replay_bench(*, smoke: bool = False, repeats: int | None = None) -> dic
         # Smoke shapes are dominated by fixed Python overhead; the bar is
         # only meaningful at full shapes.
         result["required_speedup"] = TAPE_REQUIRED_SPEEDUP
-    return result
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def sharding_bench(*, smoke: bool = False, repeats: int | None = None) -> dict:
-    """Time the sharded training step: serial vs multiprocess workers.
-
-    Both variants execute the *identical* shard program (same micro-shard
-    plan, same tree reduction — that is the regime's bit-for-bit
-    contract), so the measurement isolates exactly what worker processes
-    buy: shard forward+backwards overlapping across cores, against the
-    broadcast/IPC cost of shipping state each step.  The 1.5x acceptance
-    bar applies at ``SHARDING_BENCH_WORKERS`` workers and is only included
-    when the host has at least that many usable cores (see ``cpus``).
-    """
-    from repro.continual.config import ContinualConfig, build_objective
-    from repro.parallel import N_SHARDS, ShardedStep
-
-    batch, features, dim = (12, 8, 16) if smoke else (240, 96, 128)
-    warmup = 1 if smoke else 5
-    repeats = repeats or (3 if smoke else 30)
-    config = ContinualConfig(batch_size=batch, representation_dim=dim,
-                             memory_budget=0, replay_batch_size=0,
-                             noise_neighbors=0)
-    data_rng = np.random.default_rng(42)
-    view1 = data_rng.normal(size=(batch, features)).astype(np.float32)
-    view2 = data_rng.normal(size=(batch, features)).astype(np.float32)
-
-    def timed(workers: int):
-        rng = np.random.default_rng(0)
-        objective = build_objective(config, (features,), rng)
-        objective.train()
-        with ShardedStep(objective, config, (features,),
-                         workers=workers) as sharded:
-            def step() -> None:
-                objective.zero_grad(set_to_none=False)
-                sharded.loss_backward(view1, view2)
-
-            return time_callable(step, warmup=warmup, repeats=repeats)
-
-    serial = timed(1)
-    pooled = timed(SHARDING_BENCH_WORKERS)
-
-    cpus = _available_cpus()
-    result = {
-        "config": {"smoke": smoke, "batch": batch, "features": features,
-                   "n_shards": N_SHARDS, "workers": SHARDING_BENCH_WORKERS,
-                   "backbone": "mlp", "objective": "simsiam",
-                   "repeats": repeats},
-        "cpus": cpus,
-        "serial": serial.to_dict(),
-        "sharded": pooled.to_dict(),
-        "speedup_sharded_vs_serial": speedup(serial, pooled),
-    }
-    if smoke:
-        pass  # smoke shapes are all fixed overhead; no bar, as elsewhere
-    elif cpus >= SHARDING_BENCH_WORKERS:
-        result["required_speedup"] = SHARDING_REQUIRED_SPEEDUP
-    else:
-        result["required_speedup_omitted"] = (
-            f"host exposes {cpus} usable CPU(s); the "
-            f"{SHARDING_REQUIRED_SPEEDUP}x bar needs "
-            f">= {SHARDING_BENCH_WORKERS} cores to be physically reachable")
     return result
 
 
@@ -573,7 +490,6 @@ def run_suite(*, smoke: bool = False, repeats: int | None = None) -> dict:
         "ops": op_microbenches(smoke=smoke, repeats=repeats),
         "ssl_step": ssl_step_bench(smoke=smoke, repeats=repeats),
         "tape": tape_replay_bench(smoke=smoke, repeats=repeats),
-        "sharding": sharding_bench(smoke=smoke, repeats=repeats),
         "memory": memory_bench(smoke=smoke),
         "eval_probe": eval_probe_bench(smoke=smoke, repeats=repeats),
     }
@@ -616,24 +532,6 @@ def format_report(report: dict) -> str:
                        else "FAIL")
             lines.append(f"tape acceptance: required >= "
                          f"{tape['required_speedup']:.1f}x [{verdict}]")
-    sharding = report.get("sharding")
-    if sharding is not None:
-        cfg = sharding["config"]
-        lines.append("")
-        lines.append(f"sharded step (batch {cfg['batch']}, "
-                     f"{cfg['n_shards']} shards, {sharding['cpus']} cpu(s)): "
-                     f"serial {sharding['serial']['median_s'] * 1e3:.2f} ms, "
-                     f"{cfg['workers']} workers "
-                     f"{sharding['sharded']['median_s'] * 1e3:.2f} ms "
-                     f"({sharding['speedup_sharded_vs_serial']:.2f}x)")
-        if "required_speedup" in sharding:
-            verdict = ("PASS" if sharding["speedup_sharded_vs_serial"]
-                       >= sharding["required_speedup"] else "FAIL")
-            lines.append(f"sharding acceptance: required >= "
-                         f"{sharding['required_speedup']:.1f}x [{verdict}]")
-        elif "required_speedup_omitted" in sharding:
-            lines.append(f"sharding acceptance: not applicable — "
-                         f"{sharding['required_speedup_omitted']}")
     memory = report.get("memory")
     if memory is not None:
         lines.append("")
@@ -690,8 +588,6 @@ __all__ = [
     "PROBE_MAX_ACCURACY_DELTA",
     "REQUIRED_SPEEDUP",
     "RIDGE_REQUIRED_SPEEDUP",
-    "SHARDING_BENCH_WORKERS",
-    "SHARDING_REQUIRED_SPEEDUP",
     "TAPE_REQUIRED_SPEEDUP",
     "BenchTiming",
     "build_ssl_step",
@@ -700,7 +596,6 @@ __all__ = [
     "memory_bench",
     "op_microbenches",
     "run_suite",
-    "sharding_bench",
     "ssl_step_bench",
     "tape_replay_bench",
 ]

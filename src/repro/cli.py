@@ -20,22 +20,22 @@ Commands
 ``list``     show available benchmarks, methods, selection strategies,
              replay losses, and objectives;
 ``lint``     run the repo-specific static analysis — single-file rules
-             (DET001/AD001/AD002/API001/SER001/PERF001/TAPE001/MP001/RB001)
-             and whole-program dataflow rules (DET002/TAPE002/MP002/SER002)
+             (DET001/AD001/AD002/API001/SER001/PERF001/TAPE001/RB001)
+             and whole-program dataflow rules (DET002/TAPE002/SER002/PERF002)
              — plus the gradcheck-coverage audit; supports ``--format``
              text/json/sarif, an incremental cache, and a baseline
              ratchet; exits non-zero on any non-baselined violation;
 ``chaos``    run the seeded fault-injection campaign: every catalog
-             scenario (worker kills, torn checkpoint writes, loader
-             faults, NaN payloads, whole-process crashes) end-to-end
+             scenario (torn checkpoint writes, loader faults, NaN
+             payloads, whole-process crashes) end-to-end
              through the trainer plus the checkpoint crash-consistency
              sweep, emitting a JSON survival report; every failure
              reproduces exactly from its ``(seed, scenario)`` pair;
 ``bench``    run the op-registry microbenchmarks (fused-vs-unfused kernels,
              the SSL training-step bench, the tape eager-vs-replay bench,
-             the serial-vs-multiprocess sharded-step bench, and the
-             eval-probe bench: SGD vs closed-form ridge probe wall-time,
-             accuracy delta, and the shard-merge bit-for-bit check);
+             and the eval-probe bench: SGD vs closed-form ridge probe
+             wall-time, accuracy delta, and the shard-merge bit-for-bit
+             check);
              ``--output`` writes the JSON report, ``--smoke`` runs a
              sub-second variant for CI.
 """
@@ -72,7 +72,7 @@ def _config_from_args(args: argparse.Namespace) -> ContinualConfig:
     overrides = {}
     for field in ("epochs", "batch_size", "lr", "memory_budget", "replay_batch_size",
                   "noise_neighbors", "selection", "replay_loss", "objective",
-                  "replay_sampling", "use_tape", "workers", "probe",
+                  "replay_sampling", "use_tape", "probe",
                   "scenario", "scenario_seed", "blur_ratio", "segments_per_task",
                   "drift_threshold", "domain_count", "domain_shift", "long_cycles"):
         value = getattr(args, field, None)
@@ -141,12 +141,18 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         const=False, default=None,
                         help="disable tape capture/replay of the training "
                              "step (force eager dispatch)")
-    parser.add_argument("--workers", type=int,
-                        help="enter the sharded data-parallel regime with N "
-                             "processes (bit-for-bit identical for every N; "
-                             "1 runs the shard program serially; default: "
-                             "classic single-process step)")
     parser.add_argument("--scale", default="ci", choices=["ci", "paper"])
+    parser.add_argument("--n-tasks", dest="n_tasks", type=int)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """Stream-shape flags; only ``run`` routes through the scenario registry."""
+    parser.add_argument("--scenario", choices=_scenario_names(),
+                        help="route the run through the scenario registry "
+                             "(stream shape + first-class transfer matrix); "
+                             "default: classic class-incremental trainer "
+                             "path")
     parser.add_argument("--scenario-seed", dest="scenario_seed", type=int,
                         help="seed for the stream builders (independent of "
                              "the training --seed)")
@@ -167,8 +173,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--long-cycles", dest="long_cycles", type=int,
                         help="long-sequence scenario: cycles over the base "
                              "task order")
-    parser.add_argument("--n-tasks", dest="n_tasks", type=int)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _transfer_output_path(args: argparse.Namespace):
@@ -184,6 +188,10 @@ def _transfer_output_path(args: argparse.Namespace):
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    if args.method == "multitask" and args.scenario is not None:
+        print("error: multitask is the joint-training upper bound and takes "
+              "no --scenario", file=sys.stderr)
+        return 2
     sequence = _load_benchmark(args.benchmark, args.scale, args.n_tasks)
     config = _config_from_args(args)
     if args.resume and not args.checkpoint_dir:
@@ -346,10 +354,6 @@ def _command_bench(args: argparse.Namespace) -> int:
     if "required_speedup" in tape \
             and tape["speedup_replay_vs_eager"] < tape["required_speedup"]:
         return 1
-    sharding = report.get("sharding", {})
-    if "required_speedup" in sharding \
-            and sharding["speedup_sharded_vs_serial"] < sharding["required_speedup"]:
-        return 1
     probe = report.get("eval_probe", {})
     if "shard_merge" in probe \
             and not probe["shard_merge"]["identical_across_worker_counts"]:
@@ -407,16 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("method", choices=METHODS + ["multitask"])
     run_parser.add_argument("benchmark")
     run_parser.add_argument("--output", help="write the result JSON here")
-    run_parser.add_argument("--scenario", choices=_scenario_names(),
-                            help="route the run through the scenario registry "
-                                 "(stream shape + first-class transfer matrix); "
-                                 "default: classic class-incremental trainer "
-                                 "path")
     run_parser.add_argument("--transfer-output", dest="transfer_output",
                             help="write the serialized transfer matrix here "
                                  "(default: next to --output, else "
                                  "./transfer-matrix.json)")
     _add_config_arguments(run_parser)
+    _add_scenario_arguments(run_parser)
     _add_fault_tolerance_arguments(run_parser)
     run_parser.set_defaults(handler=_command_run)
 

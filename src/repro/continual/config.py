@@ -75,17 +75,6 @@ class ContinualConfig:
         recorded program on subsequent steps (``repro.tensor.tape``).
         Replay is bit-for-bit identical to eager dispatch and only engages
         for tape-safe methods; disable to force eager execution everywhere.
-    workers:
-        ``None`` (default) runs the classic single-process training step.
-        Any integer ``>= 1`` enters the *sharded regime*
-        (``repro.parallel``): each batch is split into a fixed set of
-        micro-shards, forward+backward runs per shard from broadcast
-        state, and gradients are tree-reduced in a fixed order.  The
-        number only sets the process count — ``1`` executes the same
-        shard program serially — so results and checkpoints are
-        bit-for-bit identical for every worker count, and a checkpointed
-        run may resume under a different one.  Only engages for
-        shard-safe methods (see ``ContinualMethod.shard_safe``).
     scenario, scenario_seed:
         Stream shape by registry name
         (:data:`repro.scenarios.registry.SCENARIO_REGISTRY`):
@@ -146,7 +135,6 @@ class ContinualConfig:
     probe: str = "knn"
 
     use_tape: bool = True
-    workers: int | None = None
 
     scenario: str = "class_incremental"
     scenario_seed: int = 0
@@ -158,9 +146,6 @@ class ContinualConfig:
     long_cycles: int = 4
 
     def __post_init__(self):
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for the classic "
-                             "single-process step)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:

@@ -114,20 +114,6 @@ class ContinualMethod:
         """
         return type(self).batch_loss is ContinualMethod.batch_loss
 
-    @property
-    def shard_safe(self) -> bool:
-        """Whether the trainer may data-parallel shard this method's step.
-
-        Same conservative gate as :attr:`tape_safe`: only the base
-        :meth:`batch_loss` — a pure function of the two view arrays — can
-        be split across worker replicas, because the replicas rebuild the
-        loss from the broadcast parameters alone.  Overriding methods
-        carry per-step state the replicas do not have (replay buffers,
-        old-model snapshots, method RNG draws); the trainer falls back to
-        the single-process step for them and logs the reason.
-        """
-        return type(self).batch_loss is ContinualMethod.batch_loss
-
     def batch_loss(self, view1: np.ndarray, view2: np.ndarray,
                    raw: np.ndarray) -> Tensor:
         """Training loss for one batch: two augmented views plus the raw batch."""

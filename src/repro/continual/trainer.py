@@ -17,13 +17,6 @@ Fault tolerance (``repro.runtime``) threads through the same loop:
   ladder: skip batch → restore the task-start state with LR backoff →
   abort with a structured failure report (:class:`TrainingDiverged`).
 
-With ``config.workers`` set, shard-safe methods run each batch through the
-sharded regime (``repro.parallel``): fixed micro-shards, broadcast state,
-fixed-order tree all-reduce into the same leaf ``.grad`` buffers.  Results
-are bit-for-bit identical for every worker count; a worker dying mid-step
-surfaces as a ``WorkerFailure`` that enters the guardrail ladder like any
-other poisoned batch.
-
 The boundary signal is a *stream event*, not an assumption:
 :meth:`ContinualTrainer.run` accepts either a plain ``TaskSequence``
 (sharp boundaries, the classic path) or a
@@ -62,7 +55,6 @@ from repro.eval.protocol import evaluate_task, evaluate_tasks
 from repro.eval.transfer import TransferMatrix
 from repro.faults import plane as _faults
 from repro.optim import SGD, Adam, ConstantLR, CosineLR
-from repro.parallel import N_SHARDS, ShardedStep, WorkerFailure
 from repro.runtime.checkpoint import CheckpointError, CheckpointManager
 from repro.runtime.guardrail import (GuardrailPolicy, GuardrailViolation,
                                      RunLog, TrainingDiverged,
@@ -248,9 +240,6 @@ class ContinualTrainer:
         self.verbose = verbose
         self.guardrails = guardrails
         self._taped_step: TapedFunction | None = None
-        self._sharded_step: ShardedStep | None = None
-        self._shard_active = False
-        self._task_index = 0
         self._controller = SharpBoundaryController()
         #: The stream run's TransferMatrix (``None`` for plain sequences);
         #: populated by :meth:`run` and kept current row by row.
@@ -306,15 +295,11 @@ class ContinualTrainer:
         if self.checkpoints is None:
             return
         # Informational only: the probe choice also lives in the result
-        # state, and the sharded regime's results are worker-count
-        # independent, so resume never reads this.
-        meta = {"probe": self.config.probe}
-        if self.config.workers is not None:
-            meta.update(workers=self.config.workers, n_shards=N_SHARDS)
+        # state, so resume never reads this.
         try:
             path = self.checkpoints.save(
                 task_index, self._run_state(task_index, n_tasks, result),
-                meta=meta)
+                meta={"probe": self.config.probe})
         except (OSError, CheckpointError) as exc:
             # Checkpointing is best-effort: a full disk or torn write must
             # not kill a run that is otherwise training fine.  The failure
@@ -369,52 +354,46 @@ class ContinualTrainer:
                           f"{start_task}/{n_tasks} from {loaded.path.name}")
 
         start = time.perf_counter()
-        try:
-            for task_index in range(n_tasks):
-                if task_index < start_task:
-                    continue
-                task = (sequence[task_index] if stream is None
-                        else stream.segments[task_index].task)
-                if transfer is not None:
-                    online_row = evaluate_tasks(method.objective,
-                                                list(stream.eval_tasks),
-                                                knn_k=config.knn_k,
-                                                probe=config.probe)
-                self._run_task(task, task_index, n_tasks)
-                if stream is None:
-                    accuracies = evaluate_tasks(method.objective,
-                                                list(sequence)[:task_index + 1],
-                                                knn_k=config.knn_k,
-                                                probe=config.probe)
-                else:
-                    final_row = evaluate_tasks(method.objective,
-                                               list(stream.eval_tasks),
-                                               knn_k=config.knn_k,
-                                               probe=config.probe)
-                    accuracies = self._segment_accuracies(stream, task_index,
-                                                          final_row)
-                result.record_row(accuracies)
-                result.elapsed_seconds = prior_elapsed + (time.perf_counter() - start)
-                if transfer is not None:
-                    # Matrix first, checkpoint second: a crash between the
-                    # two leaves the matrix one row ahead, which resume
-                    # truncates back to the checkpoint's row count — the
-                    # reverse order would lose a row it cannot recompute.
-                    transfer.record_row(online_row, final_row)
-                    self._save_transfer(transfer)
-                self._save_checkpoint(task_index, n_tasks, result)
-                # Whole-process crash site (chaos scenarios): fires between
-                # the checkpoint commit and the next task, the window a
-                # SIGKILL would most likely land in on a long run.
-                _faults.fault_point("trainer.task.boundary")
-                if self.verbose:
-                    print(f"[{method.name}] task {task_index + 1}/{n_tasks}: "
-                          f"Acc={result.acc_at(task_index):.4f} Fgt={result.fgt_at(task_index):.4f}")
-        finally:
-            if self._sharded_step is not None:
-                self._sharded_step.close()
-                self._sharded_step = None
-            self._shard_active = False
+        for task_index in range(n_tasks):
+            if task_index < start_task:
+                continue
+            task = (sequence[task_index] if stream is None
+                    else stream.segments[task_index].task)
+            if transfer is not None:
+                online_row = evaluate_tasks(method.objective,
+                                            list(stream.eval_tasks),
+                                            knn_k=config.knn_k,
+                                            probe=config.probe)
+            self._run_task(task, task_index, n_tasks)
+            if stream is None:
+                accuracies = evaluate_tasks(method.objective,
+                                            list(sequence)[:task_index + 1],
+                                            knn_k=config.knn_k,
+                                            probe=config.probe)
+            else:
+                final_row = evaluate_tasks(method.objective,
+                                           list(stream.eval_tasks),
+                                           knn_k=config.knn_k,
+                                           probe=config.probe)
+                accuracies = self._segment_accuracies(stream, task_index,
+                                                      final_row)
+            result.record_row(accuracies)
+            result.elapsed_seconds = prior_elapsed + (time.perf_counter() - start)
+            if transfer is not None:
+                # Matrix first, checkpoint second: a crash between the
+                # two leaves the matrix one row ahead, which resume
+                # truncates back to the checkpoint's row count — the
+                # reverse order would lose a row it cannot recompute.
+                transfer.record_row(online_row, final_row)
+                self._save_transfer(transfer)
+            self._save_checkpoint(task_index, n_tasks, result)
+            # Whole-process crash site (chaos scenarios): fires between
+            # the checkpoint commit and the next task, the window a
+            # SIGKILL would most likely land in on a long run.
+            _faults.fault_point("trainer.task.boundary")
+            if self.verbose:
+                print(f"[{method.name}] task {task_index + 1}/{n_tasks}: "
+                      f"Acc={result.acc_at(task_index):.4f} Fgt={result.fgt_at(task_index):.4f}")
 
         result.elapsed_seconds = prior_elapsed + (time.perf_counter() - start)
         return result
@@ -509,10 +488,6 @@ class ContinualTrainer:
                             rows=start_task - transfer.rows_recorded)
             transfer.backfill(start_task)
 
-    def _log_step_event(self, kind: str, **fields) -> None:
-        """Operational events from the sharded step (e.g. pool-degraded)."""
-        self.log.append(kind, task_index=self._task_index, **fields)
-
     # ------------------------------------------------------------------
     # One task, with the guardrail escalation ladder
     # ------------------------------------------------------------------
@@ -520,38 +495,13 @@ class ContinualTrainer:
         config = self.config
         method = self.method
         policy = self.guardrails
-        self._task_index = task_index
         method.augment = _build_augment(config, task.train.x)
-
-        # Sharded regime: engages only when the config asks for it, the
-        # method is shard-safe, and guardrails don't require per-op anomaly
-        # inspection (the shards run out of process, beyond its reach).
-        # Ineligibility falls back to the classic step with a logged reason,
-        # never an error — semantics stay identical either way.
-        self._shard_active = False
-        if config.workers is not None:
-            reason = None
-            if not method.shard_safe:
-                reason = f"method {method.name!r} is not shard-safe"
-            elif policy is not None and policy.anomaly_mode:
-                reason = "guardrail anomaly mode requires eager in-process dispatch"
-            if reason is not None:
-                self.log.append("shard-fallback", task_index=task_index,
-                                detail=reason)
-            else:
-                if self._sharded_step is None:
-                    self._sharded_step = ShardedStep(
-                        method.objective, config, task.train.x.shape[1:],
-                        workers=config.workers, use_tape=config.use_tape,
-                        on_event=self._log_step_event)
-                self._shard_active = True
 
         # Fresh tape per task: the trainable parameter set (heads, frozen
         # backbones) can change at task boundaries, and a stale tape would
-        # fail its validity check every batch anyway.  The sharded step
-        # tapes per shard shape inside its executors instead.
+        # fail its validity check every batch anyway.
         self._taped_step = None
-        if config.use_tape and method.tape_safe and not self._shard_active:
+        if config.use_tape and method.tape_safe:
             self._taped_step = TapedFunction(self._eager_loss_backward,
                                              name=f"{method.name}-step")
 
@@ -575,8 +525,8 @@ class ContinualTrainer:
             schedule = _build_schedule(config, optimizer)
             # One draw keys every epoch's shuffle: the order becomes a pure
             # function of (seed, epoch) instead of the trainer RNG's rolling
-            # state, so iteration order can never drift with worker count or
-            # with how much RNG the steps in between consumed.
+            # state, so iteration order can never drift with how much RNG the
+            # steps in between consumed.
             loader_seed = int(self.rng.integers(2 ** 63))
             loader = DataLoader(task.train, config.batch_size, shuffle=True,
                                 seed=loader_seed)
@@ -650,17 +600,13 @@ class ContinualTrainer:
         return loss
 
     def _loss_backward(self, view1, view2, x_batch):
-        """Forward + backward, sharded or tape-replayed when eligible.
+        """Forward + backward, tape-replayed when eligible.
 
-        All three dispatch targets land gradients in the same leaf
-        ``.grad`` buffers.  The sharded step only engages for shard-safe
-        methods, whose ``batch_loss`` ignores ``x_batch`` by definition.
-        For the taped path all three batch arrays are declared as tape
-        inputs so the validity check covers them even when ``batch_loss``
-        ignores ``x_batch``.
+        Both dispatch targets land gradients in the same leaf ``.grad``
+        buffers.  For the taped path all three batch arrays are declared as
+        tape inputs so the validity check covers them even when
+        ``batch_loss`` ignores ``x_batch``.
         """
-        if self._shard_active:
-            return self._sharded_step.loss_backward(view1, view2)
         if self._taped_step is not None:
             return self._taped_step(view1, view2, x_batch)
         return self._eager_loss_backward(view1, view2, x_batch)
@@ -701,14 +647,6 @@ class ContinualTrainer:
         except GuardrailViolation as exc:
             optimizer.zero_grad()
             return self._skip_event(exc.kind, exc, task_index, epoch, batch_index)
-        except WorkerFailure as exc:
-            # A worker died/hung/raised mid-step.  The pool has already
-            # respawned dead workers; the gradients are unusable, so this
-            # batch enters the ladder like any other poisoned batch:
-            # skip → (budget exhausted) restore → abort.
-            optimizer.zero_grad()
-            return self._skip_event("worker-failure", exc, task_index, epoch,
-                                    batch_index)
 
         norm = global_grad_norm(optimizer.parameters)
         if not np.isfinite(norm) or (policy.max_grad_norm is not None
@@ -764,7 +702,16 @@ def run_method(name: str, sequence: TaskSequence, config: ContinualConfig,
     method from the same seed, then the checkpoint overwrites every piece of
     state (including the RNG stream), so the continuation is bit-for-bit
     identical to the uninterrupted run.
+
+    Only the classic class-incremental sequence runs here; any other
+    ``config.scenario`` raises rather than being silently ignored — use
+    :func:`repro.scenarios.registry.run_scenario_method` for those.
     """
+    if config.scenario != "class_incremental":
+        raise ValueError(
+            f"run_method runs the classic class-incremental sequence only; "
+            f"config.scenario={config.scenario!r} needs run_scenario_method "
+            f"(repro.scenarios.registry)")
     rng = np.random.default_rng(seed)
     sample_shape = sequence[0].train.x.shape[1:]
     objective = build_objective(config, sample_shape, rng)

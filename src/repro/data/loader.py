@@ -43,10 +43,9 @@ class DataLoader:
     seed:
         Stateless alternative to ``rng`` (takes precedence when set): the
         shuffle order is a pure function of ``(seed, epoch)`` — see
-        :meth:`set_epoch` — and of nothing else.  This is what the sharded
-        training regime requires: any process can reproduce the exact
-        iteration order from the two integers alone, so iteration can
-        never drift with worker count or with unrelated RNG consumption.
+        :meth:`set_epoch` — and of nothing else, so the exact iteration
+        order is reproducible from the two integers alone and can never
+        drift with unrelated RNG consumption.
     """
 
     def __init__(self, dataset: ArrayDataset, batch_size: int, shuffle: bool = True,

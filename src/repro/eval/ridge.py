@@ -16,23 +16,33 @@ grid* of ridge strengths at the cost of one eigendecomposition, and the best
 ``λ`` is picked by validation accuracy.  State is O(d²), independent of the
 number of samples.
 
-Merge contract (the PR-5 reduction contract, applied to statistics)
--------------------------------------------------------------------
+Merge contract
+--------------
 Float addition is not associative, so "just add the partial sums" would make
-the statistics depend on how the pass was split across workers.  Instead the
+the statistics depend on how the pass was split into shards.  Instead the
 accumulation is defined over an ordered sequence of *blocks* (one
-:meth:`RidgeStatistics.update` call = one block, the analogue of PR-5's
-micro-shards), and partial sums are only ever combined along the **fixed
-binary reduction tree** over block indices — the exact tree
-:func:`repro.parallel.reduce.tree_reduce` walks.  Internally each statistics
-object holds the maximal aligned complete subtrees of its block range (a
-binary-counter decomposition, O(log n_blocks) nodes of O(d²) each); two
-nodes fuse only when they are sibling children of the same tree node.
-Because every aligned node has a unique parent, the set of additions — and
-their operand order — is a pure function of the block decomposition:
-:meth:`merge` of shard-partial statistics is bit-for-bit identical for any
-worker count and any merge order, and equals the single-pass accumulation
-over the same blocks.
+:meth:`RidgeStatistics.update` call = one block), and partial sums are only
+ever combined along the **fixed binary reduction tree** over block indices.
+:func:`tree_reduce` is the reference for that tree: the tree-reduced
+``(A, B)`` must equal ``tree_reduce`` over the per-block contributions byte
+for byte.  Internally each statistics object holds the maximal aligned
+complete subtrees of its block range (a binary-counter decomposition,
+O(log n_blocks) nodes of O(d²) each); two nodes fuse only when they are
+sibling children of the same tree node.  Because every aligned node has a
+unique parent, the set of additions — and their operand order — is a pure
+function of the block decomposition: :meth:`RidgeStatistics.merge` of
+shard-partial statistics is bit-for-bit identical for any partition and any
+merge order, and equals the single-pass accumulation over the same blocks.
+
+The reduction tree for six blocks::
+
+    b0   b1   b2   b3   b4   b5
+      \\  /      \\  /      \\  /
+      b01       b23       b45
+         \\      /           |
+          b0123            b45
+               \\          /
+                b012345            (odd node passes through unchanged)
 """
 
 from __future__ import annotations
@@ -45,6 +55,27 @@ DEFAULT_LAMBDAS = tuple(float(v) for v in np.logspace(-4.0, 2.0, 13))
 #: Every ``stride``-th sample is held out for λ selection (deterministic,
 #: RNG-free; interleaved so class-ordered data still lands in both splits).
 VALIDATION_STRIDE = 5
+
+
+def tree_reduce(values: list[np.ndarray]) -> np.ndarray:
+    """Sum ``values`` pairwise in a fixed binary-tree order.
+
+    ``values`` must be ordered by block index.  Level by level, element
+    ``2i`` is added to element ``2i + 1``; an odd trailing element passes
+    through unchanged.  The schedule depends only on ``len(values)``, so any
+    two reductions over the same block decomposition add the same numbers in
+    the same order.  This is the reference :meth:`RidgeStatistics.reduced`
+    must match byte for byte.
+    """
+    if not values:
+        raise ValueError("tree_reduce needs at least one value")
+    level = list(values)
+    while len(level) > 1:
+        paired = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
 
 
 class _Node:
@@ -86,9 +117,8 @@ class RidgeStatistics:
         sorted.  Labels outside this set are an error at :meth:`update`.
     start_block:
         Index of this object's first block in the *global* block sequence.
-        A shard worker accumulating blocks ``[k, m)`` passes ``k`` so its
-        nodes slot into the shared reduction tree (mirroring how PR-5 slots
-        gradients by shard id before reducing).
+        A shard accumulating blocks ``[k, m)`` passes ``k`` so its nodes
+        slot into the shared reduction tree.
     """
 
     def __init__(self, dim: int, classes: np.ndarray, start_block: int = 0):
@@ -125,8 +155,7 @@ class RidgeStatistics:
 
         The block decomposition is part of the numerical contract: two
         passes agree bit-for-bit only when they feed the same sample ranges
-        as the same block indices (exactly as PR-5's shard plan is a pure
-        function of the batch size, never of the worker count).
+        as the same block indices.
         """
         x = np.asarray(representations, dtype=np.float64)
         y = np.asarray(labels)
@@ -178,7 +207,7 @@ class RidgeStatistics:
         """Combine two shard-partial statistics objects (pure; inputs kept).
 
         Block ranges must be disjoint.  The result is bit-for-bit identical
-        for every way of partitioning the blocks among workers and every
+        for every way of partitioning the blocks into shards and every
         association order of the merges, because nodes only ever fuse along
         the fixed tree.
         """
@@ -206,10 +235,9 @@ class RidgeStatistics:
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """The tree-reduced ``(A, B)`` over the covered block range.
 
-        Requires contiguous coverage (no missing shard, mirroring
-        ``reduce_gradients``' every-shard-present check).  The remaining
+        Requires contiguous coverage (no missing shard).  The remaining
         aligned nodes are folded right-to-left, which reproduces exactly the
-        value ``tree_reduce`` computes over the per-block contributions.
+        value :func:`tree_reduce` computes over the per-block contributions.
         """
         if not self._nodes:
             raise ValueError("no blocks accumulated")

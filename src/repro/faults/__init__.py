@@ -1,9 +1,9 @@
 """Deterministic fault injection and the chaos campaign harness.
 
 ``repro.faults`` is the robustness substrate of the repo: a seed-
-reproducible fault-injection *plane* threaded through every I/O and IPC
-choke point (checkpoint writes, worker pool send/recv/spawn, the engine
-dispatch, the data loader, the trainer's task boundary), plus the
+reproducible fault-injection *plane* threaded through every I/O choke
+point (checkpoint writes, the engine dispatch, the data loader, the
+trainer's task boundary), plus the
 harnesses that drive it:
 
 - :mod:`repro.faults.plane` — :class:`FaultPlan`/:class:`FaultEvent`, the
@@ -36,11 +36,9 @@ from repro.faults.plane import (
     InjectedCrash,
     InjectedIOError,
     InjectedTornWrite,
-    InjectedWorkerError,
     arm,
     armed,
     corrupt,
-    current_plan,
     disarm,
     fault_point,
     site_counts,
@@ -54,11 +52,9 @@ __all__ = [
     "InjectedCrash",
     "InjectedIOError",
     "InjectedTornWrite",
-    "InjectedWorkerError",
     "arm",
     "armed",
     "corrupt",
-    "current_plan",
     "disarm",
     "fault_point",
     "site_counts",

@@ -20,8 +20,7 @@ fault plan armed, then classified:
     ``run_scenario(name, seed=...)``.
 
 Scenarios with ``verify="identical"`` additionally require the injected
-run's result to equal the uninjected reference bit-for-bit (the
-degradation scenario compares against the uninjected ``workers=1`` run).
+run's result to equal the uninjected reference bit-for-bit.
 :func:`run_campaign` bundles the scenario entries with a crash-consistency
 sweep (:mod:`repro.faults.crashsweep`) into one JSON survival report —
 the ``repro chaos`` CLI command is a thin wrapper over it.
@@ -47,7 +46,7 @@ from repro.runtime.guardrail import GuardrailPolicy, TrainingDiverged
 
 __all__ = ["format_campaign", "run_campaign", "run_scenario"]
 
-#: The method every scenario trains (shard- and tape-safe, cheapest).
+#: The method every scenario trains (tape-safe, cheapest).
 METHOD = "finetune"
 
 
@@ -65,19 +64,15 @@ def chaos_sequence() -> TaskSequence:
     return class_incremental_split(train, test, 3)
 
 
-def chaos_config(workers: int | None = None,
-                 use_tape: bool = True) -> ContinualConfig:
+def chaos_config() -> ContinualConfig:
     """The run configuration scenarios train under (seconds per scenario)."""
     return ContinualConfig(
         epochs=1, batch_size=8, representation_dim=16,
-        memory_budget=12, replay_batch_size=8, noise_neighbors=5, knn_k=5,
-        workers=workers, use_tape=use_tape)
+        memory_budget=12, replay_batch_size=8, noise_neighbors=5, knn_k=5)
 
 
 def _policy(scenario: Scenario) -> GuardrailPolicy:
-    overrides = dict(scenario.policy_overrides)
-    overrides.setdefault("anomaly_mode", scenario.anomaly)
-    return GuardrailPolicy(**overrides)
+    return GuardrailPolicy(**scenario.policy_overrides)
 
 
 def _run_target(scenario: Scenario, sequence: TaskSequence,
@@ -116,17 +111,14 @@ def _reference_state(scenario: Scenario, seed: int, sequence: TaskSequence,
                      cache: dict) -> dict:
     """The uninjected reference result for ``scenario``'s run shape.
 
-    Cached per (workers, use_tape, anomaly, stream) — the knobs that
-    select the dispatch path and the stream the trainer consumes;
-    scenarios sharing a shape share the reference.
+    Cached per stream — the one knob that changes what the trainer
+    consumes; scenarios sharing a stream share the reference.
     """
-    workers = (scenario.reference_workers
-               if scenario.reference_workers is not None else scenario.workers)
-    key = (workers, scenario.use_tape, scenario.anomaly, scenario.stream)
+    key = scenario.stream
     if key not in cache:
-        config = chaos_config(workers=workers, use_tape=scenario.use_tape)
-        policy = GuardrailPolicy(anomaly_mode=scenario.anomaly)
-        trainer = _build_trainer(config, seed, sequence, None, policy)
+        config = chaos_config()
+        trainer = _build_trainer(config, seed, sequence, None,
+                                 GuardrailPolicy())
         target = _run_target(scenario, sequence, config)
         cache[key] = _comparable(trainer.run(target).state_dict())
     return cache[key]
@@ -168,7 +160,7 @@ def run_scenario(name: str, seed: int = 0,
         references = {}
     plan = build_plan(seed, name)
     run_dir = pathlib.Path(workdir) / name
-    config = chaos_config(workers=scenario.workers, use_tape=scenario.use_tape)
+    config = chaos_config()
     policy = _policy(scenario)
     trainer = _build_trainer(config, seed, sequence, run_dir, policy)
 

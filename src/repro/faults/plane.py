@@ -1,6 +1,6 @@
 """The deterministic fault-injection plane.
 
-Every I/O and IPC choke point in the training stack calls a *site* —
+Every I/O choke point in the training stack calls a *site* —
 ``fault_point("ckpt.arrays.tmp_written")``, ``corrupt("engine.dispatch",
 data)`` — which is a zero-overhead no-op until a :class:`FaultPlan` is
 armed (the hot-path guard is a single module-attribute bool check).  A
@@ -19,12 +19,7 @@ Fault kinds
 ``torn_write``        consumed by the atomic writer: write *truncated*
                       bytes straight to the final path, then raise — the
                       on-disk state a torn non-atomic write leaves behind
-``kill``              ``SIGKILL`` the calling process (crash sweep,
-                      worker-death scenarios)
-``worker_hang``       ignore ``SIGTERM`` and sleep ``seconds`` — a worker
-                      wedged in uninterruptible state; only the pool's
-                      ``kill()`` escalation can clear it
-``worker_exception``  raise :class:`InjectedWorkerError`
+``kill``              ``SIGKILL`` the calling process (crash sweep)
 ``nan_payload``       consumed by :func:`corrupt`: poison the payload
                       array with a NaN
 ``loader_fault``      alias of ``io_error`` for data-loader sites
@@ -32,18 +27,16 @@ Fault kinds
                       failure the trainer does *not* catch; the chaos
                       harness treats it like a kill and exercises resume
 
-Arming is process-local by design: a forked worker re-arms its own
-filtered plan (:meth:`FaultPlan.for_worker`) with fresh hit counters, so
-parent and worker sites count independently.
+Arming is process-local: the crash sweep's forked child arms its own plan
+with fresh hit counters.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,19 +47,17 @@ __all__ = [
     "InjectedCrash",
     "InjectedIOError",
     "InjectedTornWrite",
-    "InjectedWorkerError",
     "arm",
     "armed",
     "corrupt",
-    "current_plan",
     "disarm",
     "fault_point",
     "site_counts",
     "take_torn",
 ]
 
-FAULT_KINDS = ("io_error", "torn_write", "kill", "worker_hang",
-               "worker_exception", "nan_payload", "loader_fault", "crash")
+FAULT_KINDS = ("io_error", "torn_write", "kill", "nan_payload",
+               "loader_fault", "crash")
 
 #: Hot-path guard: sites check this single module attribute and return.
 ARMED = False
@@ -89,14 +80,6 @@ class InjectedTornWrite(InjectedIOError):
         super().__init__(site, transient=False)
 
 
-class InjectedWorkerError(RuntimeError):
-    """An injected in-worker exception (reported, worker stays alive)."""
-
-    def __init__(self, site: str):
-        super().__init__(f"injected worker_exception at site {site!r}")
-        self.site = site
-
-
 class InjectedCrash(RuntimeError):
     """An injected whole-process failure the trainer must *not* absorb.
 
@@ -115,16 +98,13 @@ class FaultEvent:
     """One scheduled fault: fire ``kind`` at the ``hit``-th call of ``site``.
 
     ``hit=0`` fires on *every* call (persistent fault); ``hit >= 1`` is a
-    one-shot at that occurrence.  ``worker`` restricts the event to one
-    worker index (``None`` = any process that owns the site).
+    one-shot at that occurrence.
     """
 
     site: str
     kind: str
     hit: int = 1
-    worker: int | None = None
     transient: bool = False
-    seconds: float = 30.0
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -142,16 +122,11 @@ class FaultPlan:
     scenario: str
     events: tuple[FaultEvent, ...] = field(default_factory=tuple)
 
-    def for_worker(self, index: int) -> "FaultPlan":
-        """The sub-plan a forked worker arms: its events plus shared ones."""
-        return replace(self, events=tuple(
-            e for e in self.events if e.worker is None or e.worker == index))
-
     def describe(self) -> dict:
         """JSON-safe summary for chaos reports."""
         return {"seed": self.seed, "scenario": self.scenario,
                 "events": [{"site": e.site, "kind": e.kind, "hit": e.hit,
-                            "worker": e.worker, "transient": e.transient}
+                            "transient": e.transient}
                            for e in self.events]}
 
 
@@ -183,18 +158,15 @@ _STATE: _PlaneState | None = None
 def arm(plan: FaultPlan) -> None:
     """Arm ``plan`` in this process (fresh hit counters)."""
     global ARMED, _STATE
-    # Injection state is process-local on purpose: each forked worker
-    # re-arms its own filtered plan (fresh counters), never shares the
-    # parent's.  See FaultPlan.for_worker / worker_main.
-    _STATE = _PlaneState(plan)  # repro-lint: disable=MP002
-    ARMED = True  # repro-lint: disable=MP002
+    _STATE = _PlaneState(plan)
+    ARMED = True
 
 
 def disarm() -> None:
     """Return every site to its zero-overhead no-op state."""
     global ARMED, _STATE
-    ARMED = False  # repro-lint: disable=MP002
-    _STATE = None  # repro-lint: disable=MP002
+    ARMED = False
+    _STATE = None
 
 
 @contextmanager
@@ -207,11 +179,6 @@ def armed(plan: FaultPlan):
         disarm()
 
 
-def current_plan() -> FaultPlan | None:
-    """The armed plan, if any (what a pool forwards to spawned workers)."""
-    return None if _STATE is None else _STATE.plan
-
-
 def site_counts() -> dict[str, int]:
     """Sites observed since arming (site -> invocation count)."""
     return {} if _STATE is None else dict(_STATE.counts)
@@ -221,8 +188,7 @@ def fault_point(site: str) -> None:
     """Declare an injection site; no-op unless a matching event is due.
 
     Control-flow faults only — ``io_error``/``loader_fault`` raise,
-    ``kill`` SIGKILLs the process, ``worker_hang`` wedges it,
-    ``worker_exception`` raises, ``crash`` raises :class:`InjectedCrash`.
+    ``kill`` SIGKILLs the process, ``crash`` raises :class:`InjectedCrash`.
     Payload faults (``nan_payload``) go through :func:`corrupt` and torn
     writes through :func:`take_torn` instead.
     """
@@ -235,14 +201,6 @@ def fault_point(site: str) -> None:
         raise InjectedIOError(site, transient=event.transient)
     if event.kind == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    if event.kind == "worker_hang":
-        # A hang that also shrugs off SIGTERM: the wedged-in-C-extension
-        # case that forces the pool's kill() escalation.
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        time.sleep(event.seconds)
-        return
-    if event.kind == "worker_exception":
-        raise InjectedWorkerError(site)
     if event.kind == "crash":
         raise InjectedCrash(site)
 

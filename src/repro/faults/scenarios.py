@@ -1,8 +1,8 @@
 """The chaos scenario catalog: named failure stories, seed-keyed plans.
 
 A :class:`Scenario` bundles what the chaos harness needs to run one
-failure story end-to-end through the trainer: the run shape (worker
-count, tape mode, guardrail knobs), the :class:`~repro.faults.FaultPlan`
+failure story end-to-end through the trainer: the run shape (guardrail
+knobs, stream), the :class:`~repro.faults.FaultPlan`
 builder, the *expected* outcome, and how to verify the run afterwards.
 
 :func:`build_plan` is the determinism contract: the plan is a pure
@@ -13,9 +13,8 @@ its report line.
 
 The hit ranges below are tuned to the harness's fixed tiny run (3 tasks,
 1 epoch, 3 batches per task — see :mod:`repro.faults.chaos`): e.g. the
-trainer executes 9 optimizer steps total, so a ``worker.step`` hit drawn
-from ``[4, 8]`` kills a worker at most twice (the respawned worker
-re-counts from zero), which stays inside the default skip budget.
+trainer reads 9 batches total, so a ``data.loader.batch`` hit drawn from
+``[1, 9]`` always lands inside the run.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ class Scenario:
     ``expect`` is the outcome the campaign requires (``survived`` /
     ``clean-abort`` / ``resume-verified``); anything else is a FAILED
     entry.  ``verify="identical"`` additionally requires the final result
-    to be bit-for-bit equal to an uninjected reference run
-    (``reference_workers`` overrides the reference's worker count — the
-    degradation scenario compares against the uninjected ``workers=1``
-    run, per the serial-fallback contract).  ``stream`` names a scenario
+    to be bit-for-bit equal to an uninjected reference run.  ``stream``
+    names a scenario
     from :data:`repro.scenarios.SCENARIO_REGISTRY`: the harness then
     trains on that stream shape instead of the sharp task sequence, so
     faults land inside task-free segments and blurry pseudo-boundaries.
@@ -51,11 +48,7 @@ class Scenario:
     description: str
     expect: str
     events: Callable[[np.random.Generator], tuple[FaultEvent, ...]]
-    workers: int | None = None
-    use_tape: bool = True
-    anomaly: bool = True
     verify: str = "none"  # "none" | "identical"
-    reference_workers: int | None = None
     policy_overrides: Mapping[str, object] = field(default_factory=dict)
     stream: str | None = None
 
@@ -71,11 +64,6 @@ def _engine_nan_once(rng: np.random.Generator) -> tuple[FaultEvent, ...]:
 
 def _engine_nan_persistent(_rng: np.random.Generator) -> tuple[FaultEvent, ...]:
     return (FaultEvent("engine.dispatch", "nan_payload", hit=0),)
-
-
-def _shard_grads_nan(rng: np.random.Generator) -> tuple[FaultEvent, ...]:
-    return (FaultEvent("shard.grads", "nan_payload",
-                       hit=int(rng.integers(1, 7))),)
 
 
 def _loader_transient(rng: np.random.Generator) -> tuple[FaultEvent, ...]:
@@ -113,34 +101,6 @@ def _crash_torn_checkpoint(_rng: np.random.Generator) -> tuple[FaultEvent, ...]:
             FaultEvent("trainer.task.boundary", "crash", hit=2))
 
 
-def _worker_exception(rng: np.random.Generator) -> tuple[FaultEvent, ...]:
-    return (FaultEvent("worker.step", "worker_exception",
-                       hit=int(rng.integers(1, 9)),
-                       worker=int(rng.integers(0, 2))),)
-
-
-def _worker_kill(rng: np.random.Generator) -> tuple[FaultEvent, ...]:
-    return (FaultEvent("worker.step", "kill", hit=int(rng.integers(4, 9)),
-                       worker=int(rng.integers(0, 2))),)
-
-
-def _pool_degrade(_rng: np.random.Generator) -> tuple[FaultEvent, ...]:
-    # Worker 0 dies at its 2nd step; both respawn attempts (parent-side
-    # pool.spawn hits 3 and 4 — hits 1 and 2 were the initial spawns of a
-    # 2-worker pool) fail, so the pool is broken and the step must
-    # degrade to the serial regime mid-task.
-    return (FaultEvent("worker.step", "kill", hit=2, worker=0),
-            FaultEvent("pool.spawn", "io_error", hit=3),
-            FaultEvent("pool.spawn", "io_error", hit=4))
-
-
-def _worker_hang_close(_rng: np.random.Generator) -> tuple[FaultEvent, ...]:
-    # The worker shrugs off the stop message (and SIGTERM) for a bounded
-    # nap; close() must still return promptly via its escalation ladder.
-    return (FaultEvent("worker.stop", "worker_hang", hit=1, worker=0,
-                       seconds=1.0),)
-
-
 _CATALOG = (
     Scenario(
         name="baseline",
@@ -158,11 +118,6 @@ _CATALOG = (
                     "a clean structured abort",
         expect="clean-abort", events=_engine_nan_persistent,
         policy_overrides={"max_skips_per_task": 1, "max_restores_per_task": 1}),
-    Scenario(
-        name="shard-grads-nan",
-        description="one shard hands back a NaN gradient; the grad-norm "
-                    "screen skips the batch",
-        expect="survived", events=_shard_grads_nan, workers=1, anomaly=False),
     Scenario(
         name="loader-transient",
         description="transient batch-read fault absorbed by the loader's "
@@ -199,22 +154,6 @@ _CATALOG = (
                     "the last good checkpoint and re-runs bit-for-bit",
         expect="resume-verified", events=_crash_torn_checkpoint),
     Scenario(
-        name="worker-exception",
-        description="a worker raises mid-step; the err reply enters the "
-                    "guardrail ladder, the worker lives",
-        expect="survived", events=_worker_exception, workers=2, anomaly=False),
-    Scenario(
-        name="worker-kill-respawn",
-        description="SIGKILL a worker mid-step; the pool respawns it and "
-                    "the run continues",
-        expect="survived", events=_worker_kill, workers=2, anomaly=False),
-    Scenario(
-        name="pool-degrade-serial",
-        description="worker dies and respawn fails twice: degrade to the "
-                    "serial regime, identical to uninjected workers=1",
-        expect="survived", events=_pool_degrade, workers=2, anomaly=False,
-        verify="identical", reference_workers=1),
-    Scenario(
         name="task-free-loader-fault",
         description="persistent batch-read fault inside an unsignalled "
                     "task-free segment: the drift-driven run survives on "
@@ -225,12 +164,6 @@ _CATALOG = (
         description="process dies at the first blurry pseudo-boundary; "
                     "resume over the rebuilt stream must be bit-for-bit",
         expect="resume-verified", events=_crash_boundary, stream="blurry"),
-    Scenario(
-        name="worker-hang-close",
-        description="a worker ignores stop/SIGTERM at shutdown; close() "
-                    "escalates and the run still completes",
-        expect="survived", events=_worker_hang_close, workers=2,
-        anomaly=False),
 )
 
 SCENARIOS: dict[str, Scenario] = {s.name: s for s in _CATALOG}

@@ -105,8 +105,7 @@ class Module:
         arrays every step (no per-step gradient allocation).
 
         Like ``Optimizer.zero_grad``, this is a step boundary for the tape
-        memory planner (the sharded worker path zeroes grads through the
-        module, not an optimizer): live replay arenas are bump-reset here.
+        memory planner: live replay arenas are bump-reset here.
         """
         for p in self.parameters():
             p.zero_grad(set_to_none=set_to_none)

@@ -22,12 +22,8 @@ be ndarrays (non-object dtype), plain Python scalars, strings, ``None``, or
 lists/tuples/dicts thereof.  :func:`check_serializable` is the runtime
 enforcement of that contract (lint rule SER001 is the static sibling).
 
-Execution topology is deliberately **not** part of the state: a manifest may
-carry an informational ``meta`` mapping (worker count, shard count — see
-``ContinualConfig.workers``), but restoring a checkpoint never reads it.
-The sharded regime's results are worker-count independent by construction,
-so a run checkpointed under ``--workers 3`` resumes bit-for-bit under
-``--workers 1`` and vice versa.
+A manifest may carry an informational ``meta`` mapping (e.g. the probe
+name), but restoring a checkpoint never reads it.
 """
 
 from __future__ import annotations
@@ -192,8 +188,8 @@ class LoadedCheckpoint:
     state: dict
     path: pathlib.Path
     skipped: list[str] = field(default_factory=list)
-    #: Informational run metadata (e.g. worker count); never used to
-    #: restore state — resume is execution-topology independent.
+    #: Informational run metadata (e.g. the probe name); never used to
+    #: restore state.
     meta: dict = field(default_factory=dict)
 
 
@@ -251,9 +247,8 @@ class CheckpointManager:
         """Atomically write ``state`` as the checkpoint for ``task_index``.
 
         ``meta`` is an optional JSON-safe mapping recorded in the manifest
-        for humans and tooling (e.g. ``{"workers": 3}``); loading ignores
-        it when restoring state, so runs stay resumable under a different
-        execution topology.
+        for humans and tooling (e.g. ``{"probe": "knn"}``); loading ignores
+        it when restoring state.
         """
         tree, arrays = flatten_state(state)
         arrays_name, manifest_name = self._names(task_index)

@@ -22,8 +22,8 @@ never sees:
 Every builder is a **pure function of (seed, params)**: all randomness
 comes from ``np.random.default_rng([seed, tag, index])`` streams keyed
 per segment, so the same arguments rebuild bit-for-bit identical streams
-in any process — the property the resume path and the sharded loader
-contract both depend on (property-tested in ``tests/scenarios``).
+in any process — the property the resume path depends on
+(property-tested in ``tests/scenarios``).
 """
 
 from __future__ import annotations

@@ -35,10 +35,6 @@ Planner-exempt storage — leaf parameters, ``.grad`` accumulators, the
 loss root that escapes the step, BatchNorm running stats and other method
 buffers — is never placed in an arena: it must outlive the step, so it
 stays individually owned exactly as before.
-
-Everything here is process-local by design: workers plan their own tapes
-against their own arenas (only losses/grads/buffers cross the pipe), so
-the sharded regime's bit-for-bit contract is untouched.
 """
 
 from __future__ import annotations
@@ -64,7 +60,6 @@ __all__ = [
     "planning_enabled",
     "provide_scratch",
     "release",
-    "reset_process_state",
     "set_debug_fill",
     "set_planning",
     "stats",
@@ -124,10 +119,9 @@ def set_debug_fill(enabled: bool) -> bool:
 # ----------------------------------------------------------------------
 # Allocation accounting
 # ----------------------------------------------------------------------
-# Counters are process-local measurement state for the bench memory
-# section and the zero-alloc regression tests; they never influence
-# numerics and never cross the worker pipe.
-_STATS = {  # repro-lint: disable=MP002
+# Counters are measurement state for the bench memory section and the
+# zero-alloc regression tests; they never influence numerics.
+_STATS = {
     "arena_outputs": 0,     # planned-replay outputs written into arena slabs
     "fallback_outputs": 0,  # replay outputs allocated per op (unplanned)
     "arena_scratch": 0,     # scratch served from the active plan's arena
@@ -204,14 +198,12 @@ class _ScratchCache:
         self._free.clear()
 
 
-# Per-process scratch state, deliberately: scratch is storage, not run
-# state — workers reuse their own buffers and nothing here crosses the
-# pipe or affects numerics.
-_CACHE = _ScratchCache()  # repro-lint: disable=MP002
-_PROVIDED: list[np.ndarray] = []  # repro-lint: disable=MP002
+# Scratch is storage, not run state: nothing here affects numerics.
+_CACHE = _ScratchCache()
+_PROVIDED: list[np.ndarray] = []
 #: id() of every live arena backing buffer, so release() can recognize
 #: arena-owned scratch through any chain of reshape/transpose views.
-_ARENA_ROOTS: set[int] = set()  # repro-lint: disable=MP002
+_ARENA_ROOTS: set[int] = set()
 
 
 def _is_arena_backed(arr: np.ndarray) -> bool:
@@ -229,7 +221,7 @@ def provide_scratch(views) -> None:
     clears it (``provide_scratch(())``) right after.
     """
     global _PROVIDED
-    _PROVIDED = list(views)  # repro-lint: disable=MP002
+    _PROVIDED = list(views)
 
 
 def acquire(shape, dtype) -> np.ndarray:
@@ -244,9 +236,7 @@ def acquire(shape, dtype) -> np.ndarray:
     dtype = np.dtype(dtype)
     for idx, view in enumerate(_PROVIDED):
         if view.shape == shape and view.dtype == dtype:
-            # Per-process staging area: a worker's planned scratch never
-            # crosses the pipe, so fork divergence is the intended design.
-            _PROVIDED.pop(idx)  # repro-lint: disable=MP002
+            _PROVIDED.pop(idx)
             _STATS["arena_scratch"] += 1
             return view
     return _CACHE.acquire(shape, dtype)
@@ -265,22 +255,8 @@ def release(buf: np.ndarray) -> None:
 
 
 def clear_scratch_cache() -> None:
-    """Drop every cached scratch buffer (tests, worker hygiene)."""
+    """Drop every cached scratch buffer (tests)."""
     _CACHE.clear()
-
-
-def reset_process_state() -> None:
-    """Fresh scratch cache and counters — called in forked workers.
-
-    A fork inherits the parent's cache contents and counter values;
-    resetting keeps per-worker accounting honest and releases buffers the
-    child will never use.
-    """
-    clear_scratch_cache()
-    provide_scratch(())
-    for key in _STATS:
-        # Counters are process-local diagnostics; workers reset their own.
-        _STATS[key] = 0  # repro-lint: disable=MP002
 
 
 # ----------------------------------------------------------------------
@@ -295,9 +271,7 @@ class Arena:
         # max(1, ...) keeps zero-item plans harmless (a real backing array
         # still exists for view bookkeeping).
         self._backing = np.empty(max(1, self.nbytes), dtype=np.uint8)
-        # Arena identity is per-process by construction (an arena is never
-        # pickled or shipped to a worker); the id registry follows it.
-        _ARENA_ROOTS.add(id(self._backing))  # repro-lint: disable=MP002
+        _ARENA_ROOTS.add(id(self._backing))
         weakref.finalize(self._backing, _ARENA_ROOTS.discard, id(self._backing))
         _register_arena(self)
 
@@ -324,9 +298,8 @@ class Arena:
 
 
 # Live arenas, so the optimizer's zero_grad can bump-reset them at the
-# step boundary without holding them alive.  Per-process measurement/
-# storage state (same contract as the scratch cache above).
-_LIVE_ARENAS: "weakref.WeakSet[Arena]" = weakref.WeakSet()  # repro-lint: disable=MP002
+# step boundary without holding them alive.
+_LIVE_ARENAS: "weakref.WeakSet[Arena]" = weakref.WeakSet()
 
 
 def _register_arena(arena: Arena) -> None:

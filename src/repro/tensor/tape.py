@@ -620,14 +620,11 @@ def capture(inputs=()):
     if engine._ACTIVE_CAPTURE is not None:
         raise RuntimeError("a tape capture is already active")
     tape = Tape(inputs)
-    # Per-process capture slot, deliberately: each worker records and
-    # replays its own tape; only (loss, grads, buffers) cross the pipe,
-    # so the parent never needs to observe a worker's capture state.
-    engine._ACTIVE_CAPTURE = tape  # repro-lint: disable=MP002
+    engine._ACTIVE_CAPTURE = tape
     try:
         yield tape
     finally:
-        engine._ACTIVE_CAPTURE = None  # repro-lint: disable=MP002
+        engine._ACTIVE_CAPTURE = None
         tape._end_capture()
 
 

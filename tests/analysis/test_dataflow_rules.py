@@ -1,4 +1,4 @@
-"""Golden tests for the whole-program dataflow rules (DET002/TAPE002/MP002/SER002).
+"""Golden tests for the whole-program rules (DET002/TAPE002/SER002/PERF002).
 
 Each fixture module under ``fixtures/`` seeds deliberate violations and
 marks the expected line with a trailing ``# expect: CODE`` comment — the
@@ -42,7 +42,6 @@ def found(path: Path, code: str) -> set[tuple[int, str]]:
     ("det002_tryfinally.py", "DET002"),
     ("det002_nested.py", "DET002"),
     ("tape002_branch.py", "TAPE002"),
-    ("mp002_worker.py", "MP002"),
     ("ser002_ckpt.py", "SER002"),
     ("perf002_replay.py", "PERF002"),
 ])
@@ -57,8 +56,8 @@ def test_every_fixture_is_covered():
     """A fixture added without a golden parametrization should fail loudly."""
     listed = {"det002_augassign.py", "det002_walrus.py",
               "det002_comprehension.py", "det002_tryfinally.py",
-              "det002_nested.py", "tape002_branch.py", "mp002_worker.py",
-              "ser002_ckpt.py", "perf002_replay.py"}
+              "det002_nested.py", "tape002_branch.py", "ser002_ckpt.py",
+              "perf002_replay.py"}
     on_disk = {p.name for p in FIXTURES.glob("*.py")
                if p.name != "__init__.py"}
     assert on_disk == listed
@@ -82,14 +81,15 @@ def test_tape002_message_suggests_mark_unsafe():
 
 
 def test_suppression_silences_project_rules(tmp_path):
-    src = (FIXTURES / "mp002_worker.py").read_text()
-    src = src.replace("_STEP_COUNT = 0  # expect: MP002",
-                      "_STEP_COUNT = 0  # repro-lint: disable=MP002")
-    target = tmp_path / "mp002_worker.py"
+    src = (FIXTURES / "ser002_ckpt.py").read_text()
+    marker = "self.position = 0              # expect: SER002"
+    assert marker in src
+    src = src.replace(marker, "self.position = 0  # repro-lint: disable=SER002")
+    target = tmp_path / "ser002_ckpt.py"
     target.write_text(src)
-    lines = {v.line for v in run_lint([target], rules_by_code(["MP002"]))}
+    lines = {v.line for v in run_lint([target], rules_by_code(["SER002"]))}
     suppressed_line = next(
         i for i, text in enumerate(src.splitlines(), start=1)
-        if "disable=MP002" in text)
+        if "disable=SER002" in text)
     assert suppressed_line not in lines
     assert lines  # the other seeded violations still fire

@@ -1,11 +1,9 @@
 """RB001 — robustness I/O hygiene rule tests.
 
-Half one scopes to the ``runtime`` package: any write-mode ``open()`` or
+The rule scopes to the ``runtime`` package: any write-mode ``open()`` or
 ``Path.write_text``/``write_bytes`` outside ``atomic_write_bytes`` can be
 torn by a crash mid-write — the corrupt-hybrid state the crash sweep
-exists to rule out.  Half two scopes to ``parallel``: a ``.recv()`` in a
-function that never polls with a deadline hangs the trainer on a dead
-peer instead of surfacing a ``WorkerFailure``.
+exists to rule out.
 """
 
 import textwrap
@@ -30,13 +28,6 @@ class TestScope:
             def dump(path, text):
                 with open(path, "w") as handle:
                     handle.write(text)
-        """)
-        assert lint_file(path, [RobustIORule()]) == []
-
-    def test_receives_outside_parallel_are_ignored(self, tmp_path):
-        path = write(tmp_path / "utils" / "net.py", """\
-            def wait(conn):
-                return conn.recv()
         """)
         assert lint_file(path, [RobustIORule()]) == []
 
@@ -94,51 +85,13 @@ class TestRuntimeWrites:
         assert lint_file(path, [RobustIORule()]) == []
 
 
-class TestParallelReceives:
-    def test_fires_on_deadline_less_recv(self, tmp_path):
-        path = write(tmp_path / "parallel" / "pool.py", """\
-            def collect(conn):
-                return conn.recv()
-        """)
-        found = lint_file(path, [RobustIORule()])
-        assert codes(found) == ["RB001"]
-        assert "poll" in found[0].message
-
-    def test_recv_after_poll_is_clean(self, tmp_path):
-        path = write(tmp_path / "parallel" / "pool.py", """\
-            def collect(conn, timeout):
-                if conn.poll(timeout):
-                    return conn.recv()
-                return None
-        """)
-        assert lint_file(path, [RobustIORule()]) == []
-
-    def test_each_deadline_less_recv_reported_once(self, tmp_path):
-        path = write(tmp_path / "parallel" / "worker.py", """\
-            def drain(a, b):
-                first = a.recv()
-                second = b.recv()
-                return first, second
-        """)
-        assert codes(lint_file(path, [RobustIORule()])) == ["RB001", "RB001"]
-
-    def test_suppression_comment_is_honoured(self, tmp_path):
-        path = write(tmp_path / "parallel" / "worker.py", """\
-            def serve(conn):
-                return conn.recv()  # repro-lint: disable=RB001
-        """)
-        assert lint_file(path, [RobustIORule()]) == []
-
-
 class TestLivePackagesAreClean:
-    def test_shipping_runtime_and_parallel_modules_pass(self):
+    def test_shipping_runtime_modules_pass(self):
         import pathlib
 
-        import repro.parallel
         import repro.runtime
 
         rule = RobustIORule()
-        for package in (repro.runtime, repro.parallel):
-            package_dir = pathlib.Path(package.__file__).parent
-            for module in sorted(package_dir.glob("*.py")):
-                assert lint_file(module, [rule]) == [], module.name
+        package_dir = pathlib.Path(repro.runtime.__file__).parent
+        for module in sorted(package_dir.glob("*.py")):
+            assert lint_file(module, [rule]) == [], module.name

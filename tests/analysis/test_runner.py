@@ -98,7 +98,7 @@ class TestStats:
         run_lint([tmp_path], default_rules(), stats=stats)
         assert stats.files == 1
         assert stats.per_rule["DET001"] == 1
-        assert stats.per_rule["MP002"] == 0  # every rule is listed
+        assert stats.per_rule["SER002"] == 0  # every rule is listed
         assert stats.elapsed_seconds > 0
         payload = stats.as_dict()
         assert payload["cache_hit_rate"] == 0.0

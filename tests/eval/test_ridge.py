@@ -2,9 +2,9 @@
 
 The load-bearing property is the merge contract: shard-partial sufficient
 statistics combine along the fixed binary reduction tree, so any contiguous
-split of the block sequence across any number of workers — merged in any
+split of the block sequence into any number of shards — merged in any
 order — is bit-for-bit identical to the single-pass accumulation, and both
-equal :func:`repro.parallel.reduce.tree_reduce` over the per-block
+equal :func:`repro.eval.ridge.tree_reduce` over the per-block
 contributions.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.eval import KNNClassifier, LinearProbe, RidgeProbe, RidgeStatistics
 from repro.eval.protocol import make_probe, probe_names, register_probe
-from repro.parallel import tree_reduce
+from repro.eval.ridge import tree_reduce
 from repro.utils.rng import fallback_rng
 
 
@@ -32,6 +32,35 @@ def _block_contribution(x, y, classes):
     onehot = np.zeros((len(x), classes.size), dtype=np.float64)
     onehot[np.arange(len(x)), np.searchsorted(classes, y)] = 1.0
     return onehot.T @ x_aug, x_aug.T @ x_aug
+
+
+def _block_values(seed: int, n_blocks: int, shape: tuple[int, ...]):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)).astype(np.float32)
+            for _ in range(n_blocks)]
+
+
+class TestTreeReduce:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_blocks=st.integers(3, 12))
+    @settings(max_examples=30)
+    def test_reduction_order_is_load_bearing(self, seed, n_blocks):
+        """Float addition is not associative: the fixed tree exists because
+        a left-fold over the same values is allowed to differ in the last
+        ulps.  (Equality is permitted — just never required.)"""
+        values = _block_values(seed, n_blocks, (64,))
+        tree = tree_reduce(values)
+        fold = values[0]
+        for value in values[1:]:
+            fold = fold + value
+        # Cancellation makes plain rtol misleading: summands span 10**+-3,
+        # so an element near zero carries rounding error relative to the
+        # *inputs*, not to itself.  Tolerate error scaled to input magnitude.
+        atol = 1e-4 * float(np.max(np.abs(values)))
+        np.testing.assert_allclose(tree, fold, rtol=1e-3, atol=atol)
+
+    def test_reduce_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            tree_reduce([])
 
 
 class TestRidgeStatistics:

@@ -3,7 +3,7 @@
 The contracts under test are the ones every chaos scenario leans on:
 sites are no-ops while disarmed, a plan is a pure function of
 ``(seed, scenario)``, ``hit=0`` is persistent while ``hit>=1`` is a
-one-shot, and worker filtering / payload corruption behave exactly as
+one-shot, and payload corruption behaves exactly as
 :mod:`repro.faults.plane` documents.
 """
 
@@ -18,7 +18,6 @@ from repro.faults.plane import (
     InjectedCrash,
     InjectedIOError,
     InjectedTornWrite,
-    InjectedWorkerError,
 )
 from repro.faults.scenarios import SCENARIOS, build_plan, scenario_names
 
@@ -55,17 +54,16 @@ class TestArming:
         data = np.ones(3)
         assert plane.corrupt("engine.dispatch", data) is data
         assert plane.take_torn("ckpt.arrays.torn") is False
-        assert plane.current_plan() is None
         assert plane.site_counts() == {}
 
     def test_armed_context_always_disarms(self):
         plan = one_event_plan(site="s", kind="io_error", hit=1)
         with pytest.raises(InjectedIOError):
             with plane.armed(plan):
-                assert plane.current_plan() is plan
+                assert plane.ARMED is True
                 plane.fault_point("s")
         assert plane.ARMED is False
-        assert plane.current_plan() is None
+        assert plane.site_counts() == {}
 
     def test_rearming_resets_hit_counters(self):
         plan = one_event_plan(site="s", kind="io_error", hit=1)
@@ -125,13 +123,13 @@ class TestFaultKinds:
         with plane.armed(plan), pytest.raises(InjectedIOError):
             plane.fault_point("data.loader.batch")
 
-    def test_worker_exception_and_crash_have_distinct_types(self):
-        with plane.armed(one_event_plan(site="s", kind="worker_exception")):
-            with pytest.raises(InjectedWorkerError):
-                plane.fault_point("s")
+    def test_crash_is_not_an_io_error(self):
+        # A crash must escape every OSError handler (loader retries,
+        # best-effort checkpointing) and unwind the whole run.
         with plane.armed(one_event_plan(site="s", kind="crash")):
-            with pytest.raises(InjectedCrash):
+            with pytest.raises(InjectedCrash) as excinfo:
                 plane.fault_point("s")
+        assert not isinstance(excinfo.value, OSError)
 
     def test_torn_write_is_an_os_error(self):
         # Retry paths must treat a torn write as a hard OSError, and the
@@ -165,19 +163,6 @@ class TestTakeTorn:
         with plane.armed(plan):
             assert plane.take_torn("ckpt.manifest.torn") is True
             assert plane.take_torn("ckpt.manifest.torn") is False
-
-
-class TestWorkerFiltering:
-    def test_for_worker_keeps_shared_and_own_events(self):
-        plan = FaultPlan(seed=1, scenario="mix", events=(
-            FaultEvent(site="worker.step", kind="kill", worker=0),
-            FaultEvent(site="worker.step", kind="kill", worker=1),
-            FaultEvent(site="pool.send", kind="io_error", worker=None),
-        ))
-        filtered = plan.for_worker(1)
-        assert [e.worker for e in filtered.events] == [1, None]
-        assert filtered.seed == plan.seed
-        assert filtered.scenario == plan.scenario
 
 
 class TestScenarioPlans:

@@ -147,54 +147,6 @@ class TestTapedKillAndResume:
                         err_msg=f"{name}:{key}")
 
 
-class TestShardedKillAndResume:
-    """PR 5 acceptance: the sharded regime is execution-topology
-    independent end to end — a run checkpointed under one worker count,
-    killed, and resumed under a *different* worker count is bit-for-bit
-    identical to the uninterrupted serial-sharded run."""
-
-    @pytest.mark.slow
-    def test_resume_under_different_worker_count(self, fast_config,
-                                                 tiny_sequence, tmp_path):
-        config = fast_config.with_overrides(workers=1)
-        baseline = fresh_trainer("finetune", config, tiny_sequence)
-        expected = baseline.run(tiny_sequence)
-
-        # Crash a 2-worker run: the newest checkpoint is lost.
-        crashed = fresh_trainer("finetune",
-                                config.with_overrides(workers=2),
-                                tiny_sequence, checkpoint_dir=tmp_path)
-        crashed.run(tiny_sequence)
-        last = len(tiny_sequence) - 1
-        (tmp_path / f"ckpt-{last:05d}.json").unlink()
-        (tmp_path / f"ckpt-{last:05d}.npz").unlink()
-
-        # Resume serially: the checkpoint's informational meta says
-        # workers=2, but restore never reads it.
-        resumed = fresh_trainer("finetune", config, tiny_sequence,
-                                checkpoint_dir=tmp_path)
-        result = resumed.run(tiny_sequence, resume=True)
-
-        np.testing.assert_array_equal(result.accuracy_matrix,
-                                      expected.accuracy_matrix)
-        assert_same_weights(resumed.method, baseline.method)
-        kinds = [e["kind"] for e in resumed.log.events]
-        assert "resume" in kinds
-
-    @pytest.mark.slow
-    def test_loaded_meta_reports_crashed_topology(self, fast_config,
-                                                  tiny_sequence, tmp_path):
-        from repro.runtime import CheckpointManager
-
-        config = fast_config.with_overrides(workers=2)
-        trainer = fresh_trainer("finetune", config, tiny_sequence,
-                                checkpoint_dir=tmp_path)
-        trainer.run(tiny_sequence)
-        loaded = CheckpointManager(tmp_path).load_latest()
-        assert loaded is not None
-        assert loaded.meta == {"probe": "knn", "workers": 2, "n_shards": 6}
-
-
 class TestLongSequenceKillAndResume:
     """Scenario-path acceptance: a 20+ segment ``long_sequence`` run
     killed mid-stream and resumed in a fresh process reproduces the

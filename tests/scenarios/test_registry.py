@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.continual import ContinualConfig
+from repro.continual import ContinualConfig, run_method
 from repro.scenarios import (SCENARIO_REGISTRY, build_stream,
                              register_scenario, run_scenario_method,
                              scenario_names)
@@ -81,6 +81,12 @@ class TestDriftDetector:
 
 
 class TestRunScenarioMethod:
+    def test_run_method_rejects_non_classic_scenario(self, fast_config,
+                                                     tiny_sequence):
+        config = fast_config.with_overrides(scenario="task_free")
+        with pytest.raises(ValueError, match="run_scenario_method"):
+            run_method("finetune", tiny_sequence, config)
+
     def test_returns_result_and_matrix(self, fast_config, tiny_sequence):
         config = fast_config.with_overrides(epochs=1, scenario="blurry")
         result, transfer = run_scenario_method("finetune", tiny_sequence,

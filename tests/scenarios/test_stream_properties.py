@@ -1,8 +1,8 @@
 """Property tests: streams are pure functions of (seed, params).
 
-The sharded-loader and resume contracts both require that a scenario
-stream rebuilt anywhere — another process, another worker count, after a
-crash — is bit-for-bit the stream the run started with.  Hypothesis
+The resume contract requires that a scenario stream rebuilt anywhere —
+another process, after a crash — is bit-for-bit the stream the run
+started with.  Hypothesis
 drives the builders across their parameter space; a subprocess check
 pins cross-process stability of the full construction pipeline.
 """
@@ -82,8 +82,8 @@ class TestBuilderPurity:
 
 class TestLoaderConsistency:
     """Seed-keyed loaders over stream segments iterate identically
-    everywhere — the property the sharded regime needs to keep worker
-    counts bit-for-bit equivalent."""
+    everywhere — the property a resumed run needs to replay its batches
+    bit-for-bit."""
 
     @settings(max_examples=15, deadline=None)
     @given(seed=SEEDS, epoch=st.integers(min_value=0, max_value=8))

@@ -68,7 +68,7 @@ class TestCommands:
         assert main(["chaos", "--list"]) == 0
         out = capsys.readouterr().out
         assert "baseline" in out
-        assert "pool-degrade-serial" in out
+        assert "blurry-boundary-crash" in out
 
     def test_chaos_single_scenario_writes_report(self, capsys, tmp_path):
         output = tmp_path / "chaos.json"
@@ -93,6 +93,28 @@ class TestScenarioFlags:
         assert args.segments_per_task == 2
         assert args.drift_threshold == 0.9
         assert args.scenario_seed == 4
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "cifar10-like"],
+        ["sweep", "cifar10-like", "out"],
+    ])
+    @pytest.mark.parametrize("flag", [
+        ["--scenario", "task_free"], ["--scenario-seed", "1"],
+        ["--blur-ratio", "0.2"], ["--segments-per-task", "2"],
+        ["--drift-threshold", "0.9"], ["--domain-count", "2"],
+        ["--domain-shift", "0.5"], ["--long-cycles", "2"],
+    ])
+    def test_scenario_flags_are_run_only(self, command, flag):
+        # compare/sweep train the classic path only; a scenario flag there
+        # must be rejected, not silently dropped.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + flag)
+
+    def test_multitask_rejects_scenario(self, capsys):
+        code = main(["run", "multitask", "cifar10-like", "--epochs", "1",
+                     "--scenario", "task_free"])
+        assert code == 2
+        assert "--scenario" in capsys.readouterr().err
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):

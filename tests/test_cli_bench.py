@@ -50,14 +50,6 @@ class TestBenchSmoke:
         # the 1.3x tape bar is likewise full-shape only
         assert "required_speedup" not in tape
         assert "tape replay" in out
-        sharding = report["sharding"]
-        assert sharding["serial"]["median_s"] > 0.0
-        assert sharding["sharded"]["median_s"] > 0.0
-        assert sharding["speedup_sharded_vs_serial"] > 0.0
-        assert sharding["cpus"] >= 1
-        # the 1.5x sharding bar is full-shape (and multi-core) only
-        assert "required_speedup" not in sharding
-        assert "sharded step" in out
         memory = report["memory"]
         assert set(memory["variants"]) == {"eager", "unplanned", "planned"}
         for entry in memory["variants"].values():
@@ -114,37 +106,6 @@ class TestBenchSmoke:
         # the PR 3 SSL-step bar must still hold on the new engine
         ssl = payload["ssl_step"]
         assert ssl["speedup_vs_pre_refactor"] >= ssl["required_speedup"]
-
-    def test_committed_pr5_baseline_sharding_section(self):
-        import pathlib
-
-        from repro.bench import (SHARDING_BENCH_WORKERS,
-                                 SHARDING_REQUIRED_SPEEDUP)
-
-        baseline = pathlib.Path(__file__).resolve().parents[1] / "BENCH_pr5.json"
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        assert payload["mode"] == "full"
-        sharding = payload["sharding"]
-        assert sharding["config"]["workers"] == SHARDING_BENCH_WORKERS
-        assert sharding["serial"]["median_s"] > 0.0
-        assert sharding["sharded"]["median_s"] > 0.0
-        assert sharding["cpus"] >= 1
-        if "required_speedup" in sharding:
-            # Measured on a multi-core host: the acceptance bar applies.
-            assert sharding["required_speedup"] == SHARDING_REQUIRED_SPEEDUP
-            assert (sharding["speedup_sharded_vs_serial"]
-                    >= sharding["required_speedup"])
-        else:
-            # Measured on a host with fewer cores than workers: the bar is
-            # physically unreachable and must be *explicitly* declared
-            # omitted, never silently dropped.
-            assert sharding["cpus"] < SHARDING_BENCH_WORKERS
-            assert "required_speedup_omitted" in sharding
-        # earlier PRs' bars must still hold
-        assert (payload["ssl_step"]["speedup_vs_pre_refactor"]
-                >= payload["ssl_step"]["required_speedup"])
-        assert (payload["tape"]["speedup_replay_vs_eager"]
-                >= payload["tape"]["required_speedup"])
 
     def test_committed_pr9_baseline_eval_probe_section(self):
         import pathlib
