@@ -26,7 +26,7 @@ consume:
   ``items``, ...) that would connect everything to everything.
 
 Reachability queries (:meth:`ProjectIndex.reachable_from`) power the
-TAPE002 capture-path and PERF002 replay-path rules.
+TAPE002 capture-path rule.
 """
 
 from __future__ import annotations

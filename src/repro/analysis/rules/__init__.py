@@ -24,13 +24,10 @@ Whole-program (dataflow/call-graph) rules:
 - ``SER002`` — ``__init__`` attributes of state-carrying classes missing
   from their ``state_dict``/``load_state_dict`` pair
   (:class:`CheckpointContractRule`)
-- ``PERF002`` — raw numpy allocation reachable from the tape-replay path
-  outside the arena API (:class:`AllocDisciplineRule`)
 """
 
 from __future__ import annotations
 
-from repro.analysis.rules.alloc_discipline import AllocDisciplineRule
 from repro.analysis.rules.api import ExportHygieneRule
 from repro.analysis.rules.autograd import InplaceMutationRule, LateBindingClosureRule
 from repro.analysis.rules.checkpoint_contract import CheckpointContractRule
@@ -43,7 +40,6 @@ from repro.analysis.rules.tape import TapeBypassRule
 from repro.analysis.rules.tape_flow import ShapeStabilityRule
 
 __all__ = [
-    "AllocDisciplineRule",
     "CheckpointContractRule",
     "ExportHygieneRule",
     "HotLoopDtypeRule",
@@ -62,8 +58,7 @@ __all__ = [
 _RULE_CLASSES = (SeedlessRNGRule, InplaceMutationRule, LateBindingClosureRule,
                  ExportHygieneRule, StateDictSerializableRule, HotLoopDtypeRule,
                  TapeBypassRule, RobustIORule, RNGTaintRule,
-                 ShapeStabilityRule, CheckpointContractRule,
-                 AllocDisciplineRule)
+                 ShapeStabilityRule, CheckpointContractRule)
 
 
 def default_rules():

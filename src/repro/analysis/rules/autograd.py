@@ -1,20 +1,21 @@
 """AD001 / AD002 — autograd-correctness rules.
 
 AD001 flags assignments that mutate ``Tensor.data`` in differentiable code
-paths (``tensor/``, ``nn/``, ``ssl/``, ``continual/``).  Backward closures
-capture parent tensors and read ``.data`` lazily at backward time, so both
-rebinds (``x.data = arr``, caught at runtime by the version counter too)
-and in-place writes (``x.data[...] = arr``, ``x.data += arr``, invisible
-to the counter) silently corrupt gradients.  Deliberate rebinds outside a
-live graph — optimizers live outside the scanned packages; EMA updates and
-``load_state_dict`` carry suppressions — are the only sanctioned uses.
+paths (``tensor/``, ``nn/``, ``ssl/``, ``continual/``).  Ops save the
+arrays their backward needs by reference (``ctx.save``), so an in-place
+write (``x.data[...] = arr``, ``x.data += arr``) changes what a pending
+backward reads without the version counter noticing, and a rebind
+(``x.data = arr``) makes that backward raise the saved-tensor version
+error.  Deliberate rebinds outside a live graph — optimizers live outside
+the scanned packages; EMA updates and ``load_state_dict`` carry
+suppressions — are the only sanctioned uses.
 
 AD002 flags the late-binding-closure bug: a function or lambda defined
 inside a ``for`` loop that reads the loop variable without binding it as a
 default argument.  All iterations then share the *final* value of the
-variable — for a per-segment ``grad_fn`` (see ``ops.concatenate``) every
-parent would receive the last segment's gradient slice.  The fix is the
-default-argument idiom the repo already uses: ``def grad_fn(g, i=i): ...``.
+variable — per-layer hooks, per-segment callbacks or hand-written gradient
+functions built in a loop all see the last iteration's state.  The fix is
+the default-argument idiom: ``def fn(g, i=i): ...``.
 """
 
 from __future__ import annotations

@@ -118,24 +118,20 @@ def op_microbenches(*, smoke: bool = False, repeats: int | None = None) -> dict:
 # ----------------------------------------------------------------------
 # SSL training-step bench
 # ----------------------------------------------------------------------
-def build_ssl_step(*, smoke: bool = False, seed: int = 0, use_tape: bool = False,
-                   shapes: tuple[int, int, int] | None = None):
+def build_ssl_step(*, smoke: bool = False, seed: int = 0, use_tape: bool = False):
     """Build the SimSiam+MLP training step the acceptance bar measures.
 
     Returns ``(step, batches)`` where ``step()`` runs zero_grad -> loss ->
     backward -> optimizer step on a fixed pair of augmented views.  With
     ``use_tape`` the step runs through :class:`repro.ssl.SSLTrainStep`'s
-    tape: captured on the first call, replayed afterwards.  ``shapes``
-    overrides the default ``(batch, input_dim, hidden)`` (the memory
-    bench uses larger buffers so allocations are mmap-sized and visible
-    in resident-set numbers).
+    tape: captured on the first call, replayed afterwards.
     """
     from repro.optim import SGD
     from repro.ssl.encoder import Encoder, build_backbone
     from repro.ssl.simsiam import SimSiam
     from repro.ssl.step import SSLTrainStep
 
-    batch, input_dim, hidden = shapes or ((8, 8, 16) if smoke else (128, 32, 64))
+    batch, input_dim, hidden = (8, 8, 16) if smoke else (128, 32, 64)
     rng = np.random.default_rng(seed)
     backbone = build_backbone("mlp", rng, input_dim=input_dim, hidden_dim=hidden)
     encoder = Encoder(backbone, representation_dim=hidden, rng=rng)
@@ -325,163 +321,6 @@ def eval_probe_bench(*, smoke: bool = False, repeats: int | None = None) -> dict
     return result
 
 
-# ----------------------------------------------------------------------
-# Memory bench (PR 8)
-# ----------------------------------------------------------------------
-#: Steps measured (after warmup) by each memory-bench variant.
-MEMORY_BENCH_STEPS = {"smoke": 5, "full": 30}
-
-#: (batch, input_dim, hidden) for the full-mode memory bench.  Larger
-#: than the timing bench on purpose: per-step transients must clear the
-#: allocator's mmap threshold so resident-set numbers can see them.
-MEMORY_BENCH_SHAPES = (512, 128, 256)
-
-
-def _malloc_trim() -> None:
-    """Return freed heap pages to the OS (glibc); no-op elsewhere.
-
-    Called once after warmup so each variant's sampled RSS reflects its
-    *steady-state* live set rather than pages the warmup (eager capture +
-    observation pass) dirtied and the allocator never returned.
-    """
-    try:
-        import ctypes
-
-        ctypes.CDLL("libc.so.6").malloc_trim(0)
-    except Exception:  # pragma: no cover - non-glibc platforms
-        pass
-
-
-def _sampled_rss_kb() -> int:
-    """Current (not high-water) resident set, in kB; 0 off-Linux."""
-    import os
-
-    try:
-        with open("/proc/self/statm") as fh:
-            pages = int(fh.read().split()[1])
-        return pages * os.sysconf("SC_PAGESIZE") // 1024
-    except (OSError, ValueError, IndexError):  # pragma: no cover - non-Linux
-        return 0
-
-
-def _memory_probe(variant: str, smoke: bool, steps: int) -> dict:
-    """Run ``steps`` SSL steps under one allocation regime; report memory.
-
-    Meant to run in a *fresh* subprocess (one per variant) so the numbers
-    are attributable to the variant.  ``tracemalloc`` tracks numpy buffer
-    allocations too (numpy registers its data allocations with the
-    tracemalloc domain), so the traced peak measures exactly the
-    transient allocations of the measured steps: a warm planned replay
-    should add almost nothing.
-
-    Two resident-set numbers, because they answer different questions:
-    ``ru_maxrss_kb`` is the process-lifetime high-water mark — the eager
-    warm-up capture step sets it for every variant, so it mostly reflects
-    the *capture* footprint; ``peak_rss_kb`` samples current RSS across
-    the measured steady-state window, which is where planned replay's
-    slab sharing shows (freed transients are mmap-returned at these
-    shapes, so current RSS tracks the live set).
-    """
-    import contextlib
-    import resource
-    import tracemalloc
-
-    from repro.tensor import memplan
-
-    if variant not in ("eager", "unplanned", "planned"):
-        raise ValueError(f"unknown memory-bench variant {variant!r}")
-    guard = memplan.no_planning() if variant == "unplanned" \
-        else contextlib.nullcontext()
-    shapes = None if smoke else MEMORY_BENCH_SHAPES
-    with guard:
-        step, _ = build_ssl_step(smoke=smoke, use_tape=variant != "eager",
-                                 shapes=shapes)
-        # Warmup covers capture (1), the observation replay (2) and the
-        # first planned replay (3); from step 4 on the regime is steady.
-        for _ in range(3):
-            step()
-        _malloc_trim()
-        before = memplan.stats_snapshot()
-        peak_rss = _sampled_rss_kb()
-        tracemalloc.start()
-        for _ in range(steps):
-            step()
-            peak_rss = max(peak_rss, _sampled_rss_kb())
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        after = memplan.stats_snapshot()
-    delta = {key: after[key] - before[key] for key in after}
-    # Planner-visible allocator traffic: fresh op-output arrays on the
-    # replay path plus scratch-cache misses plus helper allocations.
-    # (Eager dispatch allocates outside the planner's accounting, so this
-    # counter only compares like-for-like between the two tape regimes;
-    # the tracemalloc peak covers all three.)
-    alloc_calls = (delta["fallback_outputs"] + delta["cache_misses"]
-                   + delta["helper_allocs"])
-    return {
-        "variant": variant,
-        "steps": steps,
-        "tracemalloc_peak_kb": round(peak / 1024.0, 1),
-        "peak_rss_kb": peak_rss,
-        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "planner_alloc_calls": alloc_calls,
-        "planner_alloc_calls_per_step": round(alloc_calls / steps, 2),
-        "stats_delta": delta,
-    }
-
-
-def memory_bench(*, smoke: bool = False, steps: int | None = None) -> dict:
-    """Allocator-call counts and peak memory: eager vs unplanned vs planned.
-
-    Each variant runs in its own subprocess so ``ru_maxrss`` is a clean
-    per-variant number.  ``unplanned`` replays the tape with the memory
-    planner disabled (the pre-PR-8 allocation regime: one fresh array per
-    op output per step); ``planned`` replays against the arena.
-    """
-    import json
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    steps = steps or MEMORY_BENCH_STEPS["smoke" if smoke else "full"]
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    driver = ("import sys, json; from repro.bench.suites import _memory_probe; "
-              "print(json.dumps(_memory_probe(sys.argv[1], sys.argv[2] == '1', "
-              "int(sys.argv[3]))))")
-    results = {}
-    for variant in ("eager", "unplanned", "planned"):
-        proc = subprocess.run(
-            [sys.executable, "-c", driver, variant,
-             "1" if smoke else "0", str(steps)],
-            capture_output=True, text=True, env=env, timeout=600, check=False)
-        if proc.returncode != 0:
-            raise RuntimeError(f"memory bench variant {variant!r} failed:\n"
-                               f"{proc.stderr[-2000:]}")
-        results[variant] = json.loads(proc.stdout.strip().splitlines()[-1])
-
-    planned, unplanned = results["planned"], results["unplanned"]
-
-    def _reduction(metric: str) -> float:
-        base = unplanned[metric]
-        return round(1.0 - planned[metric] / base, 4) if base else 0.0
-
-    return {
-        "config": {"smoke": smoke, "steps": steps, "backbone": "mlp",
-                   "objective": "simsiam"},
-        "variants": results,
-        "planned_vs_unplanned": {
-            "alloc_calls_reduction": _reduction("planner_alloc_calls"),
-            "tracemalloc_peak_reduction": _reduction("tracemalloc_peak_kb"),
-            "peak_rss_reduction": _reduction("peak_rss_kb"),
-            "ru_maxrss_reduction": _reduction("ru_maxrss_kb"),
-        },
-    }
-
-
 def run_suite(*, smoke: bool = False, repeats: int | None = None) -> dict:
     """Run every bench; return one JSON-serializable report."""
     return {
@@ -490,7 +329,6 @@ def run_suite(*, smoke: bool = False, repeats: int | None = None) -> dict:
         "ops": op_microbenches(smoke=smoke, repeats=repeats),
         "ssl_step": ssl_step_bench(smoke=smoke, repeats=repeats),
         "tape": tape_replay_bench(smoke=smoke, repeats=repeats),
-        "memory": memory_bench(smoke=smoke),
         "eval_probe": eval_probe_bench(smoke=smoke, repeats=repeats),
     }
 
@@ -532,26 +370,6 @@ def format_report(report: dict) -> str:
                        else "FAIL")
             lines.append(f"tape acceptance: required >= "
                          f"{tape['required_speedup']:.1f}x [{verdict}]")
-    memory = report.get("memory")
-    if memory is not None:
-        lines.append("")
-        rows = []
-        for name, entry in memory["variants"].items():
-            rows.append([name,
-                         f"{entry['planner_alloc_calls_per_step']:.1f}",
-                         f"{entry['tracemalloc_peak_kb']:.0f}",
-                         f"{entry['peak_rss_kb']}",
-                         f"{entry['ru_maxrss_kb']}"])
-        lines.append(format_table(
-            ["variant", "alloc calls/step", "traced peak kB",
-             "steady RSS kB", "max RSS kB"],
-            rows, title=f"memory ({memory['config']['steps']} steps, "
-                        f"fresh process per variant)"))
-        red = memory["planned_vs_unplanned"]
-        lines.append(f"planned vs unplanned: allocator calls "
-                     f"-{red['alloc_calls_reduction'] * 100:.1f}%, traced peak "
-                     f"-{red['tracemalloc_peak_reduction'] * 100:.1f}%, steady "
-                     f"RSS -{red['peak_rss_reduction'] * 100:.1f}%")
     probe = report.get("eval_probe")
     if probe is not None:
         cfg = probe["config"]
@@ -582,7 +400,6 @@ def format_report(report: dict) -> str:
 
 
 __all__ = [
-    "MEMORY_BENCH_STEPS",
     "PRE_REFACTOR_REFERENCE",
     "PROBE_BENCH_WORKER_COUNTS",
     "PROBE_MAX_ACCURACY_DELTA",
@@ -593,7 +410,6 @@ __all__ = [
     "build_ssl_step",
     "eval_probe_bench",
     "format_report",
-    "memory_bench",
     "op_microbenches",
     "run_suite",
     "ssl_step_bench",

@@ -21,7 +21,7 @@ Commands
              replay losses, and objectives;
 ``lint``     run the repo-specific static analysis — single-file rules
              (DET001/AD001/AD002/API001/SER001/PERF001/TAPE001/RB001)
-             and whole-program dataflow rules (DET002/TAPE002/SER002/PERF002)
+             and whole-program dataflow rules (DET002/TAPE002/SER002)
              — plus the gradcheck-coverage audit; supports ``--format``
              text/json/sarif, an incremental cache, and a baseline
              ratchet; exits non-zero on any non-baselined violation;

@@ -68,11 +68,8 @@ class ArrayDataset(Dataset):
     def concatenate(datasets: Sequence["ArrayDataset"], name: str = "merged") -> "ArrayDataset":
         if not datasets:
             raise ValueError("cannot concatenate zero datasets")
-        # Task-boundary dataset merging, not per-step replay work: the
-        # call-graph link into the replay slice is CHA over-approximation
-        # on the shared method name.
-        x = np.concatenate([d.x for d in datasets], axis=0)  # repro-lint: disable=PERF002
-        y = np.concatenate([d.y for d in datasets], axis=0)  # repro-lint: disable=PERF002
+        x = np.concatenate([d.x for d in datasets], axis=0)
+        y = np.concatenate([d.y for d in datasets], axis=0)
         return ArrayDataset(x, y, name)
 
     def __repr__(self) -> str:

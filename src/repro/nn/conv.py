@@ -5,17 +5,6 @@ patches; the whole lowering is one registered autograd op (``conv2d``) so
 the col2im scatter runs in vectorized numpy instead of through generic
 indexing, and the bias add is fused into the same kernel.  Layout is NCHW
 throughout, matching the torch convention the paper's models assume.
-
-The unfolded patch matrix is the dominant allocation of a CNN step.  Its
-storage comes from :mod:`repro.tensor.memplan`: under a planned tape
-replay the planner hands the op an arena slab sized from
-``Conv2dOp.plan_buffers`` (zero fresh allocations on a warm replay);
-everywhere else the process-wide scratch cache provides the same
-acquire/release reuse the old per-layer ``_ColBufferPool`` used to —
-acquire in forward, release once the weight gradient has consumed the
-buffer (immediately under ``no_grad``), acquire/release rather than a
-single cached slot because SSL methods run two augmented forwards before
-one backward.
 """
 
 from __future__ import annotations
@@ -24,7 +13,6 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import memplan
 from repro.tensor.engine import Context, Op, apply, register
 from repro.tensor.tensor import Tensor
 from repro.utils.rng import fallback_rng
@@ -37,20 +25,13 @@ def _out_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int
 
 def _im2col(x: np.ndarray, kernel: int, stride: int,
             padding: int) -> tuple[np.ndarray, int, int]:
-    """Unfold ``x`` (N, C, H, W) into (N, out_h, out_w, C*k*k) patches.
-
-    The destination buffer comes from :func:`repro.tensor.memplan.acquire`
-    and must be released by the caller once backward no longer needs it.
-    """
+    """Unfold ``x`` (N, C, H, W) into (N, out_h, out_w, C*k*k) patches."""
     n, c, h, w = x.shape
     out_h, out_w = _out_hw(h, w, kernel, stride, padding)
-    padded = None
     if padding:
-        # Zero-fill + interior copy: value-identical to np.pad's constant
-        # mode, but into reusable (plannable) storage.
-        padded = memplan.acquire(
-            (n, c, h + 2 * padding, w + 2 * padding), x.dtype)
-        padded.fill(0)
+        # Value-identical to np.pad's constant mode, without its per-call
+        # Python overhead (conv runs thousands of times per continual run).
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding:-padding, padding:-padding] = x
         x = padded
     strides = x.strides
@@ -61,13 +42,8 @@ def _im2col(x: np.ndarray, kernel: int, stride: int,
         strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride, strides[2], strides[3]),
         writeable=False,
     )
-    col_shape = (n, out_h, out_w, c, kernel, kernel)
-    cols = memplan.acquire(col_shape, x.dtype)
-    # (N, C, out_h, out_w, k, k) -> (N, out_h, out_w, C, k, k), materialized
-    # into the scratch buffer.
-    np.copyto(cols, view.transpose(0, 2, 3, 1, 4, 5))
-    if padded is not None:
-        memplan.release(padded)
+    # (N, C, out_h, out_w, k, k) -> (N, out_h, out_w, C, k, k), materialized.
+    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5))
     return cols.reshape(n, out_h, out_w, c * kernel * kernel), out_h, out_w
 
 
@@ -92,7 +68,7 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kernel: int,
 
 @register
 class Conv2dOp(Op):
-    """im2col convolution with fused bias and planner-declared scratch.
+    """im2col convolution with fused bias.
 
     Inputs: ``x`` (N, C_in, H, W), ``weight`` (C_in*k*k, C_out) and an
     optional trailing ``bias`` (C_out,).  Params carry the geometry.
@@ -102,50 +78,18 @@ class Conv2dOp(Op):
 
     @staticmethod
     def forward(ctx: Context, x, w, *bias, kernel: int, stride: int,
-                padding: int, out=None):
+                padding: int):
         n = x.shape[0]
         cols, out_h, out_w = _im2col(x, kernel, stride, padding)
         flat = cols.reshape(-1, cols.shape[-1])            # (N*oh*ow, Cin*k*k)
-        if out is None:
-            out_flat = flat @ w                            # (N*oh*ow, Cout)
-            if bias:
-                out_flat += bias[0]
-            result = np.ascontiguousarray(
-                out_flat.reshape(n, out_h, out_w, w.shape[1]).transpose(0, 3, 1, 2))
-        else:
-            out_flat = memplan.acquire((flat.shape[0], w.shape[1]), out.dtype)
-            np.matmul(flat, w, out=out_flat)
-            if bias:
-                out_flat += bias[0]
-            # Same element copy np.ascontiguousarray performs, into the slab.
-            np.copyto(out, out_flat.reshape(n, out_h, out_w, w.shape[1])
-                      .transpose(0, 3, 1, 2))
-            memplan.release(out_flat)
-            result = out
+        out_flat = flat @ w                                # (N*oh*ow, Cout)
+        if bias:
+            out_flat += bias[0]
         if any(ctx.needs_input_grad):
             ctx.save(flat, w)
             ctx.geometry = (x.shape, kernel, stride, padding, out_h, out_w)
-            ctx.cols = cols
-        else:
-            memplan.release(cols.reshape(n, out_h, out_w, -1, kernel, kernel))
-        return result
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sx, dx), (sw, dw) = input_specs[:2]
-        kernel, stride = params["kernel"], params["stride"]
-        padding = params["padding"]
-        n, c, h, w = sx
-        out_h, out_w = _out_hw(h, w, kernel, stride, padding)
-        c_out = sw[1]
-        dtype = np.result_type(dx, dw).str
-        scratch = []
-        if padding:
-            scratch.append(((n, c, h + 2 * padding, w + 2 * padding), dx, "fwd"))
-        # The patch matrix feeds the weight gradient — lives to backward.
-        scratch.append(((n, out_h, out_w, c, kernel, kernel), dx, "bwd"))
-        scratch.append(((n * out_h * out_w, c_out), dtype, "fwd"))
-        return ((n, c_out, out_h, out_w), dtype), tuple(scratch)
+        return np.ascontiguousarray(
+            out_flat.reshape(n, out_h, out_w, w.shape[1]).transpose(0, 3, 1, 2))
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -161,11 +105,6 @@ class Conv2dOp(Op):
                          kernel, stride, padding)
         if ctx.needs_input_grad[1]:
             gw = flat.T @ g_flat
-        # The col buffer is only needed for the weight gradient; backward
-        # runs exactly once per node, so this is the release point (a no-op
-        # for arena slabs, whose lifetime the plan already bounds).
-        memplan.release(ctx.cols.reshape(n, out_h, out_w, -1, kernel, kernel))
-        ctx.cols = None
         if len(ctx.needs_input_grad) > 2 and ctx.needs_input_grad[2]:
             return gx, gw, g_flat.sum(axis=0)
         return (gx, gw) + (None,) * (len(ctx.needs_input_grad) - 2)

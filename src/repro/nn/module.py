@@ -15,7 +15,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.tensor import memplan
 from repro.tensor.tensor import Tensor
 
 
@@ -103,13 +102,9 @@ class Module:
         ``set_to_none=False`` zero-fills each existing ``.grad`` buffer in
         place instead of dropping it, so backward accumulates into the same
         arrays every step (no per-step gradient allocation).
-
-        Like ``Optimizer.zero_grad``, this is a step boundary for the tape
-        memory planner: live replay arenas are bump-reset here.
         """
         for p in self.parameters():
             p.zero_grad(set_to_none=set_to_none)
-        memplan.on_step_boundary()
 
     # ------------------------------------------------------------------
     # State

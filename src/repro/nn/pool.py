@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module
-from repro.tensor import memplan
 from repro.tensor.engine import Context, Op, apply, register
 from repro.tensor.tensor import Tensor
-
-_BOOL = np.dtype(np.bool_).str
 
 
 @register
@@ -19,43 +16,18 @@ class MaxPool2dOp(Op):
     name = "maxpool2d"
 
     @staticmethod
-    def forward(ctx: Context, x, *, kernel: int, out=None):
+    def forward(ctx: Context, x, *, kernel: int):
         n, c, h, w = x.shape
         oh, ow = h // kernel, w // kernel
         windows = x.reshape(n, c, oh, kernel, ow, kernel)
-        if out is None:
-            out = windows.max(axis=(3, 5))
-            # argmax mask for backward (ties split the gradient as in Tensor.max)
-            expanded = out[:, :, :, None, :, None]
-            mask = (windows == expanded).astype(x.dtype)
-            mask /= mask.sum(axis=(3, 5), keepdims=True)
-        else:
-            windows.max(axis=(3, 5), out=out)
-            expanded = out[:, :, :, None, :, None]
-            eq = memplan.acquire(windows.shape, np.bool_)
-            mask = memplan.acquire(windows.shape, x.dtype)
-            msum = memplan.acquire((n, c, oh, 1, ow, 1), x.dtype)
-            np.equal(windows, expanded, out=eq)
-            np.copyto(mask, eq)
-            mask.sum(axis=(3, 5), keepdims=True, out=msum)
-            np.true_divide(mask, msum, out=mask)
-            memplan.release(eq)
-            memplan.release(msum)
+        out = windows.max(axis=(3, 5))
+        # argmax mask for backward (ties split the gradient as in Tensor.max)
+        expanded = out[:, :, :, None, :, None]
+        mask = (windows == expanded).astype(x.dtype)
+        mask /= mask.sum(axis=(3, 5), keepdims=True)
         ctx.mask = mask
         ctx.shape = (n, c, h, w)
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        kernel = params["kernel"]
-        n, c, h, w = shape
-        oh, ow = h // kernel, w // kernel
-        win = (n, c, oh, kernel, ow, kernel)
-        return ((n, c, oh, ow), dtype), (
-            (win, _BOOL, "fwd"),            # equality mask
-            (win, dtype, "bwd"),            # tie-split gradient mask
-            ((n, c, oh, 1, ow, 1), dtype, "fwd"))  # tie counts
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -70,23 +42,13 @@ class AvgPool2dOp(Op):
     name = "avgpool2d"
 
     @staticmethod
-    def forward(ctx: Context, x, *, kernel: int, out=None):
+    def forward(ctx: Context, x, *, kernel: int):
         n, c, h, w = x.shape
         oh, ow = h // kernel, w // kernel
         ctx.geometry = (n, c, oh, kernel, ow)
         ctx.shape = (n, c, h, w)
         windows = x.reshape(n, c, oh, kernel, ow, kernel)
-        if out is None:
-            return windows.mean(axis=(3, 5))
-        windows.mean(axis=(3, 5), out=out)
-        return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        kernel = params["kernel"]
-        n, c, h, w = shape
-        return ((n, c, h // kernel, w // kernel), dtype), ()
+        return windows.mean(axis=(3, 5))
 
     @staticmethod
     def backward(ctx: Context, grad):

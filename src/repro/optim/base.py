@@ -7,7 +7,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.tensor import memplan
 
 
 class Optimizer:
@@ -41,14 +40,9 @@ class Optimizer:
         received a gradient — with sparse gradients and momentum/weight
         decay this is not equivalent to skipping grad-less parameters,
         which is why ``set_to_none=True`` stays the default.
-
-        ``zero_grad`` is also the step boundary of the tape memory
-        planner: every live replay arena is bump-reset here, so planned
-        buffer contents never outlive the step that wrote them.
         """
         for p in self.parameters:
             p.zero_grad(set_to_none=set_to_none)
-        memplan.on_step_boundary()
 
     def step(self) -> None:
         for p in self.parameters:

@@ -171,9 +171,8 @@ def _array_checksum(array: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(str(array.dtype).encode())
     digest.update(str(array.shape).encode())
-    # Checkpoint integrity hashing runs at save/load boundaries, not in a
-    # replayed step; the copy is needed to hash strided views at all.
-    digest.update(np.ascontiguousarray(array).tobytes())  # repro-lint: disable=PERF002
+    # The contiguous copy is needed to hash strided views at all.
+    digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
 
 

@@ -35,8 +35,7 @@ from repro.tensor.engine import (
 )
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled, tensor
 from repro.tensor.tape import Tape, TapedFunction, capture
-from repro.tensor import memplan, ops
-from repro.tensor.memplan import no_planning, planning_enabled, set_planning
+from repro.tensor import ops
 from repro.tensor.ops import (
     concatenate,
     stack,
@@ -73,10 +72,6 @@ __all__ = [
     "register",
     "registered_ops",
     "set_fusion",
-    "memplan",
-    "no_planning",
-    "planning_enabled",
-    "set_planning",
     "ops",
     "concatenate",
     "stack",

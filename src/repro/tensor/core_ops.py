@@ -1,9 +1,8 @@
 """Registered :class:`~repro.tensor.engine.Op` classes for every primitive.
 
-Part one is the core surface that used to live as per-call closures in
-``tensor.py``/``ops.py`` (arithmetic, shape, reductions, activations); part
-two is the fused kernels (linear+bias[+relu], l2-normalize, row-wise cosine,
-normalized MSE, batch-norm) whose backward passes compute all input
+Part one is the core surface (arithmetic, shape, reductions, activations);
+part two is the fused kernels (linear+bias[+relu], l2-normalize, row-wise
+cosine, normalized MSE, batch-norm) whose backward passes compute all input
 gradients from shared intermediates in a single call.  Each fused op has an
 exact unfused reference composition — the parity property tests in
 ``tests/tensor/test_fusion_parity.py`` pin forward and gradients of the two
@@ -11,29 +10,15 @@ paths against each other.
 
 All ops save what backward needs eagerly via ``ctx.save(...)`` and consult
 ``ctx.needs_input_grad`` to skip gradients nobody will consume.  ``None``
-marks a skipped input gradient.
-
-Allocation discipline (PR 8): ops declare their storage via
-``plan_buffers`` and support an ``out=`` keyword so the tape's memory
-planner can hand them arena slabs.  The ``out`` path must be **bit-for-bit
-identical** to the allocating path — it therefore mirrors the natural
-computation as the same ufunc chain with ``out=`` at every step, never a
-mathematically-equivalent rewrite.  Scratch buffers are obtained from
-:func:`repro.tensor.memplan.acquire` in exactly the order they were
-declared (the planner stages slabs positionally by (shape, dtype) and the
-first match wins, so out-of-order acquisition could swap two same-shaped
-slabs with different lifetimes).  With ``out=None`` every op runs its
-original allocating code path — eager dispatch is unchanged.
+marks a skipped input gradient.  Every ``forward`` allocates its own
+result; eager dispatch and tape replay run the same code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import memplan
 from repro.tensor.engine import Context, Op, register
-
-_BOOL = np.dtype(np.bool_).str
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -49,23 +34,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _promote(*dtype_strs) -> str:
-    return np.result_type(*dtype_strs).str
-
-
-def _reduced_shape(shape, axis, keepdims: bool) -> tuple[int, ...]:
-    """Output shape of a reduction over ``axis`` (None/int/tuple, negatives ok)."""
-    if axis is None:
-        axes = tuple(range(len(shape)))
-    elif isinstance(axis, (tuple, list)):
-        axes = tuple(a % len(shape) for a in axis)
-    else:
-        axes = (axis % len(shape),)
-    if keepdims:
-        return tuple(1 if i in axes else d for i, d in enumerate(shape))
-    return tuple(d for i, d in enumerate(shape) if i not in axes)
-
-
 # ----------------------------------------------------------------------
 # Arithmetic
 # ----------------------------------------------------------------------
@@ -74,16 +42,9 @@ class AddOp(Op):
     name = "add"
 
     @staticmethod
-    def forward(ctx: Context, a, b, out=None):
+    def forward(ctx: Context, a, b):
         ctx.shapes = (a.shape, b.shape)
-        if out is None:
-            return a + b
-        return np.add(a, b, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sa, da), (sb, db) = input_specs
-        return (np.broadcast_shapes(sa, sb), _promote(da, db)), ()
+        return a + b
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -98,15 +59,8 @@ class NegOp(Op):
     name = "neg"
 
     @staticmethod
-    def forward(ctx: Context, a, out=None):
-        if out is None:
-            return -a
-        return np.negative(a, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ()
+    def forward(ctx: Context, a):
+        return -a
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -118,16 +72,9 @@ class SubOp(Op):
     name = "sub"
 
     @staticmethod
-    def forward(ctx: Context, a, b, out=None):
+    def forward(ctx: Context, a, b):
         ctx.shapes = (a.shape, b.shape)
-        if out is None:
-            return a - b
-        return np.subtract(a, b, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sa, da), (sb, db) = input_specs
-        return (np.broadcast_shapes(sa, sb), _promote(da, db)), ()
+        return a - b
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -142,16 +89,9 @@ class MulOp(Op):
     name = "mul"
 
     @staticmethod
-    def forward(ctx: Context, a, b, out=None):
+    def forward(ctx: Context, a, b):
         ctx.save(a, b)
-        if out is None:
-            return a * b
-        return np.multiply(a, b, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sa, da), (sb, db) = input_specs
-        return (np.broadcast_shapes(sa, sb), _promote(da, db)), ()
+        return a * b
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -166,16 +106,9 @@ class DivOp(Op):
     name = "div"
 
     @staticmethod
-    def forward(ctx: Context, a, b, out=None):
+    def forward(ctx: Context, a, b):
         ctx.save(a, b)
-        if out is None:
-            return a / b
-        return np.true_divide(a, b, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sa, da), (sb, db) = input_specs
-        return (np.broadcast_shapes(sa, sb), _promote(da, db)), ()
+        return a / b
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -191,28 +124,10 @@ class PowOp(Op):
     name = "pow"
 
     @staticmethod
-    def forward(ctx: Context, a, *, exponent: float, out=None):
+    def forward(ctx: Context, a, *, exponent: float):
         ctx.save(a)
         ctx.exponent = exponent
-        if out is None:
-            return a ** exponent
-        # Mirror numpy's ``**`` scalar fast paths so the out= result is
-        # bit-for-bit the natural one (a test pins this equivalence).
-        if exponent == 2:
-            return np.square(a, out=out)
-        if exponent == 1:
-            np.copyto(out, a)
-            return out
-        if exponent == 0.5:
-            return np.sqrt(a, out=out)
-        if exponent == -1:
-            return np.reciprocal(a, out=out)
-        return np.power(a, exponent, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ()
+        return a ** exponent
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -226,20 +141,9 @@ class MatMulOp(Op):
     name = "matmul"
 
     @staticmethod
-    def forward(ctx: Context, a, b, out=None):
+    def forward(ctx: Context, a, b):
         ctx.save(a, b)
-        if out is None:
-            return a @ b
-        return np.matmul(a, b, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sa, da), (sb, db) = input_specs
-        # Only the 2-D x 2-D hot case takes caller storage; the gufunc
-        # out= semantics for 1-D operands are not worth mirroring.
-        if len(sa) != 2 or len(sb) != 2:
-            return None, ()
-        return ((sa[0], sb[1]), _promote(da, db)), ()
+        return a @ b
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -263,8 +167,7 @@ class MatMulOp(Op):
 # ----------------------------------------------------------------------
 @register
 class ReshapeOp(Op):
-    # Returns a view of its input — owns no storage, planner-exempt (the
-    # planner detects the alias and unions the lifetimes instead).
+    # Returns a view of its input.
     name = "reshape"
 
     @staticmethod
@@ -279,7 +182,7 @@ class ReshapeOp(Op):
 
 @register
 class TransposeOp(Op):
-    # View op, like reshape: no storage of its own.
+    # View op, like reshape.
     name = "transpose"
 
     @staticmethod
@@ -294,9 +197,6 @@ class TransposeOp(Op):
 
 @register
 class GetItemOp(Op):
-    # Output shape depends on the index expression (basic vs advanced
-    # indexing, bool masks); not worth declaring — stays on the fallback
-    # allocator.
     name = "getitem"
 
     @staticmethod
@@ -318,21 +218,10 @@ class ConcatOp(Op):
     name = "concat"
 
     @staticmethod
-    def forward(ctx: Context, *arrays, axis: int = 0, out=None):
+    def forward(ctx: Context, *arrays, axis: int = 0):
         ctx.axis = axis
         ctx.offsets = np.cumsum([0] + [a.shape[axis] for a in arrays])
-        if out is None:
-            return np.concatenate(arrays, axis=axis)
-        return np.concatenate(arrays, axis=axis, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        axis = params.get("axis", 0)
-        shapes = [s for s, _d in input_specs]
-        axis_n = axis % len(shapes[0])
-        shape = list(shapes[0])
-        shape[axis_n] = sum(s[axis_n] for s in shapes)
-        return (tuple(shape), _promote(*[d for _s, d in input_specs])), ()
+        return np.concatenate(arrays, axis=axis)
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -350,22 +239,10 @@ class StackOp(Op):
     name = "stack"
 
     @staticmethod
-    def forward(ctx: Context, *arrays, axis: int = 0, out=None):
+    def forward(ctx: Context, *arrays, axis: int = 0):
         ctx.axis = axis
         ctx.count = len(arrays)
-        if out is None:
-            return np.stack(arrays, axis=axis)
-        return np.stack(arrays, axis=axis, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        axis = params.get("axis", 0)
-        shapes = [s for s, _d in input_specs]
-        ndim = len(shapes[0]) + 1
-        axis_n = axis % ndim
-        shape = list(shapes[0])
-        shape.insert(axis_n, len(shapes))
-        return (tuple(shape), _promote(*[d for _s, d in input_specs])), ()
+        return np.stack(arrays, axis=axis)
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -380,21 +257,11 @@ class SumOp(Op):
     name = "sum"
 
     @staticmethod
-    def forward(ctx: Context, a, *, axis=None, keepdims: bool = False, out=None):
+    def forward(ctx: Context, a, *, axis=None, keepdims: bool = False):
         ctx.shape = a.shape
         ctx.axis = axis
         ctx.keepdims = keepdims
-        if out is None:
-            return np.asarray(a.sum(axis=axis, keepdims=keepdims))
-        a.sum(axis=axis, keepdims=keepdims, out=out)
-        return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        axis = params.get("axis")
-        keepdims = params.get("keepdims", False)
-        return (_reduced_shape(shape, axis, keepdims), dtype), ()
+        return np.asarray(a.sum(axis=axis, keepdims=keepdims))
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -409,22 +276,12 @@ class MaxOp(Op):
     name = "max"
 
     @staticmethod
-    def forward(ctx: Context, a, *, axis=None, keepdims: bool = False, out=None):
-        if out is None:
-            out = np.asarray(a.max(axis=axis, keepdims=keepdims))
-        else:
-            a.max(axis=axis, keepdims=keepdims, out=out)
+    def forward(ctx: Context, a, *, axis=None, keepdims: bool = False):
+        out = np.asarray(a.max(axis=axis, keepdims=keepdims))
         ctx.save(a, out)
         ctx.axis = axis
         ctx.keepdims = keepdims
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        axis = params.get("axis")
-        keepdims = params.get("keepdims", False)
-        return (_reduced_shape(shape, axis, keepdims), dtype), ()
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -446,16 +303,9 @@ class AbsOp(Op):
     name = "abs"
 
     @staticmethod
-    def forward(ctx: Context, a, out=None):
+    def forward(ctx: Context, a):
         ctx.save(a)
-        if out is None:
-            return np.abs(a)
-        return np.absolute(a, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ()
+        return np.abs(a)
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -465,7 +315,6 @@ class AbsOp(Op):
 
 @register
 class TraceOp(Op):
-    # Rare scalar-output op; not worth an out= path.
     name = "trace"
 
     @staticmethod
@@ -488,15 +337,10 @@ class ExpOp(Op):
     name = "exp"
 
     @staticmethod
-    def forward(ctx: Context, a, out=None):
-        out = np.exp(a) if out is None else np.exp(a, out=out)
+    def forward(ctx: Context, a):
+        out = np.exp(a)
         ctx.save(out)
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ()
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -509,16 +353,9 @@ class LogOp(Op):
     name = "log"
 
     @staticmethod
-    def forward(ctx: Context, a, out=None):
+    def forward(ctx: Context, a):
         ctx.save(a)
-        if out is None:
-            return np.log(a)
-        return np.log(a, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ()
+        return np.log(a)
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -531,15 +368,10 @@ class SqrtOp(Op):
     name = "sqrt"
 
     @staticmethod
-    def forward(ctx: Context, a, out=None):
-        out = np.sqrt(a) if out is None else np.sqrt(a, out=out)
+    def forward(ctx: Context, a):
+        out = np.sqrt(a)
         ctx.save(out)
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ()
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -552,15 +384,10 @@ class TanhOp(Op):
     name = "tanh"
 
     @staticmethod
-    def forward(ctx: Context, a, out=None):
-        out = np.tanh(a) if out is None else np.tanh(a, out=out)
+    def forward(ctx: Context, a):
+        out = np.tanh(a)
         ctx.save(out)
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ()
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -573,22 +400,10 @@ class SigmoidOp(Op):
     name = "sigmoid"
 
     @staticmethod
-    def forward(ctx: Context, a, out=None):
-        if out is None:
-            out = 1.0 / (1.0 + np.exp(-a))
-        else:
-            # Same ufunc chain as the natural expression, applied in place.
-            np.negative(a, out=out)
-            np.exp(out, out=out)
-            np.add(out, 1.0, out=out)
-            np.true_divide(1.0, out, out=out)
+    def forward(ctx: Context, a):
+        out = 1.0 / (1.0 + np.exp(-a))
         ctx.save(out)
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ()
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -601,19 +416,9 @@ class ReluOp(Op):
     name = "relu"
 
     @staticmethod
-    def forward(ctx: Context, a, out=None):
-        if out is None:
-            ctx.mask = a > 0
-            return np.maximum(a, 0.0)
-        mask = memplan.acquire(a.shape, np.bool_)
-        np.greater(a, 0, out=mask)
-        ctx.mask = mask
-        return np.maximum(a, 0.0, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        return (shape, dtype), ((shape, _BOOL, "bwd"),)
+    def forward(ctx: Context, a):
+        ctx.mask = a > 0
+        return np.maximum(a, 0.0)
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -622,7 +427,6 @@ class ReluOp(Op):
 
 @register
 class LeakyReluOp(Op):
-    # np.where has no out= form; this op stays on the fallback allocator.
     name = "leaky_relu"
 
     @staticmethod
@@ -640,27 +444,10 @@ class MaximumOp(Op):
     name = "maximum"
 
     @staticmethod
-    def forward(ctx: Context, a, b, out=None):
+    def forward(ctx: Context, a, b):
         ctx.shapes = (a.shape, b.shape)
-        if out is None:
-            ctx.a_wins = (a >= b).astype(a.dtype)
-            return np.maximum(a, b)
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        wins = memplan.acquire(shape, a.dtype)
-        ge = memplan.acquire(shape, np.bool_)
-        np.greater_equal(a, b, out=ge)
-        np.copyto(wins, ge)
-        ctx.a_wins = wins
-        np.maximum(a, b, out=out)
-        memplan.release(ge)
-        return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sa, da), (sb, db) = input_specs
-        shape = np.broadcast_shapes(sa, sb)
-        return ((shape, _promote(da, db)),
-                ((shape, da, "bwd"), (shape, _BOOL, "fwd")))
+        ctx.a_wins = (a >= b).astype(a.dtype)
+        return np.maximum(a, b)
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -674,7 +461,6 @@ class MaximumOp(Op):
 
 @register
 class WhereOp(Op):
-    # np.where has no out= form; stays on the fallback allocator.
     name = "where"
 
     @staticmethod
@@ -707,22 +493,12 @@ class LinearOp(Op):
     name = "linear"
 
     @staticmethod
-    def forward(ctx: Context, x, w, *bias, out=None):
+    def forward(ctx: Context, x, w, *bias):
         ctx.save(x, w)
-        if out is None:
-            out = x @ w
-        else:
-            np.matmul(x, w, out=out)
+        out = x @ w
         if bias:
             out += bias[0]
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sx, dx), (sw, dw) = input_specs[:2]
-        if len(sx) != 2 or len(sw) != 2:
-            return None, ()
-        return ((sx[0], sw[1]), _promote(dx, dw)), ()
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -746,29 +522,13 @@ class LinearReluOp(Op):
     name = "linear_relu"
 
     @staticmethod
-    def forward(ctx: Context, x, w, *bias, out=None):
-        if out is None:
-            y = x @ w
-            if bias:
-                y += bias[0]
-            mask = y > 0
-            ctx.save(x, w, mask)
-            return np.maximum(y, 0.0, out=y)
-        np.matmul(x, w, out=out)
+    def forward(ctx: Context, x, w, *bias):
+        y = x @ w
         if bias:
-            out += bias[0]
-        mask = memplan.acquire(out.shape, np.bool_)
-        np.greater(out, 0, out=mask)
+            y += bias[0]
+        mask = y > 0
         ctx.save(x, w, mask)
-        return np.maximum(out, 0.0, out=out)
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sx, dx), (sw, dw) = input_specs[:2]
-        if len(sx) != 2 or len(sw) != 2:
-            return None, ()
-        shape = (sx[0], sw[1])
-        return (shape, _promote(dx, dw)), ((shape, _BOOL, "bwd"),)
+        return np.maximum(y, 0.0, out=y)
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -794,30 +554,12 @@ class L2NormalizeOp(Op):
     name = "l2normalize"
 
     @staticmethod
-    def forward(ctx: Context, x, *, axis: int = -1, eps: float = 1e-12, out=None):
-        if out is None:
-            norm = np.sqrt((x * x).sum(axis=axis, keepdims=True) + eps)
-            out = x / norm
-        else:
-            sq = memplan.acquire(x.shape, x.dtype)
-            norm = memplan.acquire(
-                _reduced_shape(x.shape, axis, True), x.dtype)
-            np.multiply(x, x, out=sq)
-            sq.sum(axis=axis, keepdims=True, out=norm)
-            np.add(norm, eps, out=norm)
-            np.sqrt(norm, out=norm)
-            np.true_divide(x, norm, out=out)
-            memplan.release(sq)
+    def forward(ctx: Context, x, *, axis: int = -1, eps: float = 1e-12):
+        norm = np.sqrt((x * x).sum(axis=axis, keepdims=True) + eps)
+        out = x / norm
         ctx.save(out, norm)
         ctx.axis = axis
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        axis = params.get("axis", -1)
-        red = _reduced_shape(shape, axis, True)
-        return (shape, dtype), ((shape, dtype, "fwd"), (red, dtype, "bwd"))
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -841,50 +583,16 @@ class CosineRowsOp(Op):
     name = "cosine_rows"
 
     @staticmethod
-    def forward(ctx: Context, a, b, *, axis: int = -1, eps: float = 1e-12,
-                out=None):
-        if out is None:
-            na = np.sqrt((a * a).sum(axis=axis, keepdims=True) + eps)
-            nb = np.sqrt((b * b).sum(axis=axis, keepdims=True) + eps)
-            ah = a / na
-            bh = b / nb
-            cos = (ah * bh).sum(axis=axis)
-        else:
-            red = _reduced_shape(a.shape, axis, True)
-            sq = memplan.acquire(a.shape, a.dtype)
-            na = memplan.acquire(red, a.dtype)
-            nb = memplan.acquire(red, a.dtype)
-            ah = memplan.acquire(a.shape, a.dtype)
-            bh = memplan.acquire(a.shape, a.dtype)
-            np.multiply(a, a, out=sq)
-            sq.sum(axis=axis, keepdims=True, out=na)
-            np.add(na, eps, out=na)
-            np.sqrt(na, out=na)
-            np.multiply(b, b, out=sq)
-            sq.sum(axis=axis, keepdims=True, out=nb)
-            np.add(nb, eps, out=nb)
-            np.sqrt(nb, out=nb)
-            np.true_divide(a, na, out=ah)
-            np.true_divide(b, nb, out=bh)
-            np.multiply(ah, bh, out=sq)
-            sq.sum(axis=axis, out=out)
-            memplan.release(sq)
-            cos = out
+    def forward(ctx: Context, a, b, *, axis: int = -1, eps: float = 1e-12):
+        na = np.sqrt((a * a).sum(axis=axis, keepdims=True) + eps)
+        nb = np.sqrt((b * b).sum(axis=axis, keepdims=True) + eps)
+        ah = a / na
+        bh = b / nb
+        cos = (ah * bh).sum(axis=axis)
         ctx.save(ah, bh, na, nb)
         ctx.cos_kept = np.expand_dims(cos, axis)
         ctx.axis = axis
         return cos
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sa, da), (sb, db) = input_specs
-        if sa != sb or da != db:
-            return None, ()
-        axis = params.get("axis", -1)
-        red = _reduced_shape(sa, axis, True)
-        return ((_reduced_shape(sa, axis, False), da),
-                ((sa, da, "fwd"), (red, da, "bwd"), (red, da, "bwd"),
-                 (sa, da, "bwd"), (sa, da, "bwd")))
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -910,52 +618,16 @@ class NormalizedMseOp(Op):
     name = "normalized_mse"
 
     @staticmethod
-    def forward(ctx: Context, p, t, *, axis: int = -1, eps: float = 1e-12,
-                out=None):
-        if out is None:
-            np_norm = np.sqrt((p * p).sum(axis=axis, keepdims=True) + eps)
-            nt_norm = np.sqrt((t * t).sum(axis=axis, keepdims=True) + eps)
-            ph = p / np_norm
-            th = t / nt_norm
-            diff = ph - th
-            result = (diff * diff).sum(axis=axis)
-        else:
-            red = _reduced_shape(p.shape, axis, True)
-            sq = memplan.acquire(p.shape, p.dtype)
-            np_norm = memplan.acquire(red, p.dtype)
-            nt_norm = memplan.acquire(red, p.dtype)
-            ph = memplan.acquire(p.shape, p.dtype)
-            th = memplan.acquire(p.shape, p.dtype)
-            diff = memplan.acquire(p.shape, p.dtype)
-            np.multiply(p, p, out=sq)
-            sq.sum(axis=axis, keepdims=True, out=np_norm)
-            np.add(np_norm, eps, out=np_norm)
-            np.sqrt(np_norm, out=np_norm)
-            np.multiply(t, t, out=sq)
-            sq.sum(axis=axis, keepdims=True, out=nt_norm)
-            np.add(nt_norm, eps, out=nt_norm)
-            np.sqrt(nt_norm, out=nt_norm)
-            np.true_divide(p, np_norm, out=ph)
-            np.true_divide(t, nt_norm, out=th)
-            np.subtract(ph, th, out=diff)
-            np.multiply(diff, diff, out=sq)
-            sq.sum(axis=axis, out=out)
-            memplan.release(sq)
-            result = out
+    def forward(ctx: Context, p, t, *, axis: int = -1, eps: float = 1e-12):
+        np_norm = np.sqrt((p * p).sum(axis=axis, keepdims=True) + eps)
+        nt_norm = np.sqrt((t * t).sum(axis=axis, keepdims=True) + eps)
+        ph = p / np_norm
+        th = t / nt_norm
+        diff = ph - th
+        result = (diff * diff).sum(axis=axis)
         ctx.save(ph, th, diff, np_norm, nt_norm)
         ctx.axis = axis
         return result
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        (sp, dp), (st, dt) = input_specs
-        if sp != st or dp != dt:
-            return None, ()
-        axis = params.get("axis", -1)
-        red = _reduced_shape(sp, axis, True)
-        return ((_reduced_shape(sp, axis, False), dp),
-                ((sp, dp, "fwd"), (red, dp, "bwd"), (red, dp, "bwd"),
-                 (sp, dp, "bwd"), (sp, dp, "bwd"), (sp, dp, "bwd")))
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -987,46 +659,19 @@ class BatchNormOp(Op):
     name = "batch_norm"
 
     @staticmethod
-    def forward(ctx: Context, x, *, axes, eps: float, out=None):
+    def forward(ctx: Context, x, *, axes, eps: float):
         axes = tuple(axes)
-        if out is None:
-            mean = x.mean(axis=axes, keepdims=True)
-            centered = x - mean
-            var = np.mean(centered * centered, axis=axes, keepdims=True)
-            inv = 1.0 / np.sqrt(var + eps)
-            xhat = centered * inv
-        else:
-            red = _reduced_shape(x.shape, axes, True)
-            mean = memplan.acquire(red, x.dtype)
-            sq = memplan.acquire(x.shape, x.dtype)
-            var = memplan.acquire(red, x.dtype)
-            inv = memplan.acquire(red, x.dtype)
-            x.mean(axis=axes, keepdims=True, out=mean)
-            np.subtract(x, mean, out=out)          # centered, in the out slab
-            np.multiply(out, out, out=sq)
-            sq.mean(axis=axes, keepdims=True, out=var)
-            np.add(var, eps, out=inv)
-            np.sqrt(inv, out=inv)
-            np.true_divide(1.0, inv, out=inv)
-            np.multiply(out, inv, out=out)         # xhat overwrites centered
-            memplan.release(sq)
-            xhat = out
+        mean = x.mean(axis=axes, keepdims=True)
+        centered = x - mean
+        var = np.mean(centered * centered, axis=axes, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = centered * inv
         ctx.save(xhat, inv)
         ctx.axes = axes
         ctx.m = int(np.prod([x.shape[a] for a in axes]))
         ctx.mean = mean
         ctx.var = var
         return xhat
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        axes = tuple(params["axes"])
-        red = _reduced_shape(shape, axes, True)
-        # ``mean``/``var`` are read by the running-stats hook after the
-        # forward sweep and ``inv`` by backward — all "bwd" lifetime.
-        return (shape, dtype), ((red, dtype, "bwd"), (shape, dtype, "fwd"),
-                                (red, dtype, "bwd"), (red, dtype, "bwd"))
 
     @staticmethod
     def backward(ctx: Context, grad):

@@ -27,10 +27,6 @@ What the choke point buys:
   composed chain (e.g. matmul + add + relu) for a single registered fused op
   with identical semantics; :func:`no_fusion` restores the unfused
   composition for parity testing.
-
-``Tensor.from_op`` remains as the legacy closure-taping API (tests and
-quick experiments use it); the registry is the supported path for library
-code.
 """
 
 from __future__ import annotations
@@ -150,15 +146,6 @@ class Op:
     - ``backward(ctx, grad) -> Sequence[np.ndarray | None]`` returns one
       gradient per input, positionally aligned; ``None`` marks an input
       that needs no gradient.
-
-    Ops participating in tape memory planning additionally:
-
-    - declare their buffer needs via :meth:`plan_buffers`, a pure function
-      of input shapes/dtypes and params;
-    - accept an optional ``out=`` keyword in ``forward`` and, when given,
-      write the result into that caller-provided array and return it
-      bit-for-bit identical to the allocating path.  Eager dispatch never
-      passes ``out``; only the tape's planned replay does.
     """
 
     name: str = ""
@@ -170,26 +157,6 @@ class Op:
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
         raise NotImplementedError
-
-    @classmethod
-    def plan_buffers(cls, params: dict, input_specs):
-        """Declare output and scratch storage for the memory planner.
-
-        ``input_specs`` is a tuple of ``(shape, dtype_str)`` pairs, one per
-        forward input array.  Returns ``(out_spec, scratch_specs)`` where
-        ``out_spec`` is ``(shape, dtype_str)`` — or ``None`` if the op does
-        not support caller-provided output storage — and ``scratch_specs``
-        is a tuple of ``(shape, dtype_str, lifetime)`` entries describing
-        the buffers the op will :func:`repro.tensor.memplan.acquire` during
-        forward; ``lifetime`` is ``"fwd"`` (released before the next
-        instruction) or ``"bwd"`` (retained until this op's backward).
-
-        The declaration must be exact: the planner cross-validates
-        ``out_spec`` against the recorded output and falls back to
-        per-op allocation on any mismatch.  The base implementation opts
-        out of planning entirely.
-        """
-        return None, ()
 
 
 _REGISTRY: dict[str, type[Op]] = {}

@@ -42,22 +42,6 @@ Leaf binding rules (what makes replay safe):
 Forward side effects that live outside the op stream (BatchNorm
 running-stat updates) re-fire on replay through
 :meth:`Tape.record_stat_hook`.
-
-Memory planning (PR 8): a complete tape knows every buffer the step will
-ever need, so the *second* replay runs as an observation pass — natural
-output dtypes, view aliases, and which intermediates each op context
-retains for backward are read off the live values — and feeds
-:func:`repro.tensor.memplan.build_plan`.  Replays from the third on
-execute against the resulting :class:`~repro.tensor.memplan.MemoryPlan`:
-planned instructions write into pre-bound arena views (``out=``) and
-draw their declared scratch from the same arena, with zero allocator
-calls for planned storage.  The planned path is gated exactly like the
-tape itself — bit-for-bit parity with the unplanned replay and with
-eager is enforced by tests — and any planning failure (declaration
-mismatch, odd dtypes, zero plannable buffers) permanently reverts that
-tape to the allocate-per-op fallback path.  The loss root, parameter
-leaves, ``.grad`` accumulators and captured constants never live in the
-arena.
 """
 
 from __future__ import annotations
@@ -67,11 +51,9 @@ import contextlib
 import numpy as np
 
 from repro.faults import plane as _faults
-from repro.tensor import anomaly, engine, memplan
+from repro.tensor import anomaly, engine
 
 __all__ = ["Tape", "TapedFunction", "capture"]
-
-_MEMSTATS = memplan.stats()
 
 _LEAF = 0
 _OP = 1
@@ -119,8 +101,6 @@ class Tape:
         self.unsafe = False
         self.unsafe_reason: str | None = None
         self.complete = False
-        self.plan: memplan.MemoryPlan | None = None
-        self._plan_failed = False
         self.fusion = engine.fusion_enabled()
         self.grad_enabled = engine.is_grad_enabled()
         self.fingerprint = engine.registry_fingerprint()
@@ -254,10 +234,6 @@ class Tape:
                     return
                 schedule.append((_LEAF, sid))
                 continue
-            if node._op_cls is None:
-                self.mark_unsafe(f"node {node._op or '?'} was taped with a "
-                                 f"legacy closure (Tensor.from_op)")
-                return
             schedule.append((_OP, self._inst_of_out_slot[sid]))
         self.schedule = schedule
 
@@ -346,22 +322,27 @@ class Tape:
         values are read fresh from the bound tensors and gradients are
         accumulated into their live ``.grad`` buffers, so a replayed step
         is bit-for-bit interchangeable with an eager one.
-
-        Replay #1 after capture allocates per op; it doubles as the
-        observation pass that builds this tape's :class:`MemoryPlan`.
-        Later replays execute against the plan's arena.  Disabling
-        planning (:func:`repro.tensor.memplan.no_planning`) or any
-        planning failure reverts to the allocate-per-op path, which is
-        bit-for-bit identical.
         """
-        if self.plan is not None and memplan.planning_enabled():
-            if self.plan.tape_fingerprint == (self.fingerprint,
-                                              self.input_signature):
-                return self._replay_planned(inputs)
-            self.plan = None  # registry drifted under the plan: rebuild
-        observe = (self.plan is None and not self._plan_failed
-                   and memplan.planning_enabled())
-        return self._replay_fallback(inputs, observe)
+        values = self._bind_values(inputs)
+        armed = _faults.ARMED
+        ctxs: list = [None] * len(self.instructions)
+        for i, inst in enumerate(self.instructions):
+            ctx = engine.Context()
+            ctx.needs_input_grad = inst.needs_input_grad
+            data = inst.op_cls.forward(
+                ctx, *[values[s] for s in inst.input_slots], **inst.params)
+            if data.dtype != inst.out_dtype:
+                data = data.astype(inst.out_dtype)
+            if armed:
+                data = _faults.corrupt("tape.replay", data)
+            if not inst.grad_out:
+                ctx.saved = ()
+            values[inst.out_slot] = data
+            ctxs[i] = ctx
+
+        self._fire_stat_hooks(values, ctxs)
+        self._replay_backward(values, ctxs)
+        return values[self.seed_slot]
 
     def _bind_values(self, inputs) -> list:
         values: list = [None] * self._n_slots
@@ -380,188 +361,6 @@ class Tape:
                 callback(replayed.mean, replayed.var)
             else:
                 callback(*[values[s] for s in ref])
-
-    def _replay_fallback(self, inputs, observe: bool = False) -> np.ndarray:
-        values = self._bind_values(inputs)
-        armed = _faults.ARMED
-        natural_ok = [False] * len(self.instructions) if observe else None
-        ctxs: list = [None] * len(self.instructions)
-        for i, inst in enumerate(self.instructions):
-            ctx = engine.Context()
-            ctx.needs_input_grad = inst.needs_input_grad
-            data = inst.op_cls.forward(
-                ctx, *[values[s] for s in inst.input_slots], **inst.params)
-            _MEMSTATS["fallback_outputs"] += 1
-            if data.dtype != inst.out_dtype:
-                data = data.astype(inst.out_dtype)
-            elif observe:
-                natural_ok[i] = True
-            if armed:
-                data = _faults.corrupt("tape.replay", data)
-            if not inst.grad_out:
-                ctx.saved = ()
-            values[inst.out_slot] = data
-            ctxs[i] = ctx
-
-        if observe and not armed:
-            # Build the memory plan off this pass's live values.  Planning
-            # is best-effort: any failure keeps this tape on the fallback
-            # allocator for good (and the parity gate keeps that correct).
-            try:
-                self._build_plan(values, ctxs, natural_ok)
-            except Exception:
-                self._plan_failed = True
-
-        self._fire_stat_hooks(values, ctxs)
-        self._replay_backward(values, ctxs)
-        return values[self.seed_slot]
-
-    def _replay_planned(self, inputs) -> np.ndarray:
-        values = self._bind_values(inputs)
-        plan = self.plan
-        out_views = plan.out_views
-        scratch_views = plan.scratch_views
-        armed = _faults.ARMED
-        ctxs: list = [None] * len(self.instructions)
-        for i, inst in enumerate(self.instructions):
-            ctx = engine.Context()
-            ctx.needs_input_grad = inst.needs_input_grad
-            ins = [values[s] for s in inst.input_slots]
-            staged = scratch_views[i]
-            if staged:
-                memplan.provide_scratch(staged)
-            out = out_views[i]
-            if out is not None:
-                data = inst.op_cls.forward(ctx, *ins, out=out, **inst.params)
-                _MEMSTATS["arena_outputs"] += 1
-            else:
-                data = inst.op_cls.forward(ctx, *ins, **inst.params)
-                _MEMSTATS["fallback_outputs"] += 1
-                if data.dtype != inst.out_dtype:
-                    data = data.astype(inst.out_dtype)
-            if staged:
-                memplan.provide_scratch(())
-            if armed:
-                data = _faults.corrupt("tape.replay", data)
-            if not inst.grad_out:
-                ctx.saved = ()
-            values[inst.out_slot] = data
-            ctxs[i] = ctx
-
-        self._fire_stat_hooks(values, ctxs)
-        self._replay_backward(values, ctxs)
-        return values[self.seed_slot]
-
-    # ------------------------------------------------------------------
-    # Plan construction (the observation pass)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _ctx_arrays(ctx):
-        """Every ndarray an op context retains (saved tuple + attributes)."""
-        for value in vars(ctx).values():
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, (tuple, list)):
-                for item in value:
-                    if isinstance(item, np.ndarray):
-                        yield item
-
-    def _build_plan(self, values, ctxs, natural_ok) -> None:
-        """Derive :class:`memplan.PlanInputs` from one observed replay.
-
-        Lifetime evidence comes from the program itself (input slots, the
-        frozen backward schedule, stat-hook slots) plus two things only
-        the live pass can show: which instruction outputs are *views* of
-        other slots (reshape/transpose/getitem — they own no storage) and
-        which slot arrays each context retained for backward (saves extend
-        a producer's lifetime to its consumer's backward position).
-        """
-        insts = self.instructions
-        n = len(insts)
-        bwd_time = {}
-        for k, (kind, ref) in enumerate(self.schedule):
-            if kind == _OP:
-                bwd_time[ref] = n + 1 + k
-
-        slot_of_array: dict[int, int] = {}
-        out_values = []
-        for inst in insts:
-            val = values[inst.out_slot]
-            slot_of_array.setdefault(id(val), inst.out_slot)
-            out_values.append((inst.out_slot, val))
-
-        alias_of: dict[int, int] = {}
-        for i, inst in enumerate(insts):
-            data = values[inst.out_slot]
-            if data.base is None:
-                continue
-            for s in inst.input_slots:
-                if values[s] is not None and np.may_share_memory(data, values[s]):
-                    alias_of[inst.out_slot] = s
-                    break
-
-        saved_slots: list[tuple[int, ...]] = []
-        for i, ctx in enumerate(ctxs):
-            found: set[int] = set()
-            if insts[i].grad_out:
-                for arr in self._ctx_arrays(ctx):
-                    slot = slot_of_array.get(id(arr))
-                    if slot is not None:
-                        found.add(slot)
-                        continue
-                    if arr.base is not None:
-                        for out_slot, val in out_values:
-                            if np.may_share_memory(arr, val):
-                                found.add(out_slot)
-            saved_slots.append(tuple(sorted(found)))
-
-        out_specs: list = [None] * n
-        scratch_specs: list = [()] * n
-        for i, inst in enumerate(insts):
-            data = values[inst.out_slot]
-            if (not natural_ok[i] or data.base is not None
-                    or inst.out_slot in alias_of
-                    or inst.out_slot == self.seed_slot):
-                continue
-            input_specs = tuple((values[s].shape, values[s].dtype.str)
-                                for s in inst.input_slots)
-            try:
-                spec, scratch = inst.op_cls.plan_buffers(inst.params, input_specs)
-            except Exception:
-                continue
-            if spec is None:
-                continue
-            shape, dtype = spec
-            # Cross-validate the declaration against the recorded output;
-            # a lying plan_buffers must not get arena storage.
-            if tuple(shape) != data.shape or np.dtype(dtype) != inst.out_dtype:
-                continue
-            out_specs[i] = (tuple(shape), np.dtype(dtype).str)
-            scratch_specs[i] = tuple(
-                (tuple(s), np.dtype(d).str, life) for s, d, life in scratch)
-
-        stat_slots: list[int] = []
-        for kind, ref, _callback in self.stat_hooks:
-            if kind == "slots":
-                stat_slots.extend(ref)
-
-        plan = memplan.build_plan(memplan.PlanInputs(
-            n_inst=n,
-            out_slots=[inst.out_slot for inst in insts],
-            input_slots=[inst.input_slots for inst in insts],
-            out_specs=out_specs,
-            scratch_specs=scratch_specs,
-            saved_slots=saved_slots,
-            backward_time=bwd_time,
-            stat_slots=tuple(stat_slots),
-            alias_of=alias_of,
-            seed_slot=self.seed_slot,
-            tape_fingerprint=(self.fingerprint, self.input_signature),
-        ))
-        if not plan.items:
-            self._plan_failed = True
-            return
-        self.plan = plan
 
     def _replay_backward(self, values, ctxs) -> None:
         # Mirrors Tensor.backward statement for statement, with slot ids in

@@ -14,38 +14,16 @@ contribution arrives the engine owns the accumulator and every further
 contribution is added in place via ``np.add(..., out=...)``.  Leaf ``.grad``
 arrays behave the same way, so ``zero_grad(set_to_none=False)`` makes the
 ``.grad`` identity stable across steps (see DESIGN.md for the contract).
-
-:meth:`Tensor.from_op` remains as the legacy closure-taping API used by
-tests and quick experiments; library primitives are registered ops.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from repro.tensor import anomaly, engine, memplan
+from repro.tensor import anomaly, engine
 from repro.tensor.engine import DEFAULT_DTYPE, is_grad_enabled, no_grad  # noqa: F401  (re-exported API)
 
 _apply = engine.apply
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so it matches ``shape`` after numpy broadcasting.
-
-    Sums over the leading axes that were added by broadcasting, then over
-    axes whose original extent was 1.
-    """
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 def _as_array(value, dtype=DEFAULT_DTYPE) -> np.ndarray:
@@ -88,8 +66,8 @@ class Tensor:
     """
 
     __slots__ = ("_data", "requires_grad", "grad", "_parents", "_parent_versions",
-                 "_op", "_op_cls", "_ctx", "_inputs", "_grad_fns", "_weak",
-                 "_version", "_created_at")
+                 "_op", "_op_cls", "_ctx", "_inputs", "_weak", "_version",
+                 "_created_at")
 
     def __init__(self, data, requires_grad: bool = False, *, _op: str = ""):
         self._data = _as_array(data)
@@ -103,7 +81,6 @@ class Tensor:
         self._op_cls = None
         self._ctx = None
         self._inputs: tuple = ()
-        self._grad_fns: tuple = ()
         self._created_at = anomaly.capture_stack() if anomaly.is_anomaly_enabled() else None
 
     @property
@@ -119,49 +96,14 @@ class Tensor:
     # Construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def from_op(data: np.ndarray, parents: Sequence[tuple["Tensor", Callable]], op: str = "") -> "Tensor":
-        """Create the result of a differentiable primitive (legacy closure API).
-
-        ``parents`` is a sequence of ``(tensor, grad_fn)`` pairs where
-        ``grad_fn(output_grad) -> parent_grad``.  The result requires grad iff
-        recording is enabled and any parent requires grad; otherwise the tape
-        is not extended.  Library code registers :class:`~repro.tensor.engine.Op`
-        classes and dispatches through ``engine.apply`` instead; this remains
-        for tests and one-off experiments (lint rule AD002 polices the
-        late-binding-closure hazard that comes with it).
-        """
-        if anomaly.is_anomaly_enabled():
-            anomaly.check_forward(np.asarray(data), op)
-        if engine._GRAD_ENABLED and any(p.requires_grad for p, _fn in parents):
-            out = Tensor(data, requires_grad=True, _op=op)
-            kept = [(p, fn) for p, fn in parents if p.requires_grad]
-            out._parents = tuple(p for p, _fn in kept)
-            out._grad_fns = tuple(fn for _p, fn in kept)
-            out._parent_versions = tuple(p._version for p in out._parents)
-        else:
-            out = Tensor(data, requires_grad=False)
-        return out
+    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
+        """Zero-filled tensor of ``shape`` in the default dtype."""
+        return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
 
     @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False,
-              out: np.ndarray | None = None) -> "Tensor":
-        """Zero tensor; ``out=`` reuses caller storage via the shared helper.
-
-        Constructors route through :func:`repro.tensor.memplan.zeros` so
-        planner-exempt buffers, the replay fallback path, and ad-hoc
-        callers share one allocation idiom (``out`` must match shape and
-        the default dtype exactly).
-        """
-        return Tensor(memplan.zeros(shape, DEFAULT_DTYPE, out=out),
-                      requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False,
-             out: np.ndarray | None = None) -> "Tensor":
-        """One-filled tensor; ``out=`` reuses caller storage (see ``zeros``)."""
-        buf = memplan.alloc(shape, DEFAULT_DTYPE, out=out)
-        buf.fill(1)
-        return Tensor(buf, requires_grad=requires_grad)
+    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
+        """One-filled tensor of ``shape`` in the default dtype."""
+        return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -299,12 +241,8 @@ class Tensor:
                         f"Run backward() before mutating parameters, or detach() the "
                         f"tensor if the mutation is intentional."
                     )
-            if node._op_cls is not None:
-                contributions = node._op_cls.backward(node._ctx, node_grad)
-                pairs = zip(node._inputs, contributions)
-            else:
-                pairs = zip(node._parents, (fn(node_grad) for fn in node._grad_fns))
-            for parent, contribution in pairs:
+            contributions = node._op_cls.backward(node._ctx, node_grad)
+            for parent, contribution in zip(node._inputs, contributions):
                 if contribution is None or not parent.requires_grad:
                     continue
                 contribution = np.asarray(contribution)

@@ -55,7 +55,7 @@ class TestAnalysisMain:
         # A minimal package whose only primitive has no gradcheck test.
         write(tmp_path / "pkg" / "tensor" / "ops.py", """\
             def lonely(x):
-                return Tensor.from_op(x.data, [(x, lambda g: g)], op="lonely")
+                return apply("lonely", x)
         """)
         write(tmp_path / "pkg" / "tensor" / "tensor.py", """\
             class Tensor:

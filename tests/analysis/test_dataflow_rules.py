@@ -1,4 +1,4 @@
-"""Golden tests for the whole-program rules (DET002/TAPE002/SER002/PERF002).
+"""Golden tests for the whole-program rules (DET002/TAPE002/SER002).
 
 Each fixture module under ``fixtures/`` seeds deliberate violations and
 marks the expected line with a trailing ``# expect: CODE`` comment — the
@@ -43,7 +43,6 @@ def found(path: Path, code: str) -> set[tuple[int, str]]:
     ("det002_nested.py", "DET002"),
     ("tape002_branch.py", "TAPE002"),
     ("ser002_ckpt.py", "SER002"),
-    ("perf002_replay.py", "PERF002"),
 ])
 def test_fixture_matches_golden_list(fixture, code):
     path = FIXTURES / fixture
@@ -56,8 +55,7 @@ def test_every_fixture_is_covered():
     """A fixture added without a golden parametrization should fail loudly."""
     listed = {"det002_augassign.py", "det002_walrus.py",
               "det002_comprehension.py", "det002_tryfinally.py",
-              "det002_nested.py", "tape002_branch.py", "ser002_ckpt.py",
-              "perf002_replay.py"}
+              "det002_nested.py", "tape002_branch.py", "ser002_ckpt.py"}
     on_disk = {p.name for p in FIXTURES.glob("*.py")
                if p.name != "__init__.py"}
     assert on_disk == listed

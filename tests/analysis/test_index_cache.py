@@ -104,14 +104,20 @@ class TestCallGraph:
         assert "repro.mod.target" in reachable
 
     def test_replay_chain_in_real_tree(self):
-        """The slice PERF002 walks: Tape.replay -> ... -> the arena API."""
+        """TapedFunction -> capture / Tape.replay -> Op kernels, and a
+        layer forward (TAPE002's capture surface) -> apply_ctx -> the
+        capture hook."""
         sources = parse_sources(sorted(SRC_ROOT.rglob("*.py")))
         index = ProjectIndex.build(sources)
-        reachable = index.reachable_from({"repro.tensor.tape.Tape.replay"})
-        assert "repro.tensor.tape.Tape._replay_planned" in reachable
+        reachable = index.reachable_from(
+            {"repro.tensor.tape.TapedFunction.__call__"})
+        assert "repro.tensor.tape.capture" in reachable
+        assert "repro.tensor.tape.Tape.replay" in reachable
         assert "repro.tensor.engine.Op.forward" in reachable
-        assert "repro.tensor.memplan.acquire" in reachable
-        assert "repro.tensor.memplan.Arena.view" in reachable
+        assert "repro.tensor.engine.Op.backward" in reachable
+        dispatched = index.reachable_from({"repro.nn.conv.Conv2d.forward"})
+        assert "repro.tensor.engine.apply_ctx" in dispatched
+        assert "repro.tensor.tape.Tape.record_apply" in dispatched
 
 
 class TestParallelParse:

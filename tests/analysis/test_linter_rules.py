@@ -275,6 +275,6 @@ class TestRunner:
 
     def test_default_rules_cover_all_documented_codes(self):
         assert {r.code for r in default_rules()} == {"DET001", "AD001", "AD002", "API001",
-                                                     "SER001", "PERF001", "PERF002",
+                                                     "SER001", "PERF001",
                                                      "TAPE001", "RB001",
                                                      "DET002", "TAPE002", "SER002"}

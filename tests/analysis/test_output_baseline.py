@@ -23,7 +23,7 @@ class TestSarif:
         assert driver["name"] == "repro-lint"
         codes = [r["id"] for r in driver["rules"]]
         assert codes == sorted(codes)
-        assert {"DET002", "TAPE002", "SER002", "PERF002"} <= set(codes)
+        assert {"DET002", "TAPE002", "SER002"} <= set(codes)
         for rule in driver["rules"]:
             assert rule["shortDescription"]["text"]
             assert rule["defaultConfiguration"]["level"] == "error"

@@ -32,7 +32,7 @@ class TestRepr:
 
 
 class TestGraphBoundaries:
-    def test_from_op_without_grad_parents_is_leafless(self):
+    def test_op_without_grad_parents_is_leafless(self):
         a = Tensor([1.0])  # no grad
         out = a * 2.0
         assert not out.requires_grad

@@ -8,7 +8,23 @@ to fail loudly.
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, check_gradients, numerical_gradient
+from repro.tensor import Tensor, apply, check_gradients, numerical_gradient
+from repro.tensor.engine import Op, register
+
+
+@register
+class _BrokenDoubleOp(Op):
+    """Forward is ``a * 2`` but backward claims gradient 3."""
+
+    name = "test_gradcheck_broken_double"
+
+    @staticmethod
+    def forward(ctx, a):
+        return a * 2.0
+
+    @staticmethod
+    def backward(ctx, grad):
+        return (3.0 * grad,)
 
 
 class TestNumericalGradient:
@@ -32,8 +48,7 @@ class TestCheckGradients:
 
     def test_detects_wrong_backward(self):
         def broken(t: Tensor) -> Tensor:
-            # forward is t*2 but backward claims gradient 3
-            return Tensor.from_op(t.data * 2.0, [(t, lambda g: 3.0 * g)], op="broken")
+            return apply("test_gradcheck_broken_double", t)
 
         with pytest.raises(AssertionError, match="gradient mismatch"):
             check_gradients(broken, [np.array([1.0, 2.0])])

@@ -1,6 +1,7 @@
 """Tape capture/replay tests: recording, validity, poisoning, the
-TapedFunction lifecycle, and the bit-for-bit parity guarantee (including a
-hypothesis fuzz over random MLP/conv graphs, fused and unfused).
+TapedFunction lifecycle, the bit-for-bit parity guarantee (including a
+hypothesis fuzz over random MLP/conv graphs, fused and unfused), and fault
+hygiene across a poisoned replay plus restore.
 """
 
 import contextlib
@@ -10,6 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nn
+from repro.faults import plane
+from repro.faults.plane import FaultEvent, FaultPlan
 from repro.nn.conv import Conv2d
 from repro.nn.mlp import MLP
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
@@ -198,6 +202,98 @@ class TestPoisoning:
         assert "anomaly" in tape.unsafe_reason
 
 
+# ----------------------------------------------------------------------
+# Two-view train steps (an SSL-shaped step: two forwards, one backward)
+# ----------------------------------------------------------------------
+def _two_view_step(model):
+    def step(v1, v2):
+        a = model(Tensor(v1))
+        b = model(Tensor(v2))
+        loss = ((a - b) ** 2).mean() + (a ** 2).mean()
+        loss.backward()
+        return loss
+    return step
+
+
+def _build_mlp(seed=7):
+    rng = np.random.default_rng(seed)
+    model = nn.Sequential(
+        nn.Linear(12, 16, rng=rng),
+        nn.BatchNorm1d(16),
+        nn.ReLU(),
+        nn.Linear(16, 8, rng=rng),
+    )
+    model.train()
+    return model, _two_view_step(model)
+
+
+def _view_pairs(shape, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal(shape).astype(np.float32),
+             rng.standard_normal(shape).astype(np.float32))
+            for _ in range(n_steps)]
+
+
+def _build_conv(seed=11):
+    rng = np.random.default_rng(seed)
+    model = nn.Sequential(
+        nn.Conv2d(2, 4, 3, stride=1, padding=1, rng=rng),
+        nn.BatchNorm2d(4),
+        nn.ReLU(),
+        nn.MaxPool2d(2),
+    )
+    model.train()
+    return model, _two_view_step(model)
+
+
+#: model name -> (builder, per-view input shape, data seed)
+TWO_VIEW_MODELS = {"mlp": (_build_mlp, (10, 12), 42),
+                   "conv": (_build_conv, (4, 2, 6, 6), 43)}
+
+
+def _step_state(model, params, loss):
+    return {
+        "loss": np.asarray(loss.data).copy(),
+        "grads": [p.grad.copy() for p in params],
+        "params": [p.data.copy() for p in params],
+        "buffers": {name: buf.copy() for name, buf in model.named_buffers()},
+    }
+
+
+def _assert_traces_identical(reference, candidate, label):
+    assert len(reference) == len(candidate)
+    for i, (expected, actual) in enumerate(zip(reference, candidate)):
+        np.testing.assert_array_equal(expected["loss"], actual["loss"],
+                                      err_msg=f"{label}: step {i} loss")
+        for slot, (e, a) in enumerate(zip(expected["grads"], actual["grads"])):
+            np.testing.assert_array_equal(e, a,
+                                          err_msg=f"{label}: step {i} grad[{slot}]")
+        for slot, (e, a) in enumerate(zip(expected["params"], actual["params"])):
+            np.testing.assert_array_equal(e, a,
+                                          err_msg=f"{label}: step {i} param[{slot}]")
+        assert expected["buffers"].keys() == actual["buffers"].keys()
+        for name, e in expected["buffers"].items():
+            np.testing.assert_array_equal(e, actual["buffers"][name],
+                                          err_msg=f"{label}: step {i} buffer {name}")
+
+
+def _drive_two_view(model_name, use_tape, n_steps=7):
+    """``n_steps`` SGD steps, eager or through a TapedFunction."""
+    build, shape, seed = TWO_VIEW_MODELS[model_name]
+    model, step = build()
+    params = list(model.parameters())
+    optimizer = SGD(params, lr=0.05, momentum=0.9)
+    taped = TapedFunction(step)
+    taped.enabled = use_tape
+    trace = []
+    for v1, v2 in _view_pairs(shape, n_steps, seed):
+        optimizer.zero_grad()
+        loss = taped(v1, v2)
+        optimizer.step()
+        trace.append(_step_state(model, params, loss))
+    return trace, taped
+
+
 class TestReplayParity:
     def _run_steps(self, use_tape, *, batch_norm, fused, n_steps=4,
                    dims=(6, 8, 5), seed=3):
@@ -305,6 +401,18 @@ class TestReplayParity:
         np.testing.assert_array_equal(b.grad, grad_b)
         np.testing.assert_array_equal(a.grad, 3.0)
         np.testing.assert_array_equal(b.grad, 5.0)
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+    @pytest.mark.parametrize("model_name", ["mlp", "conv"])
+    def test_bitwise_parity(self, model_name, fused):
+        """Two-view MLP/conv steps: losses, every grad, every param and
+        every BatchNorm buffer of a replayed run equal eager's bit for bit."""
+        with contextlib.nullcontext() if fused else no_fusion():
+            eager, _ = _drive_two_view(model_name, use_tape=False)
+            replayed, taped = _drive_two_view(model_name, use_tape=True)
+        assert taped.stats["captures"] == 1
+        assert taped.stats["replays"] == len(replayed) - 1
+        _assert_traces_identical(eager, replayed, f"{model_name} replay-vs-eager")
 
 
 class TestTapedFunction:
@@ -523,3 +631,63 @@ class TestFuzzParity:
             return net, _square_sum_loss(net)
 
         _assert_parity(build, xs, fused)
+
+
+# ----------------------------------------------------------------------
+# Fault hygiene: a poisoned replay, a guardrail-style restore, resume
+# ----------------------------------------------------------------------
+def _snapshot(model, params):
+    return ([p.data.copy() for p in params],
+            {name: buf.copy() for name, buf in model.named_buffers()})
+
+
+def _restore(model, params, snap):
+    datas, buffers = snap
+    for p, d in zip(params, datas):
+        np.copyto(p.data, d)
+    for name, buf in model.named_buffers():
+        np.copyto(buf, buffers[name])
+
+
+def _run_mlp(n_steps=7, fault_before_step=None):
+    """Train the two-view MLP through a TapedFunction.
+
+    Before step ``fault_before_step``, one replay on a throwaway batch runs
+    with a ``nan_payload`` armed at the ``tape.replay`` site, then weights
+    and buffers are restored guardrail-style.  Momentum is off so the
+    restorable state is exactly (weights, buffers); the poisoned batch never
+    reaches ``optimizer.step``, mirroring the guardrail's skip-batch rung.
+    """
+    model, step = _build_mlp()
+    params = list(model.parameters())
+    optimizer = SGD(params, lr=0.05, momentum=0.0)
+    taped = TapedFunction(step)
+    _build, shape, seed = TWO_VIEW_MODELS["mlp"]
+    throwaway = _view_pairs(shape, 1, seed=777)[0]
+    nan_plan = FaultPlan(seed=0, scenario="tape-replay-nan", events=(
+        FaultEvent(site="tape.replay", kind="nan_payload", hit=0),))
+    trace = []
+    for i, (v1, v2) in enumerate(_view_pairs(shape, n_steps, seed)):
+        if i == fault_before_step:
+            snap = _snapshot(model, params)
+            with plane.armed(nan_plan):
+                optimizer.zero_grad()
+                poisoned = taped(*throwaway)
+                assert np.isnan(np.asarray(poisoned.data)).any()
+            _restore(model, params, snap)
+        optimizer.zero_grad()
+        loss = taped(v1, v2)
+        optimizer.step()
+        trace.append(_step_state(model, params, loss))
+    return trace, taped
+
+
+class TestFaultHygiene:
+    def test_nan_through_replay_restores_clean(self):
+        """The tape survives the poisoned replay and resumed replayed steps
+        match an unfaulted run bit for bit."""
+        reference, _ = _run_mlp()
+        trace, taped = _run_mlp(fault_before_step=4)
+        assert taped.stats["captures"] == 1
+        assert taped.stats["invalidations"] == 0
+        _assert_traces_identical(reference, trace, "nan-through-replay")
