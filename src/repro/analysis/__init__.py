@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"(default: {DEFAULT_CACHE_NAME})")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the incremental cache")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="parse cache misses with N processes")
     parser.add_argument("--tests", metavar="DIR", default=None,
                         help="gradcheck test directory for the coverage auditor "
                              "(default: tests/tensor when it exists)")
@@ -142,8 +140,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     stats = LintStats()
     try:
         rules = rules_by_code(args.select.split(",")) if args.select else default_rules()
-        violations = run_lint(args.paths, rules, cache=cache,
-                              jobs=args.jobs, stats=stats)
+        violations = run_lint(args.paths, rules, cache=cache, stats=stats)
     except (FileNotFoundError, SyntaxError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
@@ -183,7 +180,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"baseline: {key} no longer occurs — run --update-baseline "
               f"to tighten the ratchet")
     if args.stats:
-        print(f"stats: {stats.files} files, jobs={stats.jobs}, "
+        print(f"stats: {stats.files} files, "
               f"cache {stats.cache_hits} hit / {stats.cache_misses} miss "
               f"({stats.cache_hit_rate:.0%}), "
               f"{stats.elapsed_seconds:.3f}s")

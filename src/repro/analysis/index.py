@@ -1,9 +1,7 @@
 """Whole-program index: symbol tables, import resolution, call graph.
 
-:class:`ProjectIndex` parses every file once (in parallel when asked —
-``pool.map`` over a sorted file list keeps the output order deterministic
-regardless of worker count) and derives what the whole-program rules
-consume:
+:class:`ProjectIndex` parses every file once and derives what the
+whole-program rules consume:
 
 - a dotted module name per file (``src/repro/nn/conv.py`` ->
   ``repro.nn.conv``; files under a ``tests`` tree -> ``tests.…``);
@@ -32,7 +30,6 @@ TAPE002 capture-path rule.
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -51,35 +48,9 @@ _COMMON_METHODS = {
     "write", "setdefault", "sort", "index", "count", "item", "any", "all",
 }
 
-_PARALLEL_MIN_FILES = 12
-
-
-def _parse_one(path_str: str) -> ModuleSource:
-    return ModuleSource.parse(Path(path_str))
-
-
-def parse_sources(files: Sequence[Path], jobs: int | None = None
-                  ) -> list[ModuleSource]:
-    """Parse ``files`` (sorted order preserved), in parallel when asked.
-
-    ``jobs=None`` picks ``min(cpu_count, 4)``; parallelism only engages
-    above a small file-count threshold because process startup dwarfs the
-    parse time of a handful of files.  ``pool.map`` over the sorted input
-    returns results in input order, so the output is deterministic for
-    every job count.
-    """
-    files = [Path(f) for f in files]
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, 4)
-    if jobs <= 1 or len(files) < _PARALLEL_MIN_FILES:
-        return [ModuleSource.parse(f) for f in files]
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork") \
-        if "fork" in multiprocessing.get_all_start_methods() \
-        else multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=jobs) as pool:
-        return pool.map(_parse_one, [str(f) for f in files])
+def parse_sources(files: Sequence[Path]) -> list[ModuleSource]:
+    """Parse ``files`` sequentially, preserving their order."""
+    return [ModuleSource.parse(Path(f)) for f in files]
 
 
 def module_name_for(path: Path) -> str:
@@ -189,15 +160,10 @@ class ProjectIndex:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, sources: Iterable[ModuleSource] | Sequence[Path],
-              jobs: int | None = None) -> "ProjectIndex":
-        """Index pre-parsed sources, or parse paths (optionally parallel)."""
-        materialized = list(sources)
-        if materialized and not isinstance(materialized[0], ModuleSource):
-            materialized = parse_sources(sorted(Path(p) for p in materialized),
-                                         jobs=jobs)
+    def build(cls, sources: Iterable[ModuleSource]) -> "ProjectIndex":
+        """Index already-parsed sources."""
         index = cls()
-        for source in materialized:
+        for source in sources:
             module = ModuleInfo(name=module_name_for(source.path), source=source)
             module._build_imports()
             index.modules[module.name] = module
@@ -396,6 +362,3 @@ class ProjectIndex:
             seen.add(fq)
             stack.extend(self.calls.get(fq, ()) - seen)
         return seen
-
-    def functions_in_module(self, module: ModuleInfo) -> list[FunctionInfo]:
-        return [f for f in self.functions.values() if f.module is module]

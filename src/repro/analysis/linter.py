@@ -150,13 +150,12 @@ class ProjectRule(LintRule):
 
 @dataclass
 class LintStats:
-    """Run statistics: per-rule counts, cache behaviour, parse parallelism."""
+    """Run statistics: per-rule counts and cache behaviour."""
 
     files: int = 0
     per_rule: dict[str, int] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    jobs: int = 1
     elapsed_seconds: float = 0.0
 
     @property
@@ -171,7 +170,6 @@ class LintStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "jobs": self.jobs,
             "elapsed_seconds": round(self.elapsed_seconds, 6),
         }
 
@@ -242,14 +240,11 @@ def run_lint(paths: Sequence[Path | str],
              rules: Iterable[LintRule] | None = None,
              *,
              cache: "LintCache | None" = None,
-             jobs: int | None = None,
              stats: LintStats | None = None) -> list[Violation]:
     """Lint every Python file under ``paths`` and return sorted violations.
 
     With ``cache`` set, per-file and whole-program results are reused when
-    content digests match (see :mod:`repro.analysis.cache`); ``jobs``
-    controls multiprocessing-parallel parsing of cache misses (determinism
-    is unaffected — output order is sorted either way).  ``stats`` is
+    content digests match (see :mod:`repro.analysis.cache`).  ``stats`` is
     filled in place when provided.
     """
     from repro.analysis.cache import (file_digest, project_fingerprint,
@@ -295,9 +290,9 @@ def run_lint(paths: Sequence[Path | str],
     # program), otherwise only the per-file cache misses.
     sources: list[ModuleSource] = []
     if need_project:
-        sources = parse_sources(files, jobs=jobs)
+        sources = parse_sources(files)
     elif to_parse:
-        sources = parse_sources(to_parse, jobs=jobs)
+        sources = parse_sources(to_parse)
 
     misses = set(map(str, to_parse))
     for source in sources:
@@ -323,9 +318,7 @@ def run_lint(paths: Sequence[Path | str],
         cache.save()
     found = sorted(found, key=lambda v: (str(v.path), v.line, v.code))
     if stats is not None:
-        import os
         stats.files = len(files)
-        stats.jobs = jobs if jobs is not None else min(os.cpu_count() or 1, 4)
         stats.elapsed_seconds = time.perf_counter() - started
         if cache is not None:
             stats.cache_hits = cache.hits

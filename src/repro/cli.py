@@ -30,14 +30,7 @@ Commands
              payloads, whole-process crashes) end-to-end
              through the trainer plus the checkpoint crash-consistency
              sweep, emitting a JSON survival report; every failure
-             reproduces exactly from its ``(seed, scenario)`` pair;
-``bench``    run the op-registry microbenchmarks (fused-vs-unfused kernels,
-             the SSL training-step bench, the tape eager-vs-replay bench,
-             and the eval-probe bench: SGD vs closed-form ridge probe
-             wall-time, accuracy delta, and the shard-merge bit-for-bit
-             check);
-             ``--output`` writes the JSON report, ``--smoke`` runs a
-             sub-second variant for CI.
+             reproduces exactly from its ``(seed, scenario)`` pair.
 """
 
 from __future__ import annotations
@@ -325,45 +318,11 @@ def _command_lint(args: argparse.Namespace) -> int:
         argv += ["--cache", args.cache]
     if args.no_cache:
         argv += ["--no-cache"]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
     if args.tests:
         argv += ["--tests", args.tests]
     if args.no_coverage:
         argv += ["--no-coverage"]
     return lint_main(argv)
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from repro.bench import REQUIRED_SPEEDUP, format_report, run_suite
-
-    report = run_suite(smoke=args.smoke, repeats=args.repeats)
-    print(format_report(report))
-    if args.output:
-        path = pathlib.Path(args.output)
-        path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        print(f"\nbench report written to {path}")
-    ssl = report["ssl_step"]
-    if "speedup_vs_pre_refactor" in ssl \
-            and ssl["speedup_vs_pre_refactor"] < REQUIRED_SPEEDUP:
-        return 1
-    tape = report.get("tape", {})
-    if "required_speedup" in tape \
-            and tape["speedup_replay_vs_eager"] < tape["required_speedup"]:
-        return 1
-    probe = report.get("eval_probe", {})
-    if "shard_merge" in probe \
-            and not probe["shard_merge"]["identical_across_worker_counts"]:
-        # The merge contract is shape-independent — enforced even in smoke.
-        return 1
-    if "required_speedup" in probe \
-            and (probe["speedup_ridge_vs_linear"] < probe["required_speedup"]
-                 or probe["accuracy_delta"] > probe["max_accuracy_delta"]):
-        return 1
-    return 0
 
 
 def _command_chaos(args: argparse.Namespace) -> int:
@@ -467,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: .repro-lint-cache.json)")
     lint_parser.add_argument("--no-cache", action="store_true",
                              help="disable the incremental cache")
-    lint_parser.add_argument("--jobs", type=int, metavar="N",
-                             help="parallel parse processes")
     lint_parser.add_argument("--tests", metavar="DIR",
                              help="gradcheck test dir (default: tests/tensor)")
     lint_parser.add_argument("--no-coverage", action="store_true",
@@ -495,15 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                               action="store_true",
                               help="list catalog scenarios and exit")
     chaos_parser.set_defaults(handler=_command_chaos)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="op-registry microbenchmarks (fused vs unfused)")
-    bench_parser.add_argument("--output", help="write the JSON report here")
-    bench_parser.add_argument("--smoke", action="store_true",
-                              help="tiny shapes + few repeats (sub-second, for CI)")
-    bench_parser.add_argument("--repeats", type=int,
-                              help="timed repetitions per bench (default 30, smoke 3)")
-    bench_parser.set_defaults(handler=_command_bench)
 
     list_parser = subparsers.add_parser("list", help="show available components")
     list_parser.set_defaults(handler=_command_list)

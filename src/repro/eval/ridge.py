@@ -1,4 +1,4 @@
-"""Streaming closed-form linear probe via mergeable ridge sufficient statistics.
+"""Streaming closed-form linear probe via ridge sufficient statistics.
 
 The SGD :class:`~repro.eval.linear_probe.LinearProbe` re-optimizes a softmax
 head for every cell of the accuracy matrix — 50 epochs of Adam per cell —
@@ -16,23 +16,20 @@ grid* of ridge strengths at the cost of one eigendecomposition, and the best
 ``λ`` is picked by validation accuracy.  State is O(d²), independent of the
 number of samples.
 
-Merge contract
---------------
-Float addition is not associative, so "just add the partial sums" would make
-the statistics depend on how the pass was split into shards.  Instead the
-accumulation is defined over an ordered sequence of *blocks* (one
-:meth:`RidgeStatistics.update` call = one block), and partial sums are only
-ever combined along the **fixed binary reduction tree** over block indices.
-:func:`tree_reduce` is the reference for that tree: the tree-reduced
-``(A, B)`` must equal ``tree_reduce`` over the per-block contributions byte
-for byte.  Internally each statistics object holds the maximal aligned
-complete subtrees of its block range (a binary-counter decomposition,
-O(log n_blocks) nodes of O(d²) each); two nodes fuse only when they are
-sibling children of the same tree node.  Because every aligned node has a
-unique parent, the set of additions — and their operand order — is a pure
-function of the block decomposition: :meth:`RidgeStatistics.merge` of
-shard-partial statistics is bit-for-bit identical for any partition and any
-merge order, and equals the single-pass accumulation over the same blocks.
+Block-order contract
+--------------------
+Float addition is not associative, so the statistics depend on the order in
+which partial sums are added.  The accumulation is therefore defined over an
+ordered sequence of *blocks* (one :meth:`RidgeStatistics.update` call = one
+block, numbered from 0), and partial sums are only ever combined along the
+**fixed binary reduction tree** over block indices.  :func:`tree_reduce` is
+the reference for that tree: :meth:`RidgeStatistics.reduced` must equal
+``tree_reduce`` over the per-block contributions byte for byte.  Internally
+the statistics hold the maximal aligned complete subtrees of the blocks seen
+so far (a binary-counter decomposition, O(log n_blocks) nodes of O(d²)
+each); two nodes fuse only when they are sibling children of the same tree
+node, so the set of additions — and their operand order — is a pure
+function of the block decomposition.
 
 The reduction tree for six blocks::
 
@@ -99,13 +96,9 @@ class _Node:
     def span(self) -> int:
         return 1 << self.height
 
-    @property
-    def stop(self) -> int:
-        return self.start + self.span
-
 
 class RidgeStatistics:
-    """Mergeable ``A = YᵀX`` / ``B = XᵀX`` accumulator for one block range.
+    """Streaming ``A = YᵀX`` / ``B = XᵀX`` accumulator over ordered blocks.
 
     Parameters
     ----------
@@ -113,25 +106,19 @@ class RidgeStatistics:
         Representation width ``d`` (features, before bias augmentation).
     classes:
         The full class universe, as an array of labels.  Fixed up front so
-        every shard allocates identically-shaped accumulators; stored
-        sorted.  Labels outside this set are an error at :meth:`update`.
-    start_block:
-        Index of this object's first block in the *global* block sequence.
-        A shard accumulating blocks ``[k, m)`` passes ``k`` so its nodes
-        slot into the shared reduction tree.
+        the accumulator shapes never change; stored sorted.  Labels outside
+        this set are an error at :meth:`update`.
     """
 
-    def __init__(self, dim: int, classes: np.ndarray, start_block: int = 0):
+    def __init__(self, dim: int, classes: np.ndarray):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if start_block < 0:
-            raise ValueError("start_block must be >= 0")
         classes = np.unique(np.asarray(classes))
         if classes.size == 0:
             raise ValueError("classes must be non-empty")
         self.dim = int(dim)
         self.classes = classes
-        self._next_block = int(start_block)
+        self._next_block = 0
         #: Aligned subtree nodes keyed by start block, fused eagerly.
         self._nodes: dict[int, _Node] = {}
 
@@ -145,10 +132,6 @@ class RidgeStatistics:
     @property
     def n_blocks(self) -> int:
         return sum(node.span for node in self._nodes.values())
-
-    def blocks_covered(self) -> list[tuple[int, int]]:
-        """Sorted ``(start, stop)`` block ranges this object has absorbed."""
-        return sorted((node.start, node.stop) for node in self._nodes.values())
 
     def update(self, representations: np.ndarray, labels: np.ndarray) -> None:
         """Absorb one block of ``(x, y)`` pairs as the next leaf of the tree.
@@ -183,7 +166,7 @@ class RidgeStatistics:
         self._insert(leaf)
 
     # ------------------------------------------------------------------
-    # The fixed-tree merge
+    # The fixed reduction tree
     # ------------------------------------------------------------------
     def _insert(self, node: _Node) -> None:
         """Add a node, fusing sibling pairs up the aligned tree."""
@@ -203,51 +186,16 @@ class RidgeStatistics:
             node = _Node(left.start, left.height + 1, left.a + right.a,
                          left.b + right.b, left.count + right.count)
 
-    def merge(self, other: "RidgeStatistics") -> "RidgeStatistics":
-        """Combine two shard-partial statistics objects (pure; inputs kept).
-
-        Block ranges must be disjoint.  The result is bit-for-bit identical
-        for every way of partitioning the blocks into shards and every
-        association order of the merges, because nodes only ever fuse along
-        the fixed tree.
-        """
-        if not isinstance(other, RidgeStatistics):
-            raise TypeError(f"cannot merge RidgeStatistics with {type(other).__name__}")
-        if other.dim != self.dim:
-            raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
-        if not np.array_equal(other.classes, self.classes):
-            raise ValueError("class universe mismatch between statistics")
-        mine = self.blocks_covered()
-        for start, stop in other.blocks_covered():
-            for m_start, m_stop in mine:
-                if start < m_stop and m_start < stop:
-                    raise ValueError(
-                        f"overlapping block ranges: [{start}, {stop}) vs "
-                        f"[{m_start}, {m_stop})")
-        merged = RidgeStatistics(self.dim, self.classes)
-        merged._next_block = max(self._next_block, other._next_block)
-        for source in (self, other):
-            for node in sorted(source._nodes.values(), key=lambda n: n.start):
-                merged._insert(_Node(node.start, node.height, node.a.copy(),
-                                     node.b.copy(), node.count))
-        return merged
-
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
-        """The tree-reduced ``(A, B)`` over the covered block range.
+        """The tree-reduced ``(A, B)`` over every block absorbed so far.
 
-        Requires contiguous coverage (no missing shard).  The remaining
-        aligned nodes are folded right-to-left, which reproduces exactly the
-        value :func:`tree_reduce` computes over the per-block contributions.
+        The remaining aligned nodes are folded right-to-left, which
+        reproduces exactly the value :func:`tree_reduce` computes over the
+        per-block contributions.
         """
         if not self._nodes:
             raise ValueError("no blocks accumulated")
         nodes = sorted(self._nodes.values(), key=lambda n: n.start)
-        for prev, node in zip(nodes, nodes[1:]):
-            if prev.stop != node.start:
-                raise ValueError(
-                    f"block range has a gap: [{prev.start}, {prev.stop}) then "
-                    f"[{node.start}, {node.stop}); merge the missing shard "
-                    f"partials first")
         a = nodes[-1].a
         b = nodes[-1].b
         for node in reversed(nodes[:-1]):
@@ -389,16 +337,6 @@ class RidgeProbe:
             best_lam = self.lambdas[0]
             self._stream(stats, x, y)
         self._finalize(stats, best_lam)
-        return self
-
-    def fit_statistics(self, stats: RidgeStatistics,
-                       lam: float | None = None) -> "RidgeProbe":
-        """Fit directly from (possibly shard-merged) statistics.
-
-        No validation data lives inside a statistics object, so ``lam``
-        must be given explicitly (default: the grid's smallest λ).
-        """
-        self._finalize(stats, self.lambdas[0] if lam is None else float(lam))
         return self
 
     def _finalize(self, stats: RidgeStatistics, lam: float) -> None:

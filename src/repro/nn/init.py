@@ -1,6 +1,6 @@
-"""Weight initializers.
+"""Weight initialization.
 
-All initializers are pure functions of an explicit ``numpy.random.Generator``
+The initializer is a pure function of an explicit ``numpy.random.Generator``
 so every model in the library is reproducible from a single seed.
 """
 
@@ -15,22 +15,3 @@ def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     bound = np.sqrt(6.0 / max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
-
-def kaiming_normal(rng: np.random.Generator, shape: tuple[int, ...],
-                   fan_in: int) -> np.ndarray:
-    std = np.sqrt(2.0 / max(fan_in, 1))
-    return (rng.normal(0.0, std, size=shape)).astype(np.float32)
-
-
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                   fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float32)
-
-
-def ones(shape: tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape, dtype=np.float32)

@@ -12,7 +12,6 @@ from repro.ssl.simsiam import SimSiam
 from repro.ssl.barlow import BarlowTwins
 from repro.ssl.byol import BYOL
 from repro.ssl.distill import DistillationHead
-from repro.ssl.step import SSLTrainStep
 from repro.ssl.vae import VAE, VAEObjective
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "SimSiam",
     "BarlowTwins",
     "BYOL",
-    "SSLTrainStep",
     "VAE",
     "VAEObjective",
     "DistillationHead",

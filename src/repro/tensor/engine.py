@@ -106,8 +106,8 @@ def set_fusion(enabled: bool) -> bool:
 def no_fusion():
     """Context manager forcing the unfused reference compositions.
 
-    Used by the fused-vs-unfused parity tests and by ``repro bench`` to
-    measure the speedup of the fused kernels against their references.
+    The composed path is the reference every fused kernel must match: the
+    fused-vs-composed parity and gradcheck tests run each op both ways.
     """
     previous = set_fusion(False)
     try:

@@ -120,27 +120,6 @@ class TestCallGraph:
         assert "repro.tensor.tape.Tape.record_apply" in dispatched
 
 
-class TestParallelParse:
-    def test_jobs_two_matches_serial_order(self):
-        files = sorted(SRC_ROOT.rglob("*.py"))[:20]
-        serial = parse_sources(files, jobs=1)
-        parallel = parse_sources(files, jobs=2)
-        assert [s.path for s in serial] == [s.path for s in parallel]
-        assert [s.text for s in serial] == [s.text for s in parallel]
-
-    def test_run_lint_jobs_two_matches_serial(self, tmp_path):
-        for i in range(14):  # above the parallel-parse threshold
-            write(tmp_path / f"m{i:02d}.py", f"""\
-                import numpy as np
-                x{i} = np.random.default_rng()
-            """)
-        serial = run_lint([tmp_path], rules_by_code(["DET001"]), jobs=1)
-        parallel = run_lint([tmp_path], rules_by_code(["DET001"]), jobs=2)
-        assert [(v.path, v.line, v.code) for v in serial] == \
-            [(v.path, v.line, v.code) for v in parallel]
-        assert len(serial) == 14
-
-
 class TestCache:
     def _violating(self, tmp_path, name="mod.py"):
         return write(tmp_path / name, """\

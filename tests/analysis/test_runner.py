@@ -103,7 +103,7 @@ class TestStats:
         payload = stats.as_dict()
         assert payload["cache_hit_rate"] == 0.0
         assert set(payload) == {"files", "per_rule", "cache_hits",
-                                "cache_misses", "cache_hit_rate", "jobs",
+                                "cache_misses", "cache_hit_rate",
                                 "elapsed_seconds"}
 
     def test_cli_stats_flag(self, tmp_path, capsys):

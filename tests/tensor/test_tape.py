@@ -18,6 +18,8 @@ from repro.nn.conv import Conv2d
 from repro.nn.mlp import MLP
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
 from repro.optim import SGD
+from repro.ssl.byol import BYOL
+from repro.ssl.encoder import Encoder, build_backbone
 from repro.tensor import Tape, TapedFunction, Tensor, capture, engine, no_fusion, ops
 from repro.tensor.anomaly import detect_anomaly
 
@@ -34,6 +36,31 @@ def _square_sum_loss(model):
         loss.backward()
         return loss
     return fn
+
+
+def _dropout_mlp_step():
+    """An MLP whose Dropout masks poison the first capture."""
+    model = MLP([4, 6, 3], batch_norm=False, dropout=0.5,
+                rng=np.random.default_rng(0))
+    model.train()
+    batches = [(_x((8, 4), seed=i),) for i in range(4)]
+    return model, _square_sum_loss(model), batches
+
+
+def _byol_step():
+    """BYOL, whose momentum update poisons the first capture."""
+    rng = np.random.default_rng(0)
+    backbone = build_backbone("mlp", rng, input_dim=6, hidden_dim=8)
+    objective = BYOL(Encoder(backbone, representation_dim=8, rng=rng), rng=rng)
+
+    def fn(x1, x2):
+        loss = objective.css_loss(x1, x2)
+        loss.backward()
+        return loss
+
+    batches = [(_x((6, 6), seed=2 * i), _x((6, 6), seed=2 * i + 1))
+               for i in range(4)]
+    return objective, fn, batches
 
 
 class TestCapture:
@@ -466,19 +493,39 @@ class TestTapedFunction:
         assert step.stats["invalidations"] == 1
         assert step.stats["replays"] == 1
 
-    def test_unsafe_step_disables_permanently(self):
-        model = MLP([4, 6, 3], batch_norm=False, dropout=0.5,
-                    rng=np.random.default_rng(0))
-        model.train()
-        step = TapedFunction(_square_sum_loss(model))
-        x = _x((8, 4))
-        step(x)
+    @pytest.mark.parametrize("build, reason", [
+        (_dropout_mlp_step, "Dropout"),
+        (_byol_step, "momentum"),
+    ], ids=["dropout-mlp", "byol"])
+    def test_unsafe_step_disables_permanently(self, build, reason):
+        """A poisoned step runs eagerly from then on, bit-for-bit equal to a
+        never-taped run over the same optimizer steps."""
+        runs = {}
+        for use_tape in (False, True):
+            model, fn, batches = build()
+            optimizer = SGD(model.parameters(), lr=0.03, momentum=0.9)
+            step = TapedFunction(fn) if use_tape else fn
+            losses = []
+            for arrays in batches:
+                optimizer.zero_grad(set_to_none=False)
+                losses.append(step(*arrays).data.copy())
+                optimizer.step()
+            runs[use_tape] = losses, model
         assert not step.enabled
-        assert "Dropout" in step.disabled_reason
-        step(x)
-        assert step.stats == {"captures": 0, "replays": 0, "eager": 1,
+        assert reason in step.disabled_reason
+        assert step.stats == {"captures": 0, "replays": 0, "eager": 3,
                               "invalidations": 0}
         assert not step.tapes
+        eager_losses, eager_model = runs[False]
+        taped_losses, taped_model = runs[True]
+        for eager, taped in zip(eager_losses, taped_losses):
+            np.testing.assert_array_equal(eager, taped)
+        for (name, pe), (_n, pt) in zip(eager_model.named_parameters(),
+                                        taped_model.named_parameters()):
+            np.testing.assert_array_equal(pe.data, pt.data, err_msg=name)
+        for (name, be), (_n, bt) in zip(eager_model.named_buffers(),
+                                        taped_model.named_buffers()):
+            np.testing.assert_array_equal(be, bt, err_msg=name)
 
     def test_reset_reenables_and_drops_tapes(self):
         _model, step = self._make()
