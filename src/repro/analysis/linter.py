@@ -9,11 +9,8 @@ Two rule shapes share one runner:
   dataflow) and yields violations across files.
 
 :func:`run_lint` walks a set of paths (deduplicated — a file named twice,
-or both a file and its parent directory, is linted once), applies every
-registered rule, and can reuse a content-hash incremental cache
-(:class:`repro.analysis.cache.LintCache`): per-file results are keyed on
-the file digest, whole-program results on the project fingerprint, so an
-unchanged tree re-lints without parsing anything.
+or both a file and its parent directory, is linted once), parses every
+file and applies every registered rule.
 
 Suppressions
 ------------
@@ -33,13 +30,11 @@ from __future__ import annotations
 
 import ast
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.analysis.cache import LintCache
     from repro.analysis.index import ProjectIndex
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -148,38 +143,14 @@ class ProjectRule(LintRule):
         raise NotImplementedError
 
 
-@dataclass
-class LintStats:
-    """Run statistics: per-rule counts and cache behaviour."""
-
-    files: int = 0
-    per_rule: dict[str, int] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    elapsed_seconds: float = 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "files": self.files,
-            "per_rule": dict(sorted(self.per_rule.items())),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-        }
-
-
 def iter_python_files(paths: Sequence[Path | str]) -> Iterator[Path]:
     """Yield every ``.py`` file under the given files/directories, sorted.
 
     Overlapping inputs (the same file twice, or a file plus a directory
     containing it) are deduplicated so no file is ever linted — and no
-    violation reported — twice.
+    violation reported — twice.  A missing path raises
+    :class:`FileNotFoundError`; an existing path that is neither a
+    directory nor a ``.py`` file raises :class:`ValueError`.
     """
     seen: set[Path] = set()
     for raw in paths:
@@ -195,6 +166,8 @@ def iter_python_files(paths: Sequence[Path | str]) -> Iterator[Path]:
             if resolved not in seen:
                 seen.add(resolved)
                 yield path
+        elif path.exists():
+            raise ValueError(f"not a Python file or directory: {path}")
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
 
@@ -237,97 +210,29 @@ def _filter_project_violations(violations: Iterable[Violation],
 
 
 def run_lint(paths: Sequence[Path | str],
-             rules: Iterable[LintRule] | None = None,
-             *,
-             cache: "LintCache | None" = None,
-             stats: LintStats | None = None) -> list[Violation]:
+             rules: Iterable[LintRule] | None = None) -> list[Violation]:
     """Lint every Python file under ``paths`` and return sorted violations.
 
-    With ``cache`` set, per-file and whole-program results are reused when
-    content digests match (see :mod:`repro.analysis.cache`).  ``stats`` is
-    filled in place when provided.
+    Every file is parsed and checked by the single-file rules; the
+    whole-program rules then run once over the index of all of them.
     """
-    from repro.analysis.cache import (file_digest, project_fingerprint,
-                                      rules_fingerprint)
     from repro.analysis.index import ProjectIndex, parse_sources
 
-    started = time.perf_counter()
     if rules is None:
         from repro.analysis.rules import default_rules
         rules = default_rules()
-    rules = list(rules)
     file_rules, project_rules = split_rules(rules)
-    files = list(iter_python_files(paths))
+    sources = parse_sources(list(iter_python_files(paths)))
 
     found: list[Violation] = []
-    digests: dict[str, str] = {}
-    to_parse: list[Path] = []
-    rules_fp = rules_fingerprint(rules) if cache is not None else ""
-
-    if cache is None:
-        to_parse = files
-    else:
-        for path in files:
-            digest = file_digest(path.read_bytes())
-            digests[str(path)] = digest
-            cached = cache.file_violations(str(path), digest, rules_fp)
-            if cached is None:
-                to_parse.append(path)
-            else:
-                found.extend(cached)
-
-    need_project = bool(project_rules)
-    project_cached: list[Violation] | None = None
-    fingerprint = ""
-    if cache is not None and need_project:
-        fingerprint = project_fingerprint(digests)
-        project_cached = cache.project_violations(fingerprint, rules_fp)
-        if project_cached is not None:
-            found.extend(project_cached)
-            need_project = False
-
-    # Parse: everything when project rules must run (they need the whole
-    # program), otherwise only the per-file cache misses.
-    sources: list[ModuleSource] = []
-    if need_project:
-        sources = parse_sources(files)
-    elif to_parse:
-        sources = parse_sources(to_parse)
-
-    misses = set(map(str, to_parse))
     for source in sources:
-        if str(source.path) not in misses:
-            continue
-        violations = check_module(source, file_rules)
-        found.extend(violations)
-        if cache is not None:
-            cache.store_file(str(source.path), digests[str(source.path)],
-                             rules_fp, violations)
-
-    if need_project:
+        found.extend(check_module(source, file_rules))
+    if project_rules:
         index = ProjectIndex.build(sources)
-        project_found: list[Violation] = []
         for rule in project_rules:
-            project_found.extend(
+            found.extend(
                 _filter_project_violations(rule.check_project(index), index))
-        found.extend(project_found)
-        if cache is not None:
-            cache.store_project(fingerprint, rules_fp, project_found)
-
-    if cache is not None:
-        cache.save()
-    found = sorted(found, key=lambda v: (str(v.path), v.line, v.code))
-    if stats is not None:
-        stats.files = len(files)
-        stats.elapsed_seconds = time.perf_counter() - started
-        if cache is not None:
-            stats.cache_hits = cache.hits
-            stats.cache_misses = cache.misses
-        per_rule: dict[str, int] = {rule.code: 0 for rule in rules}
-        for violation in found:
-            per_rule[violation.code] = per_rule.get(violation.code, 0) + 1
-        stats.per_rule = per_rule
-    return found
+    return sorted(found, key=lambda v: (str(v.path), v.line, v.code))
 
 
 def format_report(violations: Sequence[Violation]) -> str:

@@ -1,7 +1,5 @@
-"""Lint output formats (text/json/SARIF) and the baseline ratchet.
+"""The ``lint-baseline.json`` no-new-violations ratchet.
 
-Baseline
---------
 ``lint-baseline.json`` pins the set of *accepted* pre-existing violations
 so the suite can gate on "no new violations" without requiring a
 historically clean tree.  Entries are line-independent fingerprints —
@@ -12,12 +10,6 @@ Paths are stored relative to the baseline file's directory, so the gate
 is invocation-directory independent.  ``--update-baseline`` re-pins;
 entries whose violations have been fixed are dropped on update (the
 ratchet only tightens).
-
-SARIF
------
-:func:`to_sarif` emits a SARIF 2.1.0 ``sarif-2.1.0.json``-schema document
-(one run, one ``repro-lint`` driver, one result per violation) for editor
-and code-scanning integrations.
 """
 
 from __future__ import annotations
@@ -27,12 +19,9 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.linter import LintRule, Violation
+from repro.analysis.linter import Violation
 
-__all__ = ["Baseline", "to_json", "to_sarif"]
-
-_SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                 "master/Schemata/sarif-schema-2.1.0.json")
+__all__ = ["Baseline"]
 
 
 def _relpath(path: Path, anchor: Path) -> str:
@@ -40,64 +29,6 @@ def _relpath(path: Path, anchor: Path) -> str:
         return path.resolve().relative_to(anchor.resolve()).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def to_json(violations: Sequence[Violation], stats: dict | None = None) -> dict:
-    """Machine-readable report: violations plus optional run statistics."""
-    out = {
-        "violations": [
-            {"path": str(v.path), "line": v.line, "code": v.code,
-             "message": v.message}
-            for v in violations
-        ],
-        "count": len(violations),
-    }
-    if stats is not None:
-        out["stats"] = stats
-    return out
-
-
-def to_sarif(violations: Sequence[Violation],
-             rules: Sequence[LintRule]) -> dict:
-    """Render violations as a SARIF 2.1.0 document."""
-    driver_rules = [
-        {
-            "id": rule.code,
-            "name": type(rule).__name__,
-            "shortDescription": {"text": rule.description},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for rule in sorted(rules, key=lambda r: r.code)
-    ]
-    rule_index = {r["id"]: i for i, r in enumerate(driver_rules)}
-    results = []
-    for v in violations:
-        result = {
-            "ruleId": v.code,
-            "level": "error",
-            "message": {"text": v.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": Path(v.path).as_posix()},
-                    "region": {"startLine": v.line},
-                },
-            }],
-        }
-        if v.code in rule_index:
-            result["ruleIndex"] = rule_index[v.code]
-        results.append(result)
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "repro-lint",
-                "informationUri": "https://example.invalid/repro",
-                "rules": driver_rules,
-            }},
-            "results": results,
-        }],
-    }
 
 
 class Baseline:
@@ -110,6 +41,11 @@ class Baseline:
     # ------------------------------------------------------------------
     @classmethod
     def load(cls, path: Path | str) -> "Baseline":
+        """Read ``path``; a missing file is an empty baseline.
+
+        Raises :class:`ValueError` naming the file when it is not a
+        baseline (invalid JSON, or entries that are not name→count).
+        """
         baseline = cls(path)
         try:
             data = json.loads(baseline.path.read_text(encoding="utf-8"))
@@ -117,6 +53,9 @@ class Baseline:
                                 for k, v in data.get("entries", {}).items()}
         except FileNotFoundError:
             pass  # empty baseline: every violation is new
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{baseline.path}: not a lint baseline "
+                             f"({exc})") from None
         return baseline
 
     def fingerprint(self, violation: Violation) -> str:

@@ -22,9 +22,9 @@ Commands
 ``lint``     run the repo-specific static analysis — single-file rules
              (DET001/AD001/AD002/API001/SER001/PERF001/TAPE001/RB001)
              and whole-program dataflow rules (DET002/TAPE002/SER002)
-             — plus the gradcheck-coverage audit; supports ``--format``
-             text/json/sarif, an incremental cache, and a baseline
-             ratchet; exits non-zero on any non-baselined violation;
+             — plus the gradcheck-coverage audit, with a baseline
+             ratchet; its flags come from ``repro.analysis.build_parser``;
+             exits non-zero on any non-baselined violation;
 ``chaos``    run the seeded fault-injection campaign: every catalog
              scenario (torn checkpoint writes, loader faults, NaN
              payloads, whole-process crashes) end-to-end
@@ -40,6 +40,7 @@ import sys
 
 import numpy as np
 
+from repro import analysis
 from repro.continual import ContinualConfig, run_method, run_multitask
 from repro.data import load_image_benchmark, load_tabular_benchmark
 from repro.data.registry import IMAGE_PRESETS
@@ -300,31 +301,6 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import main as lint_main
-
-    argv = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline:
-        argv += ["--update-baseline"]
-    if args.stats:
-        argv += ["--stats"]
-    if args.cache:
-        argv += ["--cache", args.cache]
-    if args.no_cache:
-        argv += ["--no-cache"]
-    if args.tests:
-        argv += ["--tests", args.tests]
-    if args.no_coverage:
-        argv += ["--no-coverage"]
-    return lint_main(argv)
-
-
 def _command_chaos(args: argparse.Namespace) -> int:
     import json
     import pathlib
@@ -406,31 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--title", default="Experiment report")
     report_parser.set_defaults(handler=_command_report)
 
+    # The lint flags live in one table; its parser also brings -h/--help,
+    # which a second help option here would conflict with.
+    lint_flags = analysis.build_parser()
     lint_parser = subparsers.add_parser(
-        "lint", help="static analysis + gradcheck-coverage audit")
-    lint_parser.add_argument("paths", nargs="*", default=["src/repro"],
-                             help="files or directories to lint (default: src/repro)")
-    lint_parser.add_argument("--select", metavar="CODES",
-                             help="comma-separated rule codes (e.g. DET001,AD001)")
-    lint_parser.add_argument("--format", default="text",
-                             choices=("text", "json", "sarif"),
-                             help="report format (default: text)")
-    lint_parser.add_argument("--baseline", metavar="FILE",
-                             help="accepted-violation baseline (ratchet)")
-    lint_parser.add_argument("--update-baseline", action="store_true",
-                             help="re-pin the baseline to current violations")
-    lint_parser.add_argument("--stats", action="store_true",
-                             help="print per-rule counts and cache hit rate")
-    lint_parser.add_argument("--cache", metavar="FILE",
-                             help="incremental cache file "
-                                  "(default: .repro-lint-cache.json)")
-    lint_parser.add_argument("--no-cache", action="store_true",
-                             help="disable the incremental cache")
-    lint_parser.add_argument("--tests", metavar="DIR",
-                             help="gradcheck test dir (default: tests/tensor)")
-    lint_parser.add_argument("--no-coverage", action="store_true",
-                             help="skip the gradcheck-coverage audit")
-    lint_parser.set_defaults(handler=_command_lint)
+        "lint", parents=[lint_flags], add_help=False,
+        help="static analysis + gradcheck-coverage audit",
+        description=lint_flags.description)
+    lint_parser.set_defaults(handler=analysis.lint)
 
     chaos_parser = subparsers.add_parser(
         "chaos", help="seeded fault-injection campaign + crash sweep")

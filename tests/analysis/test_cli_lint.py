@@ -1,6 +1,8 @@
-"""The ``repro lint`` CLI subcommand and ``python -m repro.analysis`` runner."""
+"""``repro lint``: the analysis entry point and the CLI subcommand."""
 
 import textwrap
+
+import pytest
 
 from repro.analysis import main as analysis_main
 from repro.cli import main as cli_main
@@ -46,10 +48,25 @@ class TestAnalysisMain:
         assert status == 1
         assert "AD001" in out and "DET001" not in out
 
-    def test_missing_path_exits_two(self, tmp_path, capsys):
-        status = analysis_main([str(tmp_path / "missing"), "--no-coverage"])
+    @pytest.mark.parametrize("target, baseline, message", [
+        ("missing", None, "error: no such file or directory: {target}"),
+        ("README.md", None, "error: not a Python file or directory: {target}"),
+        ("good.py", "not json", "error: {baseline}: not a lint baseline"),
+    ], ids=["missing", "not-python", "bad-baseline"])
+    def test_missing_path_exits_two(self, tmp_path, capsys, target, baseline,
+                                    message):
+        # Usage errors exit 2; exit 1 means new violations.
+        target, baseline_path = tmp_path / target, tmp_path / "baseline.json"
+        argv = [str(target), "--no-coverage"]
+        if target.name != "missing":
+            write(target, "x = 1\n")
+        if baseline is not None:
+            write(baseline_path, baseline)
+            argv += ["--baseline", str(baseline_path)]
+        status = analysis_main(argv)
         assert status == 2
-        assert "error:" in capsys.readouterr().out
+        assert message.format(target=target, baseline=baseline_path) \
+            in capsys.readouterr().out
 
     def test_coverage_gap_fails_run(self, tmp_path, capsys):
         # A minimal package whose only primitive has no gradcheck test.

@@ -1,56 +1,14 @@
-"""Output formats (json/SARIF) and the baseline ratchet."""
+"""The baseline ratchet, as a class and through ``repro lint``."""
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.analysis.linter import Violation
-from repro.analysis.output import Baseline, to_json, to_sarif
-from repro.analysis.rules import default_rules
+from repro.analysis.output import Baseline
 
 
 def v(path="src/mod.py", line=3, code="DET001", message="seedless rng"):
     return Violation(path=Path(path), line=line, code=code, message=message)
-
-
-class TestSarif:
-    def test_document_shape_is_sarif_2_1_0(self):
-        doc = to_sarif([v()], default_rules())
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
-        run = doc["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        codes = [r["id"] for r in driver["rules"]]
-        assert codes == sorted(codes)
-        assert {"DET002", "TAPE002", "SER002"} <= set(codes)
-        for rule in driver["rules"]:
-            assert rule["shortDescription"]["text"]
-            assert rule["defaultConfiguration"]["level"] == "error"
-
-    def test_result_location_and_rule_index(self):
-        doc = to_sarif([v(line=7)], default_rules())
-        result = doc["runs"][0]["results"][0]
-        assert result["ruleId"] == "DET001"
-        assert result["level"] == "error"
-        assert result["message"]["text"] == "seedless rng"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/mod.py"
-        assert location["region"]["startLine"] == 7
-        driver_rules = doc["runs"][0]["tool"]["driver"]["rules"]
-        assert driver_rules[result["ruleIndex"]]["id"] == "DET001"
-
-    def test_serializes(self):
-        json.dumps(to_sarif([v()], default_rules()))
-
-
-class TestJson:
-    def test_shape(self):
-        doc = to_json([v()], {"files": 1})
-        assert doc["count"] == 1
-        assert doc["violations"][0]["code"] == "DET001"
-        assert doc["stats"] == {"files": 1}
-        assert "stats" not in to_json([])
 
 
 class TestBaseline:
@@ -111,23 +69,7 @@ class TestCliFormats:
 
     def _main(self, argv):
         from repro.analysis import main
-        return main(argv + ["--no-coverage", "--no-cache"])
-
-    def test_json_format(self, tmp_path, capsys):
-        mod = self._violating_tree(tmp_path)
-        status = self._main([str(mod), "--format", "json", "--stats"])
-        doc = json.loads(capsys.readouterr().out)
-        assert status == 1
-        assert doc["count"] == 1
-        assert doc["stats"]["per_rule"]["DET001"] == 1
-
-    def test_sarif_format(self, tmp_path, capsys):
-        mod = self._violating_tree(tmp_path)
-        status = self._main([str(mod), "--format", "sarif"])
-        doc = json.loads(capsys.readouterr().out)
-        assert status == 1
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"][0]["ruleId"] == "DET001"
+        return main(argv + ["--no-coverage"])
 
     def test_update_baseline_then_ratchet(self, tmp_path, capsys, monkeypatch):
         mod = self._violating_tree(tmp_path)
@@ -162,3 +104,17 @@ class TestCliFormats:
         out = capsys.readouterr().out
         assert status == 0
         assert "no longer occurs" in out
+
+    def test_update_baseline_rejects_select(self, tmp_path, capsys):
+        # A re-pin under --select would drop every other rule's entries.
+        mod = self._violating_tree(tmp_path)
+        baseline = tmp_path / "baseline.json"
+        self._main([str(mod), "--baseline", str(baseline),
+                    "--update-baseline"])
+        pinned = baseline.read_bytes()
+        capsys.readouterr()
+        status = self._main([str(mod), "--select", "AD001", "--baseline",
+                             str(baseline), "--update-baseline"])
+        assert status == 2
+        assert "error: --update-baseline" in capsys.readouterr().out
+        assert baseline.read_bytes() == pinned

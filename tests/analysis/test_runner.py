@@ -1,10 +1,9 @@
-"""Runner behaviours: suppression scope, input dedup, stats."""
+"""Runner behaviours: suppression scope, input dedup, statement spans."""
 
 import textwrap
 
 from repro.analysis import run_lint
-from repro.analysis.linter import (LintStats, ModuleSource, iter_python_files,
-                                   lint_file)
+from repro.analysis.linter import ModuleSource, iter_python_files, lint_file
 from repro.analysis.rules import default_rules, rules_by_code
 
 
@@ -86,36 +85,6 @@ class TestInputDedup:
         found = run_lint([tmp_path, tmp_path / "pkg"],
                          rules_by_code(["DET001"]))
         assert len(found) == 1
-
-
-class TestStats:
-    def test_per_rule_counts_include_zeroes(self, tmp_path):
-        write(tmp_path / "mod.py", """\
-            import numpy as np
-            rng = np.random.default_rng()
-        """)
-        stats = LintStats()
-        run_lint([tmp_path], default_rules(), stats=stats)
-        assert stats.files == 1
-        assert stats.per_rule["DET001"] == 1
-        assert stats.per_rule["SER002"] == 0  # every rule is listed
-        assert stats.elapsed_seconds > 0
-        payload = stats.as_dict()
-        assert payload["cache_hit_rate"] == 0.0
-        assert set(payload) == {"files", "per_rule", "cache_hits",
-                                "cache_misses", "cache_hit_rate",
-                                "elapsed_seconds"}
-
-    def test_cli_stats_flag(self, tmp_path, capsys):
-        from repro.analysis import main
-
-        write(tmp_path / "mod.py", "x = 1\n")
-        status = main([str(tmp_path), "--stats", "--no-coverage",
-                       "--no-cache"])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "stats:" in out
-        assert "DET002: 0" in out
 
 
 class TestModuleSourceSpans:

@@ -13,9 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import run_lint
-from repro.analysis.output import Baseline
-
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "lint-baseline.json"
 
@@ -30,25 +27,19 @@ def test_baseline_is_committed_and_tests_only():
         f"justification, never baseline): {offenders}")
 
 
-def test_repo_has_no_new_violations():
-    violations = run_lint([REPO_ROOT / "src", REPO_ROOT / "tests"])
-    baseline = Baseline.load(BASELINE)
-    new, _ = baseline.partition(violations)
-    assert new == [], "\n".join(v.format() for v in new) + (
-        "\nnew lint violations — fix them, add a justified suppression, or "
-        "(for deliberate fixture findings only) re-pin with "
-        "`repro lint src tests --update-baseline --baseline lint-baseline.json`")
-
-
-def test_cli_json_gate_with_baseline():
-    """The documented CI invocation works end to end as a subprocess."""
+def test_cli_gate_with_baseline():
+    """``repro lint src tests --baseline`` end to end, coverage audit included."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "src", "tests",
-         "--format", "json", "--baseline", "lint-baseline.json",
-         "--no-cache"],
+        [sys.executable, "-m", "repro", "lint", "src", "tests",
+         "--baseline", "lint-baseline.json"],
         cwd=REPO_ROOT, capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
-    assert result.returncode == 0, result.stdout + result.stderr
-    doc = json.loads(result.stdout)
-    assert doc["count"] == 0
+    report = result.stdout + result.stderr
+    hint = ("\nnew lint violations — fix them, add a justified suppression, "
+            "or (for deliberate fixture findings only) re-pin with "
+            "`repro lint src tests --update-baseline --baseline "
+            "lint-baseline.json`")
+    assert result.returncode == 0, report + hint
+    assert "lint: clean" in result.stdout, report
+    assert "gradcheck coverage:" in result.stdout, report
