@@ -114,12 +114,11 @@ class ModuleSource:
 class LintRule:
     """Base class for single-file lint rules.
 
-    Subclasses set ``code`` / ``description`` and implement :meth:`check`,
-    yielding raw violations; suppression filtering happens in the runner.
+    Subclasses set ``code`` and implement :meth:`check`, yielding raw
+    violations; suppression filtering happens in the runner.
     """
 
     code: str = ""
-    description: str = ""
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:  # pragma: no cover
         raise NotImplementedError

@@ -28,7 +28,6 @@ from repro.analysis.linter import LintRule, ModuleSource, Violation
 
 class ExportHygieneRule(LintRule):
     code = "API001"
-    description = "__all__ out of sync with the module's actual public surface"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         all_node = self._find_all(module.tree)

@@ -30,7 +30,6 @@ _DIFFERENTIABLE_DIRS = {"tensor", "nn", "ssl", "continual"}
 
 class InplaceMutationRule(LintRule):
     code = "AD001"
-    description = "assignment targets Tensor.data inside a differentiable code path"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         if not _DIFFERENTIABLE_DIRS.intersection(module.package_parts[:-1]):
@@ -75,7 +74,6 @@ class InplaceMutationRule(LintRule):
 
 class LateBindingClosureRule(LintRule):
     code = "AD002"
-    description = "closure in a for loop captures the loop variable by reference"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         for loop in ast.walk(module.tree):

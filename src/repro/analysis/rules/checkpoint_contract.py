@@ -159,8 +159,6 @@ class _Coverage:
 
 class CheckpointContractRule(ProjectRule):
     code = "SER002"
-    description = ("attribute initialised in __init__ of a state_dict/"
-                   "load_state_dict class but absent from the checkpoint pair")
 
     def check_project(self, index: ProjectIndex) -> Iterator[Violation]:
         coverage = _Coverage(index)

@@ -39,8 +39,6 @@ def _dotted_name(node: ast.expr) -> list[str] | None:
 
 class SeedlessRNGRule(LintRule):
     code = "DET001"
-    description = ("seedless np.random.default_rng() or legacy global-state "
-                   "np.random.* call outside utils/rng.py")
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         parts = module.package_parts

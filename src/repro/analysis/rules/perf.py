@@ -35,8 +35,6 @@ _F64_CONSTRUCTORS = {"zeros", "ones", "empty", "full", "eye", "arange", "linspac
 
 class HotLoopDtypeRule(LintRule):
     code = "PERF001"
-    description = ("per-element Python loop or dtype-promoting numpy constructor "
-                   "in a hot module")
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         if not _HOT_DIRS.intersection(module.package_parts[:-1]):

@@ -115,8 +115,6 @@ class _RNGTaintSpec(TaintSpec):
 
 class RNGTaintRule(ProjectRule):
     code = "DET002"
-    description = ("unseeded/global RNG or wall-clock value flows into an "
-                   "engine op, Tensor, or memory-selection sink")
 
     spec_cls = _RNGTaintSpec
 

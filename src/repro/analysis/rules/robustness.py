@@ -45,7 +45,6 @@ def _is_write_mode_open(call: ast.Call) -> bool:
 
 class RobustIORule(LintRule):
     code = "RB001"
-    description = "checkpoint-path file write bypassing the atomic writer"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         if "runtime" not in module.package_parts[:-1]:

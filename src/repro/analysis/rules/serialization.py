@@ -44,8 +44,6 @@ def _is_rng_reference(node: ast.expr) -> str | None:
 
 class StateDictSerializableRule(LintRule):
     code = "SER001"
-    description = ("state_dict implementations must return only "
-                   "JSON/ndarray-serializable values")
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         for node in ast.walk(module.tree):

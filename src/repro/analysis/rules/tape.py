@@ -55,8 +55,6 @@ def _is_lookup_expr(node: ast.expr) -> bool:
 
 class TapeBypassRule(LintRule):
     code = "TAPE001"
-    description = ("op dispatch bypassing apply_ctx (bare _REGISTRY access or "
-                   "direct Op.forward call) — invisible to tape capture")
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         parts = module.package_parts

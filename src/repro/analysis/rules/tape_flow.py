@@ -95,8 +95,6 @@ class _TensorTaintSpec(TaintSpec):
 
 class ShapeStabilityRule(ProjectRule):
     code = "TAPE002"
-    description = ("tensor-valued control flow in a function reachable from "
-                   "the tape-capture path (not declared via mark_unsafe)")
 
     def check_project(self, index: ProjectIndex) -> Iterator[Violation]:
         spec = _TensorTaintSpec(index)

@@ -24,13 +24,7 @@ Commands
              and whole-program dataflow rules (DET002/TAPE002/SER002)
              — plus the gradcheck-coverage audit, with a baseline
              ratchet; its flags come from ``repro.analysis.build_parser``;
-             exits non-zero on any non-baselined violation;
-``chaos``    run the seeded fault-injection campaign: every catalog
-             scenario (torn checkpoint writes, loader faults, NaN
-             payloads, whole-process crashes) end-to-end
-             through the trainer plus the checkpoint crash-consistency
-             sweep, emitting a JSON survival report; every failure
-             reproduces exactly from its ``(seed, scenario)`` pair.
+             exits non-zero on any non-baselined violation.
 """
 
 from __future__ import annotations
@@ -301,30 +295,6 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_chaos(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from repro.faults.chaos import format_campaign, run_campaign
-    from repro.faults.scenarios import SCENARIOS, scenario_names
-
-    if args.list_scenarios:
-        for name in scenario_names():
-            scenario = SCENARIOS[name]
-            print(f"{name:24s} expect={scenario.expect:16s} "
-                  f"{scenario.description}")
-        return 0
-    report = run_campaign(seed=args.seed, names=args.scenarios or None,
-                          workdir=args.workdir,
-                          include_sweep=not args.skip_sweep)
-    print(format_campaign(report))
-    if args.output:
-        path = pathlib.Path(args.output)
-        path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        print(f"survival report written to {path}")
-    return 0 if report["ok"] else 1
-
-
 def _command_list(_args: argparse.Namespace) -> int:
     print("benchmarks:", ", ".join(sorted(IMAGE_PRESETS)) + ", tabular")
     print("methods:   ", ", ".join(METHODS + ["multitask"]))
@@ -390,27 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="static analysis + gradcheck-coverage audit",
         description=lint_flags.description)
     lint_parser.set_defaults(handler=analysis.lint)
-
-    chaos_parser = subparsers.add_parser(
-        "chaos", help="seeded fault-injection campaign + crash sweep")
-    chaos_parser.add_argument("--seed", type=int, default=0,
-                              help="campaign seed; every scenario's fault "
-                                   "plan is a pure function of (seed, name)")
-    chaos_parser.add_argument("--scenarios", nargs="+", metavar="NAME",
-                              help="run only these catalog scenarios "
-                                   "(default: all; see --list)")
-    chaos_parser.add_argument("--workdir",
-                              help="keep run artifacts (checkpoints, event "
-                                   "logs) here instead of a temp dir")
-    chaos_parser.add_argument("--output", help="write the JSON survival "
-                                               "report here")
-    chaos_parser.add_argument("--skip-sweep", action="store_true",
-                              help="skip the checkpoint crash-consistency "
-                                   "sweep")
-    chaos_parser.add_argument("--list", dest="list_scenarios",
-                              action="store_true",
-                              help="list catalog scenarios and exit")
-    chaos_parser.set_defaults(handler=_command_chaos)
 
     list_parser = subparsers.add_parser("list", help="show available components")
     list_parser.set_defaults(handler=_command_list)

@@ -11,7 +11,8 @@ Fault tolerance (``repro.runtime``) threads through the same loop:
 - with a ``checkpoint_dir``, the full run state (method, memory, RNG
   stream, partial accuracy matrix) is checkpointed atomically after every
   increment, and ``run(..., resume=True)`` continues a killed run
-  bit-for-bit from the last good checkpoint;
+  bit-for-bit from the last good checkpoint — refusing one written by
+  another method, sequence length or stream;
 - with a ``guardrails`` policy, every batch is screened for NaN/Inf loss,
   exploding gradients, and autograd anomalies, recovering by an escalating
   ladder: skip batch → restore the task-start state with LR backoff →
@@ -53,7 +54,6 @@ from repro.data.splits import Task, TaskSequence
 from repro.eval.metrics import ContinualResult
 from repro.eval.protocol import evaluate_task, evaluate_tasks
 from repro.eval.transfer import TransferMatrix
-from repro.faults import plane as _faults
 from repro.optim import SGD, Adam, ConstantLR, CosineLR
 from repro.runtime.checkpoint import CheckpointError, CheckpointManager
 from repro.runtime.guardrail import (GuardrailPolicy, GuardrailViolation,
@@ -93,6 +93,25 @@ def _build_augment(config: ContinualConfig, train_x: np.ndarray) -> TwoViewAugme
     if train_x.ndim == 2:
         return TwoViewAugment(tabular_pipeline(train_x, config.tabular_corruption))
     raise ValueError(f"unsupported data shape {train_x.shape}")
+
+
+def _stream_identity(stream: ScenarioStream | None) -> dict | None:
+    """Which stream a run trains on, as recorded in its checkpoints.
+
+    ``None`` for the classic path and the identity stream, so their
+    checkpoint bytes stay identical to the pre-scenario format.
+    """
+    if stream is None or stream.scenario == "class_incremental":
+        return None
+    return {"name": stream.scenario, "params": dict(stream.params)}
+
+
+def _describe_stream(identity: dict | None) -> str:
+    if identity is None:
+        return "class_incremental"
+    params = ", ".join(f"{key}={value}"
+                       for key, value in identity["params"].items())
+    return f"{identity['name']}({params})"
 
 
 class SharpBoundaryController:
@@ -241,6 +260,7 @@ class ContinualTrainer:
         self.guardrails = guardrails
         self._taped_step: TapedFunction | None = None
         self._controller = SharpBoundaryController()
+        self._stream_identity: dict | None = None
         #: The stream run's TransferMatrix (``None`` for plain sequences);
         #: populated by :meth:`run` and kept current row by row.
         self.transfer_matrix: TransferMatrix | None = None
@@ -271,6 +291,8 @@ class ContinualTrainer:
         stream_state = self._controller.state_dict()
         if stream_state is not None:
             state["stream"] = stream_state
+        if self._stream_identity is not None:
+            state["scenario"] = self._stream_identity
         return state
 
     def _restore_run_state(self, state: dict, n_tasks: int,
@@ -284,10 +306,16 @@ class ContinualTrainer:
             raise CheckpointError(
                 f"checkpoint covers a {state['n_tasks']}-task sequence, "
                 f"this run has {n_tasks} tasks")
+        self._controller.load_state_dict(state.get("stream"))
+        recorded = state.get("scenario")
+        if recorded != self._stream_identity:
+            raise CheckpointError(
+                f"checkpoint was written under stream "
+                f"{_describe_stream(recorded)}, this run uses "
+                f"{_describe_stream(self._stream_identity)}")
         self.method.load_state_dict(state["method"])
         set_rng_state(self.rng, state["rng"])
         result.load_state_dict(state["result"])
-        self._controller.load_state_dict(state.get("stream"))
         return int(state["task_index"]) + 1
 
     def _save_checkpoint(self, task_index: int, n_tasks: int,
@@ -331,6 +359,7 @@ class ContinualTrainer:
         n_tasks = len(sequence)
         result = ContinualResult(n_tasks, name=method.name, probe=config.probe)
         self._controller = self._make_controller(stream)
+        self._stream_identity = _stream_identity(stream)
         transfer = None if stream is None else self._make_transfer(stream)
         self.transfer_matrix = transfer
         start_task = 0
@@ -387,10 +416,6 @@ class ContinualTrainer:
                 transfer.record_row(online_row, final_row)
                 self._save_transfer(transfer)
             self._save_checkpoint(task_index, n_tasks, result)
-            # Whole-process crash site (chaos scenarios): fires between
-            # the checkpoint commit and the next task, the window a
-            # SIGKILL would most likely land in on a long run.
-            _faults.fault_point("trainer.task.boundary")
             if self.verbose:
                 print(f"[{method.name}] task {task_index + 1}/{n_tasks}: "
                       f"Acc={result.acc_at(task_index):.4f} Fgt={result.fgt_at(task_index):.4f}")
@@ -562,30 +587,12 @@ class ContinualTrainer:
         for epoch in range(config.epochs):
             schedule.step(epoch)
             loader.set_epoch(epoch)
-            try:
-                for batch_index, (x_batch, _y_batch) in enumerate(loader):
-                    event = self._guarded_step(x_batch, optimizer, task_index,
-                                               epoch, batch_index)
-                    if event is None:
-                        continue
-                    skips += 1
-                    if skips > policy.max_skips_per_task:
-                        self.log.append("skip-budget-exhausted",
-                                        task_index=task_index,
-                                        epoch=epoch, skips=skips)
-                        return False
-            except OSError as exc:
-                # A persistent read fault survived the loader's bounded
-                # retries: the rest of this epoch is unreadable.  Under a
-                # guardrail policy it enters the ladder like a poisoned
-                # batch (skip the epoch, charge the skip budget); unguarded
-                # runs propagate it — data loss is not silently ignorable.
-                if policy is None:
-                    raise
+            for batch_index, (x_batch, _y_batch) in enumerate(loader):
+                event = self._guarded_step(x_batch, optimizer, task_index,
+                                           epoch, batch_index)
+                if event is None:
+                    continue
                 skips += 1
-                self.log.append("loader-fault", action="skip-epoch",
-                                task_index=task_index, epoch=epoch,
-                                detail=clip_detail(exc))
                 if skips > policy.max_skips_per_task:
                     self.log.append("skip-budget-exhausted",
                                     task_index=task_index,

@@ -1,27 +1,13 @@
-"""Mini-batch iteration with seeded shuffling and fault-tolerant fetch.
-
-Batch materialization is an I/O boundary (``dataset.x`` may be a memmap
-over cold storage), so each fetch runs through a bounded-retry loop:
-transient read errors are retried with exponential backoff, persistent
-ones propagate to the trainer's loader-fault guardrail.  The
-``data.loader.batch`` fault-injection site sits inside the retry loop —
-a no-op unless a :class:`repro.faults.FaultPlan` is armed.
-"""
+"""Mini-batch iteration with seeded shuffling."""
 
 from __future__ import annotations
 
-import time
 from typing import Iterator
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.faults import plane as _faults
 from repro.utils.rng import fallback_rng
-
-#: Bounded retry of transient batch-fetch faults.
-FETCH_RETRIES = 3
-_RETRY_BACKOFF = 0.005
 
 
 class DataLoader:
@@ -85,33 +71,10 @@ class DataLoader:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    def _fetch(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize one batch, retrying transient read faults.
-
-        A transient ``OSError`` (interrupted syscall, injected transient)
-        is retried up to :data:`FETCH_RETRIES` times with exponential
-        backoff; a persistent fault propagates so the trainer can treat
-        the epoch as poisoned.
-        """
-        delay = _RETRY_BACKOFF
-        for attempt in range(FETCH_RETRIES):
-            try:
-                if _faults.ARMED:
-                    _faults.fault_point("data.loader.batch")
-                return self.dataset.x[idx], self.dataset.y[idx]
-            except OSError as exc:
-                transient = isinstance(exc, (InterruptedError, BlockingIOError)) \
-                    or bool(getattr(exc, "transient", False))
-                if not transient or attempt == FETCH_RETRIES - 1:
-                    raise
-                time.sleep(delay)
-                delay *= 2
-        raise RuntimeError("unreachable")  # pragma: no cover
-
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self._order(n)
         stop = n - n % self.batch_size if self.drop_last else n
         for start in range(0, stop, self.batch_size):
             idx = order[start:start + self.batch_size]
-            yield self._fetch(idx)
+            yield self.dataset.x[idx], self.dataset.y[idx]

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.faults import plane as _faults
 from repro.tensor import anomaly
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -260,12 +259,6 @@ def apply_ctx(name: str, *inputs, **params):
     expected = result_dtype(tensors)
     if data.dtype != expected:
         data = data.astype(expected)
-
-    if _faults.ARMED:
-        # nan_payload injection site, deliberately *before* the anomaly
-        # check: under anomaly mode the sanitizer must catch the poison at
-        # the producing op, otherwise it reaches the loss/grad screens.
-        data = _faults.corrupt("engine.dispatch", data)
 
     if anomaly.is_anomaly_enabled():
         anomaly.check_forward(data, name)

@@ -50,7 +50,6 @@ import contextlib
 
 import numpy as np
 
-from repro.faults import plane as _faults
 from repro.tensor import anomaly, engine
 
 __all__ = ["Tape", "TapedFunction", "capture"]
@@ -324,7 +323,6 @@ class Tape:
         is bit-for-bit interchangeable with an eager one.
         """
         values = self._bind_values(inputs)
-        armed = _faults.ARMED
         ctxs: list = [None] * len(self.instructions)
         for i, inst in enumerate(self.instructions):
             ctx = engine.Context()
@@ -333,8 +331,6 @@ class Tape:
                 ctx, *[values[s] for s in inst.input_slots], **inst.params)
             if data.dtype != inst.out_dtype:
                 data = data.astype(inst.out_dtype)
-            if armed:
-                data = _faults.corrupt("tape.replay", data)
             if not inst.grad_out:
                 ctx.saved = ()
             values[inst.out_slot] = data

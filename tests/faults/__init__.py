@@ -1,1 +1,1 @@
-"""Tests for the deterministic fault-injection plane and chaos harness."""
+"""Tests for the fault-injection plane and the checkpoint crash sweep."""

@@ -4,19 +4,27 @@ fault-tolerance layer).
 A run checkpointed after task ``k`` and resumed in a fresh process must
 produce a bit-for-bit identical accuracy matrix and final weights compared
 to the uninterrupted run — for EDSR (replay buffer + noise scales + old
-representations) and DER (replay buffer + stored targets).  An injected NaN
-loss must trigger the guardrail recovery ladder: skip for transient
-poisons, restore + LR backoff + abort for persistent ones.
+representations) and DER (replay buffer + stored targets), and on the
+task-free and blurry streams.  Resuming under another method or stream is
+refused, and a failed checkpoint or transfer-matrix write is logged while
+the run goes on.  An injected NaN loss must trigger the guardrail recovery
+ladder: skip for transient poisons, restore + LR backoff + abort for
+persistent ones.
 """
 
+import errno
 import json
 
 import numpy as np
 import pytest
 
-from repro.continual import ContinualTrainer, build_objective, make_method
+from repro.continual import (ContinualTrainer, build_objective, make_method,
+                             run_method)
+from repro.continual import trainer as trainer_module
 from repro.continual.finetune import Finetune
-from repro.runtime import GuardrailPolicy, TrainingDiverged
+from repro.runtime import (CheckpointError, CheckpointManager,
+                           GuardrailPolicy, TrainingDiverged)
+from repro.scenarios import build_stream, run_scenario_method
 
 SEED = 20240
 
@@ -220,6 +228,91 @@ class TestLongSequenceKillAndResume:
         assert "resume" in kinds
 
 
+@pytest.mark.parametrize("scenario", ["task_free", "blurry"])
+class TestStreamKillAndResume:
+    """Kill-and-resume on the non-sharp streams: the task-free drift
+    controller's state rides in the checkpoint, and the blurry stream is
+    rebuilt from its config on resume."""
+
+    def test_resume_is_bit_for_bit(self, scenario, fast_config,
+                                   tiny_sequence, tmp_path):
+        config = fast_config.with_overrides(epochs=1, scenario=scenario)
+        stream = build_stream(scenario, tiny_sequence, config)
+        n_segments = len(stream)
+
+        baseline = fresh_trainer("edsr", config, tiny_sequence)
+        expected = baseline.run(stream)
+
+        crashed = fresh_trainer("edsr", config, tiny_sequence,
+                                checkpoint_dir=tmp_path)
+        crashed.run(stream)
+        for lost in (n_segments - 1, n_segments - 2):
+            (tmp_path / f"ckpt-{lost:05d}.json").unlink()
+            (tmp_path / f"ckpt-{lost:05d}.npz").unlink()
+
+        resumed = fresh_trainer("edsr", config, tiny_sequence,
+                                checkpoint_dir=tmp_path)
+        result = resumed.run(stream, resume=True)
+
+        np.testing.assert_array_equal(result.accuracy_matrix,
+                                      expected.accuracy_matrix)
+        np.testing.assert_array_equal(resumed.transfer_matrix.online,
+                                      baseline.transfer_matrix.online)
+        np.testing.assert_array_equal(resumed.transfer_matrix.final,
+                                      baseline.transfer_matrix.final)
+        assert_same_weights(resumed.method, baseline.method)
+        resume = next(e for e in resumed.log.events if e["kind"] == "resume")
+        assert resume["task_index"] == n_segments - 2
+
+
+#: Config overrides per stream; ``None`` runs the classic path.
+STREAMS = {
+    "classic": None,
+    "blurry": {"scenario": "blurry"},
+    "blurry-seed5": {"scenario": "blurry", "scenario_seed": 5},
+    # One segment per task, so the task count matches the classic run's
+    # and the boundary-controller checks are the ones that fire.
+    "task_free": {"scenario": "task_free", "segments_per_task": 1},
+}
+
+STREAM_MISMATCHES = [
+    ("blurry", "classic",
+     r"stream blurry\(ratio=0\.3, seed=0\), this run uses class_incremental$"),
+    ("classic", "blurry",
+     r"stream class_incremental, this run uses blurry\(ratio=0\.3, seed=0\)$"),
+    ("blurry", "blurry-seed5",
+     r"blurry\(ratio=0\.3, seed=0\), this run uses blurry\(ratio=0\.3, seed=5\)$"),
+    ("classic", "task_free", "carries no task-free stream state"),
+    ("task_free", "classic", "carries task-free stream state"),
+]
+
+
+def run_under(stream, config, sequence, checkpoint_dir, resume=False):
+    """One finetune run on ``STREAMS[stream]`` through the public entry points."""
+    overrides = STREAMS[stream]
+    if overrides is None:
+        return run_method("finetune", sequence, config, seed=SEED,
+                          checkpoint_dir=checkpoint_dir, resume=resume)
+    return run_scenario_method("finetune", sequence,
+                               config.with_overrides(**overrides), seed=SEED,
+                               checkpoint_dir=checkpoint_dir, resume=resume)
+
+
+@pytest.fixture(scope="module")
+def stream_checkpoints(tmp_path_factory, fast_config, tiny_sequence):
+    """The checkpoint directory of one finished run per stream, on demand."""
+    config = fast_config.with_overrides(epochs=1)
+    directories = {}
+
+    def written_under(stream):
+        if stream not in directories:
+            directories[stream] = tmp_path_factory.mktemp(stream)
+            run_under(stream, config, tiny_sequence, directories[stream])
+        return directories[stream]
+
+    return written_under
+
+
 class TestResumeValidation:
     def test_resume_without_checkpoint_dir_raises(self, fast_config,
                                                   tiny_sequence):
@@ -247,6 +340,84 @@ class TestResumeValidation:
                               checkpoint_dir=tmp_path)
         with pytest.raises(CheckpointError, match="finetune"):
             other.run(tiny_sequence, resume=True)
+
+
+    @pytest.mark.parametrize(
+        "written, resumed, match", STREAM_MISMATCHES,
+        ids=[f"{written}->{resumed}" for written, resumed, _ in STREAM_MISMATCHES])
+    def test_checkpoint_from_another_stream_rejected(
+            self, written, resumed, match, stream_checkpoints, fast_config,
+            tiny_sequence):
+        directory = stream_checkpoints(written)
+        with pytest.raises(CheckpointError, match=match):
+            run_under(resumed, fast_config.with_overrides(epochs=1),
+                      tiny_sequence, directory, resume=True)
+
+
+class TestBestEffortWrites:
+    """A failed checkpoint or transfer-matrix write (a full disk) is logged
+    and the run goes on; resume falls back past the missing checkpoint."""
+
+    def test_failed_checkpoint_is_logged_and_resume_falls_back(
+            self, fast_config, tiny_sequence, tmp_path, monkeypatch):
+        save = CheckpointManager.save
+
+        def full_disk_at_task_1(manager, task_index, state, **kwargs):
+            if task_index == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return save(manager, task_index, state, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CheckpointManager, "save", full_disk_at_task_1)
+            survived = fresh_trainer("finetune", fast_config, tiny_sequence,
+                                     checkpoint_dir=tmp_path)
+            expected = survived.run(tiny_sequence)
+
+        assert expected.complete
+        failed = [e for e in survived.log.events
+                  if e["kind"] == "checkpoint-failed"]
+        assert [e["task_index"] for e in failed] == [1]
+        assert "No space left" in failed[0]["detail"]
+        assert not (tmp_path / "ckpt-00001.json").exists()
+        assert (tmp_path / "ckpt-00002.json").exists()
+
+        # Lose the newest checkpoint: the one before the failed save is
+        # the resume point, and tasks 1..2 re-run bit-for-bit.
+        (tmp_path / "ckpt-00002.json").unlink()
+        (tmp_path / "ckpt-00002.npz").unlink()
+        resumed = fresh_trainer("finetune", fast_config, tiny_sequence,
+                                checkpoint_dir=tmp_path)
+        result = resumed.run(tiny_sequence, resume=True)
+
+        np.testing.assert_array_equal(result.accuracy_matrix,
+                                      expected.accuracy_matrix)
+        resume = next(e for e in resumed.log.events if e["kind"] == "resume")
+        assert resume["task_index"] == 1
+
+    def test_failed_transfer_write_is_logged(self, fast_config, tiny_sequence,
+                                             tmp_path, monkeypatch):
+        save = trainer_module.save_transfer_matrix
+
+        def full_disk_at_segment_1(transfer, path):
+            if transfer.rows_recorded == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return save(transfer, path)
+
+        monkeypatch.setattr(trainer_module, "save_transfer_matrix",
+                            full_disk_at_segment_1)
+        config = fast_config.with_overrides(epochs=1)
+        stream = build_stream("class_incremental", tiny_sequence, config)
+        trainer = fresh_trainer("finetune", config, tiny_sequence,
+                                checkpoint_dir=tmp_path)
+        result = trainer.run(stream)
+
+        assert result.complete
+        assert trainer.transfer_matrix.complete
+        failed = [e for e in trainer.log.events
+                  if e["kind"] == "transfer-save-failed"]
+        assert len(failed) == 1
+        assert "No space left" in failed[0]["detail"]
+        assert (tmp_path / "ckpt-00002.json").exists()
 
 
 class PoisonedFinetune(Finetune):

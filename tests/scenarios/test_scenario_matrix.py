@@ -65,7 +65,7 @@ def test_repeat_runs_are_deterministic(scenario, method, smoke_config,
 def test_task_free_run_discovers_boundaries(smoke_config, tiny_sequence,
                                             tmp_path):
     """The drift controller must fire at least one self-triggered
-    boundary on the chaos-calibrated stream shape (and the stream hands
+    boundary on the default task-free stream shape (and the stream hands
     the trainer one row per *segment*, not per base task)."""
     config = smoke_config.with_overrides(scenario="task_free")
     result, transfer = run_scenario_method("finetune", tiny_sequence, config,

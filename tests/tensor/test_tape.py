@@ -12,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.faults import plane
-from repro.faults.plane import FaultEvent, FaultPlan
 from repro.nn.conv import Conv2d
 from repro.nn.mlp import MLP
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
@@ -699,28 +697,26 @@ def _restore(model, params, snap):
 def _run_mlp(n_steps=7, fault_before_step=None):
     """Train the two-view MLP through a TapedFunction.
 
-    Before step ``fault_before_step``, one replay on a throwaway batch runs
-    with a ``nan_payload`` armed at the ``tape.replay`` site, then weights
-    and buffers are restored guardrail-style.  Momentum is off so the
-    restorable state is exactly (weights, buffers); the poisoned batch never
-    reaches ``optimizer.step``, mirroring the guardrail's skip-batch rung.
+    Before step ``fault_before_step``, one replay runs on a throwaway batch
+    of NaN-filled views, then weights and buffers are restored
+    guardrail-style.  Momentum is off so the restorable state is exactly
+    (weights, buffers); the poisoned batch never reaches
+    ``optimizer.step``, mirroring the guardrail's skip-batch rung.
     """
     model, step = _build_mlp()
     params = list(model.parameters())
     optimizer = SGD(params, lr=0.05, momentum=0.0)
     taped = TapedFunction(step)
     _build, shape, seed = TWO_VIEW_MODELS["mlp"]
-    throwaway = _view_pairs(shape, 1, seed=777)[0]
-    nan_plan = FaultPlan(seed=0, scenario="tape-replay-nan", events=(
-        FaultEvent(site="tape.replay", kind="nan_payload", hit=0),))
+    throwaway = [np.full_like(v, np.nan)
+                 for v in _view_pairs(shape, 1, seed=777)[0]]
     trace = []
     for i, (v1, v2) in enumerate(_view_pairs(shape, n_steps, seed)):
         if i == fault_before_step:
             snap = _snapshot(model, params)
-            with plane.armed(nan_plan):
-                optimizer.zero_grad()
-                poisoned = taped(*throwaway)
-                assert np.isnan(np.asarray(poisoned.data)).any()
+            optimizer.zero_grad()
+            poisoned = taped(*throwaway)
+            assert np.isnan(np.asarray(poisoned.data)).any()
             _restore(model, params, snap)
         optimizer.zero_grad()
         loss = taped(v1, v2)

@@ -64,24 +64,6 @@ class TestCommands:
         assert main(["run", "finetune", "tabular", "--epochs", "1"]) == 0
         assert "Acc =" in capsys.readouterr().out
 
-    def test_chaos_list_prints_catalog(self, capsys):
-        assert main(["chaos", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "baseline" in out
-        assert "blurry-boundary-crash" in out
-
-    def test_chaos_single_scenario_writes_report(self, capsys, tmp_path):
-        output = tmp_path / "chaos.json"
-        code = main(["chaos", "--scenarios", "ckpt-io-error", "--skip-sweep",
-                     "--workdir", str(tmp_path / "runs"),
-                     "--output", str(output)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "overall: OK" in out
-        report = json.loads(output.read_text())
-        assert report["ok"]
-        assert [e["scenario"] for e in report["scenarios"]] == ["ckpt-io-error"]
-
 
 class TestScenarioFlags:
     def test_run_parses_scenario_flags(self):
