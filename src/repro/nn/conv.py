@@ -3,8 +3,10 @@
 The forward pass lowers convolution to a single matmul over unfolded
 patches; the whole lowering is one registered autograd op (``conv2d``) so
 the col2im scatter runs in vectorized numpy instead of through generic
-indexing, and the bias add is fused into the same kernel.  Layout is NCHW
-throughout, matching the torch convention the paper's models assume.
+indexing, and the bias add is fused into the same kernel.  Tensors are
+NCHW throughout, matching the torch convention the paper's models assume;
+the unfold and the scatter work channels-last inside, the patch buffer's
+own layout.
 """
 
 from __future__ import annotations
@@ -28,39 +30,41 @@ def _im2col(x: np.ndarray, kernel: int, stride: int,
     """Unfold ``x`` (N, C, H, W) into (N, out_h, out_w, C*k*k) patches."""
     n, c, h, w = x.shape
     out_h, out_w = _out_hw(h, w, kernel, stride, padding)
-    if padding:
-        # Value-identical to np.pad's constant mode, without its per-call
-        # Python overhead (conv runs thousands of times per continual run).
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        padded[:, :, padding:-padding, padding:-padding] = x
-        x = padded
-    strides = x.strides
-    shape = (n, c, out_h, out_w, kernel, kernel)
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=shape,
-        strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride, strides[2], strides[3]),
-        writeable=False,
-    )
-    # (N, C, out_h, out_w, k, k) -> (N, out_h, out_w, C, k, k), materialized.
-    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5))
+    # One channels-last copy, zero-padded: each kernel offset's windows are
+    # then (N, out_h, out_w, C) blocks with contiguous channel rows, the
+    # patch buffer's own layout.
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+    padded[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, out_h, out_w, c, kernel, kernel), dtype=x.dtype)
+    # k*k slice copies: iterations over kernel offsets, not array elements.
+    for ki in range(kernel):
+        i_max = ki + stride * out_h
+        for kj in range(kernel):
+            j_max = kj + stride * out_w
+            cols[:, :, :, :, ki, kj] = padded[:, ki:i_max:stride, kj:j_max:stride]
     return cols.reshape(n, out_h, out_w, c * kernel * kernel), out_h, out_w
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kernel: int,
             stride: int, padding: int) -> np.ndarray:
-    """Scatter-add (N, out_h, out_w, C*k*k) patch gradients back to x."""
+    """Scatter-add (N, out_h, out_w, C*k*k) patch gradients back to x.
+
+    The scatter runs channels-last, like :func:`_im2col`, and every element
+    receives its k*k contributions in kernel-offset order.  The result is
+    the (N, C, H, W) interior of a C-contiguous padded buffer.
+    """
     n, c, h, w = x_shape
     out_h, out_w = _out_hw(h, w, kernel, stride, padding)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel)
     # k*k iterations over kernel offsets, not over array elements: each
     # slice assignment below is a full vectorized scatter.
     for ki in range(kernel):
         i_max = ki + stride * out_h
         for kj in range(kernel):
             j_max = kj + stride * out_w
-            padded[:, :, ki:i_max:stride, kj:j_max:stride] += cols[:, :, :, :, ki, kj]
+            padded[:, ki:i_max:stride, kj:j_max:stride] += cols[:, :, :, :, ki, kj]
+    padded = np.ascontiguousarray(padded.transpose(0, 3, 1, 2))
     if padding:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded

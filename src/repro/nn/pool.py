@@ -9,30 +9,54 @@ from repro.tensor.engine import Context, Op, apply, register
 from repro.tensor.tensor import Tensor
 
 
+def _check_tiling(layer: str, kernel: int, shape: tuple[int, ...]) -> None:
+    h, w = shape[2:]
+    if h % kernel or w % kernel:
+        raise ValueError(f"{layer}({kernel}) needs H, W divisible by {kernel}, got {(h, w)}")
+
+
 @register
 class MaxPool2dOp(Op):
-    """Non-overlapping max pooling (kernel == stride)."""
+    """Non-overlapping max pooling (kernel == stride).
+
+    The max is a chain of ``np.maximum`` over the k² strided slices
+    ``x[:, :, i::k, j::k]``.  Ties split the gradient evenly, as in
+    ``Tensor.max``; those weights are built only when a gradient is needed.
+    """
 
     name = "maxpool2d"
 
     @staticmethod
     def forward(ctx: Context, x, *, kernel: int):
-        n, c, h, w = x.shape
-        oh, ow = h // kernel, w // kernel
-        windows = x.reshape(n, c, oh, kernel, ow, kernel)
-        out = windows.max(axis=(3, 5))
-        # argmax mask for backward (ties split the gradient as in Tensor.max)
-        expanded = out[:, :, :, None, :, None]
-        mask = (windows == expanded).astype(x.dtype)
-        mask /= mask.sum(axis=(3, 5), keepdims=True)
-        ctx.mask = mask
-        ctx.shape = (n, c, h, w)
+        _check_tiling("MaxPool2d", kernel, x.shape)
+        slices = [x[:, :, i::kernel, j::kernel]
+                  for i in range(kernel) for j in range(kernel)]
+        out = slices[0].copy()
+        for window_slice in slices[1:]:
+            np.maximum(out, window_slice, out=out)
+        if any(ctx.needs_input_grad):
+            hits = [(window_slice == out).astype(x.dtype) for window_slice in slices]
+            # Small integer counts: exact in any summation order.
+            count = sum(hits)
+            for hit in hits:
+                hit /= count
+            ctx.weights = hits
+            ctx.kernel = kernel
+            ctx.shape = x.shape
         return out
 
     @staticmethod
     def backward(ctx: Context, grad):
-        g_exp = grad[:, :, :, None, :, None] * ctx.mask
-        return (g_exp.reshape(ctx.shape),)
+        # grad is often a strided view (conv's col2im returns the interior
+        # of a padded buffer); one contiguous copy lets each of the k²
+        # products below run over whole rows.
+        grad = np.ascontiguousarray(grad)
+        k = ctx.kernel
+        gx = np.empty(ctx.shape, dtype=np.result_type(grad, ctx.weights[0]))
+        for offset, weight in enumerate(ctx.weights):
+            i, j = divmod(offset, k)
+            np.multiply(grad, weight, out=gx[:, :, i::k, j::k])
+        return (gx,)
 
 
 @register
@@ -44,6 +68,7 @@ class AvgPool2dOp(Op):
     @staticmethod
     def forward(ctx: Context, x, *, kernel: int):
         n, c, h, w = x.shape
+        _check_tiling("AvgPool2d", kernel, x.shape)
         oh, ow = h // kernel, w // kernel
         ctx.geometry = (n, c, oh, kernel, ow)
         ctx.shape = (n, c, h, w)
@@ -67,11 +92,7 @@ class MaxPool2d(Module):
         self.kernel_size = kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        k = self.kernel_size
-        n, c, h, w = x.shape
-        if h % k or w % k:
-            raise ValueError(f"MaxPool2d({k}) needs H, W divisible by {k}, got {(h, w)}")
-        return apply("maxpool2d", x, kernel=k)
+        return apply("maxpool2d", x, kernel=self.kernel_size)
 
 
 class AvgPool2d(Module):
@@ -82,11 +103,7 @@ class AvgPool2d(Module):
         self.kernel_size = kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        k = self.kernel_size
-        n, c, h, w = x.shape
-        if h % k or w % k:
-            raise ValueError(f"AvgPool2d({k}) needs H, W divisible by {k}, got {(h, w)}")
-        return apply("avgpool2d", x, kernel=k)
+        return apply("avgpool2d", x, kernel=self.kernel_size)
 
 
 class GlobalAvgPool2d(Module):

@@ -1,0 +1,189 @@
+"""Reference parity for the strided-slice ``maxpool2d`` and ``conv2d`` kernels.
+
+``MaxPool2dOp`` takes its max as a chain of ``np.maximum`` over the k²
+slices ``x[:, :, i::k, j::k]``; ``_im2col`` and ``_col2im`` copy and
+scatter-add k² channels-last slices.  The functions below are the forms
+they replaced: the 6-D reshape max-pool with its broadcast tie mask, the
+``as_strided`` im2col and the NCHW col2im.  Both sides perform the same
+IEEE operations in the same accumulation order, so every comparison is on
+bytes, dtypes and strides, with no tolerance.  Strides count because a
+reduction downstream may sum a contiguous array in another order than a
+strided view of the same values.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.nn import conv
+from repro.nn.pool import MaxPool2dOp
+from repro.tensor.engine import Context
+
+DTYPES = [np.float32, np.float64]
+
+
+# -- the replaced implementations ----------------------------------------
+def reference_maxpool(x, kernel):
+    """6-D reshape max with the ``windows == out`` tie-split mask."""
+    n, c, h, w = x.shape
+    windows = x.reshape(n, c, h // kernel, kernel, w // kernel, kernel)
+    out = windows.max(axis=(3, 5))
+    mask = (windows == out[:, :, :, None, :, None]).astype(x.dtype)
+    mask /= mask.sum(axis=(3, 5), keepdims=True)
+    return out, mask
+
+
+def reference_maxpool_backward(grad, mask, shape):
+    return (grad[:, :, :, None, :, None] * mask).reshape(shape)
+
+
+def reference_im2col(x, kernel, stride, padding):
+    """``as_strided`` window view plus one transposed contiguous copy."""
+    n, c, h, w = x.shape
+    out_h, out_w = conv._out_hw(h, w, kernel, stride, padding)
+    if padding:
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
+    strides = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, out_h, out_w, kernel, kernel),
+        strides=(strides[0], strides[1], strides[2] * stride,
+                 strides[3] * stride, strides[2], strides[3]),
+        writeable=False)
+    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5))
+    return cols.reshape(n, out_h, out_w, c * kernel * kernel), out_h, out_w
+
+
+def reference_col2im(cols, x_shape, kernel, stride, padding):
+    """k² slice ``+=`` reading a transposed view of the patch gradient."""
+    n, c, h, w = x_shape
+    out_h, out_w = conv._out_hw(h, w, kernel, stride, padding)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    for ki in range(kernel):
+        i_max = ki + stride * out_h
+        for kj in range(kernel):
+            j_max = kj + stride * out_w
+            padded[:, :, ki:i_max:stride, kj:j_max:stride] += cols[:, :, :, :, ki, kj]
+    if padding:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
+
+
+# -- inputs ----------------------------------------------------------------
+def make_input(kind, shape, dtype, seed=0):
+    """Inputs rich in exact ties, where the max and its mask are fragile."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        x = rng.normal(size=shape)
+    elif kind == "relu":  # post-ReLU activations: many exact zeros
+        x = np.maximum(rng.normal(size=shape), 0.0)
+    elif kind == "constant":  # every window is one big tie
+        x = np.full(shape, 0.75, dtype=dtype)
+    elif kind == "signed_zero":  # windows mixing -0.0 and 0.0
+        x = rng.choice([-0.0, 0.0], size=shape)
+    elif kind == "quantized":  # ties of every multiplicity
+        x = np.round(rng.normal(size=shape) * 2.0) / 2.0
+    else:
+        raise ValueError(kind)
+    return x.astype(dtype)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+# -- maxpool2d -------------------------------------------------------------
+def run_maxpool(x, kernel, grad=None):
+    ctx = Context()
+    ctx.needs_input_grad = (grad is not None,)
+    out = MaxPool2dOp.forward(ctx, x, kernel=kernel)
+    if grad is None:
+        return out, None
+    (gx,) = MaxPool2dOp.backward(ctx, grad)
+    return out, gx
+
+
+@pytest.mark.parametrize("grad_dtype", DTYPES)
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kind", ["normal", "relu", "constant", "signed_zero",
+                                  "quantized"])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_maxpool_matches_reference(kernel, kind, dtype, grad_dtype):
+    x = make_input(kind, (2, 3, 6, 12), dtype)
+    # A strided view, as conv's col2im hands the upstream gradient back.
+    grad = make_input("normal", (2, 3, 6 // kernel + 2, 12 // kernel + 2),
+                      grad_dtype, seed=1)[:, :, 1:-1, 1:-1]
+    want_out, mask = reference_maxpool(x, kernel)
+    out, gx = run_maxpool(x, kernel, grad)
+    assert_same_bytes(out, want_out)
+    assert_same_bytes(gx, reference_maxpool_backward(grad, mask, x.shape))
+    # The no-grad path returns the same bytes without building a mask.
+    assert_same_bytes(run_maxpool(x, kernel)[0], want_out)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_maxpool_every_signed_zero_window_matches_reference(dtype):
+    """All 16 arrangements of -0.0 / 0.0 in a 2x2 window, one per channel."""
+    patterns = list(itertools.product([-0.0, 0.0], repeat=4))
+    x = np.array(patterns, dtype=dtype).reshape(1, len(patterns), 2, 2)
+    grad = np.arange(1, len(patterns) + 1, dtype=dtype).reshape(1, -1, 1, 1)
+    want_out, mask = reference_maxpool(x, 2)
+    out, gx = run_maxpool(x, 2, grad)
+    assert_same_bytes(out, want_out)
+    assert_same_bytes(gx, reference_maxpool_backward(grad, mask, x.shape))
+
+
+# -- conv2d ----------------------------------------------------------------
+GEOMETRIES = list(itertools.product([1, 2, 3], [1, 2], [0, 1, 2]))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+def test_im2col_matches_reference(kernel, stride, padding, dtype):
+    x = make_input("relu", (2, 3, 7, 6), dtype)
+    cols, out_h, out_w = conv._im2col(x, kernel, stride, padding)
+    want, want_h, want_w = reference_im2col(x, kernel, stride, padding)
+    assert (out_h, out_w) == (want_h, want_w)
+    assert_same_bytes(cols, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+def test_col2im_matches_reference(kernel, stride, padding, dtype):
+    x_shape = (2, 3, 7, 6)
+    out_h, out_w = conv._out_hw(7, 6, kernel, stride, padding)
+    cols = make_input("normal", (2, out_h, out_w, 3 * kernel * kernel), dtype)
+    assert_same_bytes(conv._col2im(cols, x_shape, kernel, stride, padding),
+                      reference_col2im(cols, x_shape, kernel, stride, padding))
+
+
+def run_conv(x, w, bias, grad, **geometry):
+    ctx = Context()
+    ctx.needs_input_grad = (True, True, True)
+    out = conv.Conv2dOp.forward(ctx, x, w, bias, **geometry)
+    return (out, *conv.Conv2dOp.backward(ctx, grad))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+def test_conv_op_matches_reference_kernels(kernel, stride, padding, dtype,
+                                           monkeypatch):
+    """The whole op, forward and every gradient, with either kernel pair."""
+    x = make_input("relu", (2, 3, 7, 6), dtype)
+    w = make_input("normal", (3 * kernel * kernel, 4), dtype, seed=2)
+    bias = make_input("normal", (4,), dtype, seed=3)
+    out_h, out_w = conv._out_hw(7, 6, kernel, stride, padding)
+    grad = make_input("normal", (2, 4, out_h, out_w), dtype, seed=4)
+    geometry = dict(kernel=kernel, stride=stride, padding=padding)
+    got = run_conv(x, w, bias, grad, **geometry)
+    monkeypatch.setattr(conv, "_im2col", reference_im2col)
+    monkeypatch.setattr(conv, "_col2im", reference_col2im)
+    want = run_conv(x, w, bias, grad, **geometry)
+    for got_array, want_array in zip(got, want, strict=True):
+        assert_same_bytes(got_array, want_array)

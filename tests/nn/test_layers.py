@@ -18,7 +18,8 @@ from repro.nn import (
     Sigmoid,
     Tanh,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
+from repro.tensor.engine import apply, apply_ctx
 from repro.tensor.gradcheck import numerical_gradient
 
 
@@ -148,6 +149,40 @@ class TestPooling:
     def test_indivisible_size_raises(self):
         with pytest.raises(ValueError):
             MaxPool2d(3)(Tensor(np.zeros((1, 1, 4, 4))))
+
+    @pytest.mark.parametrize("op,layer", [("maxpool2d", "MaxPool2d"),
+                                          ("avgpool2d", "AvgPool2d")])
+    def test_ops_reject_indivisible_size(self, op, layer):
+        """The check lives in the op, so direct dispatch gets it too."""
+        with pytest.raises(ValueError,
+                           match=rf"{layer}\(3\) needs H, W divisible by 3, "
+                                 rf"got \(4, 4\)"):
+            apply(op, Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)),
+                  kernel=3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_ties_split_the_gradient(self, dtype):
+        # Left window: all four cells tie.  Right window: two maxima.
+        x = np.array([[[[3, 3, 1, 5],
+                        [3, 3, 5, 2]]]], dtype=dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = MaxPool2d(2)(xt)
+        np.testing.assert_array_equal(out.numpy(), [[[[3, 5]]]])
+        out.backward(np.array([[[[2.0, 6.0]]]], dtype=dtype))
+        assert xt.grad.dtype == dtype
+        np.testing.assert_array_equal(xt.grad, [[[[0.5, 0.5, 0.0, 3.0],
+                                                  [0.5, 0.5, 3.0, 0.0]]]])
+
+    def test_maxpool_without_grad_builds_no_tie_weights(self):
+        x = np.random.default_rng(0).normal(size=(2, 3, 4, 4)).astype(np.float32)
+        with no_grad():
+            _, ctx = apply_ctx("maxpool2d", Tensor(x, requires_grad=True),
+                               kernel=2)
+        assert not hasattr(ctx, "weights")
+        _, ctx = apply_ctx("maxpool2d", Tensor(x), kernel=2)
+        assert not hasattr(ctx, "weights")
+        _, ctx = apply_ctx("maxpool2d", Tensor(x, requires_grad=True), kernel=2)
+        assert len(ctx.weights) == 4
 
     def test_global_avg_pool(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 4))
