@@ -50,7 +50,8 @@ def config_for(dataset: str, base: ContinualConfig = BASE_CONFIG) -> ContinualCo
 def run_seeded(method: str, sequence: TaskSequence, config: ContinualConfig,
                seeds=SEEDS) -> tuple[AggregateResult, list[ContinualResult]]:
     """Run one method over several seeds and aggregate Acc/Fgt."""
-    results = [run_method(method, sequence, config, seed=seed) for seed in seeds]
+    results = [run_method(method, sequence, config, seed=seed)[0]
+               for seed in seeds]
     return aggregate_runs(method, results), results
 
 

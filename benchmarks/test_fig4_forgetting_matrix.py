@@ -25,7 +25,7 @@ def run_fig4() -> str:
     blocks = []
     mean_forgetting = {}
     for method in METHODS:
-        result = run_method(method, sequence, BASE_CONFIG, seed=0)
+        result, _ = run_method(method, sequence, BASE_CONFIG, seed=0)
         forgetting = result.forgetting()
         mean_forgetting[method] = float(np.nanmean(forgetting[-1, :-1]))
         blocks.append(format_heatmap(

@@ -20,7 +20,8 @@ def run_fig5() -> str:
     lines = [f"Fig. 5 (CI scale, {len(SEEDS)} seeds): new-task accuracy A_ii per increment"]
     for method in METHODS:
         series = np.stack([
-            run_method(method, sequence, config_for("cifar100-like"), seed=seed).new_task_accuracies()
+            run_method(method, sequence, config_for("cifar100-like"),
+                       seed=seed)[0].new_task_accuracies()
             for seed in SEEDS
         ])
         increments = list(range(1, series.shape[1] + 1))

@@ -24,7 +24,7 @@ def run_fig7() -> str:
         sequence = load_image_benchmark("cifar100-like", "ci", n_tasks=n_tasks)
         lines.append(f"-- split: {n_tasks} tasks x {len(sequence[0].classes)} classes --")
         for method in METHODS:
-            result = run_method(method, sequence, config_for("cifar100-like"), seed=0)
+            result, _ = run_method(method, sequence, config_for("cifar100-like"), seed=0)
             increments = list(range(1, n_tasks + 1))
             lines.append(format_series(method, increments, 100 * result.acc_series(),
                                        y_format="{:.1f}"))

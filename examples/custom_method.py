@@ -72,7 +72,7 @@ def main() -> None:
 
     rows = []
     for name in ("finetune", "edsr"):
-        result = run_method(name, sequence, config, seed=0)
+        result, _ = run_method(name, sequence, config, seed=0)
         rows.append([name, f"{100 * result.acc():.2f}", f"{100 * result.fgt():.2f}"])
 
     rng = np.random.default_rng(0)

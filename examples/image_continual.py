@@ -33,7 +33,7 @@ def main(benchmark_name: str = "cifar10-like") -> None:
     rows.append(["multitask", f"{100 * multitask.acc():.2f}", "-",
                  f"{multitask.elapsed_seconds:.1f}"])
     for method in METHODS:
-        result = run_method(method, sequence, config, seed=0)
+        result, _ = run_method(method, sequence, config, seed=0)
         matrices[method] = result.forgetting()
         rows.append([method, f"{100 * result.acc():.2f}", f"{100 * result.fgt():.2f}",
                      f"{result.elapsed_seconds:.1f}"])

@@ -20,7 +20,7 @@ def main() -> None:
           f"{len(sequence[0].train)} train / {len(sequence[0].test)} test samples each")
 
     config = ContinualConfig(epochs=8)  # defaults: SimSiam, high-entropy, L_rpl
-    result = run_method("edsr", sequence, config, seed=0, verbose=True)
+    result, _ = run_method("edsr", sequence, config, seed=0, verbose=True)
 
     print("\naccuracy matrix A[i, j] (test acc on increment j after learning increment i):")
     with np.printoptions(precision=3, nanstr="  .  "):

@@ -29,7 +29,7 @@ def main() -> None:
     multitask = run_multitask(sequence, config, seed=0)
     rows.append(["multitask", f"{100 * multitask.acc():.2f}", "-"])
     for method in ("finetune", "cassle", "edsr"):
-        result = run_method(method, sequence, config, seed=0)
+        result, _ = run_method(method, sequence, config, seed=0)
         rows.append([method, f"{100 * result.acc():.2f}", f"{100 * result.fgt():.2f}"])
     print()
     print(format_table(["method", "Acc %", "Fgt %"], rows,

@@ -5,7 +5,8 @@ Quickstart
 ----------
 >>> from repro import load_image_benchmark, ContinualConfig, run_method
 >>> sequence = load_image_benchmark("cifar10-like", scale="ci")
->>> result = run_method("edsr", sequence, ContinualConfig(epochs=3), seed=0)
+>>> result, transfer = run_method("edsr", sequence,
+...                               ContinualConfig(epochs=3), seed=0)
 >>> result.acc(), result.fgt()  # doctest: +SKIP
 
 Package layout (see DESIGN.md for the full inventory):

@@ -7,13 +7,15 @@ Commands
              ``--checkpoint-dir`` the run checkpoints atomically after every
              task and ``--resume`` continues a killed run bit-for-bit;
              ``--guardrails`` enables NaN/divergence recovery; ``--scenario``
-             routes through the scenario registry (task-free, blurry,
-             domain-incremental, long streams) and writes the serialized
-             transfer matrix next to the result;
+             picks the stream shape (task-free, blurry, domain-incremental,
+             long streams; default class-incremental) and prints the
+             transfer summary and writes the serialized transfer matrix
+             next to the result;
 ``compare``  train several methods on one benchmark and print a ranking
              table (a single-seed Table III slice); ``--checkpoint-dir`` +
              ``--resume`` checkpoint each method in its own subdirectory and
-             skip methods whose results are already complete;
+             skip methods whose results are already complete (an
+             unreadable result resumes from its checkpoints);
 ``sweep``    run methods x seeds, saving one result JSON per run into a
              directory; ``--resume`` skips runs whose JSON already exists;
 ``report``   render a directory of saved results as a markdown report;
@@ -39,7 +41,8 @@ from repro.continual import ContinualConfig, run_method, run_multitask
 from repro.data import load_image_benchmark, load_tabular_benchmark
 from repro.data.registry import IMAGE_PRESETS
 from repro.utils import format_table
-from repro.utils.serialization import save_result
+from repro.utils.serialization import (load_result, save_result,
+                                       save_transfer_matrix)
 
 METHODS = ["finetune", "si", "der", "lump", "cassle", "edsr", "lin", "pfr", "curl"]
 
@@ -135,12 +138,12 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
-    """Stream-shape flags; only ``run`` routes through the scenario registry."""
+    """Stream-shape flags; only ``run`` takes them."""
     parser.add_argument("--scenario", choices=_scenario_names(),
-                        help="route the run through the scenario registry "
-                             "(stream shape + first-class transfer matrix); "
-                             "default: classic class-incremental trainer "
-                             "path")
+                        help="stream shape from the scenario registry; also "
+                             "prints the transfer summary and writes the "
+                             "transfer matrix (default: class_incremental, "
+                             "no transfer output)")
     parser.add_argument("--scenario-seed", dest="scenario_seed", type=int,
                         help="seed for the stream builders (independent of "
                              "the training --seed)")
@@ -189,25 +192,16 @@ def _command_run(args: argparse.Namespace) -> int:
         result = run_multitask(sequence, config, seed=args.seed, verbose=True)
         print(f"Acc = {100 * result.acc():.2f}%")
         return 0
-    transfer = None
-    if args.scenario is not None:
-        from repro.scenarios import run_scenario_method
-        from repro.utils.serialization import save_transfer_matrix
-
-        result, transfer = run_scenario_method(
-            args.method, sequence, config, seed=args.seed, verbose=True,
-            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-            guardrails=_guardrails_from_args(args))
-    else:
-        result = run_method(args.method, sequence, config, seed=args.seed,
-                            verbose=True, checkpoint_dir=args.checkpoint_dir,
-                            resume=args.resume,
-                            guardrails=_guardrails_from_args(args))
+    result, transfer = run_method(args.method, sequence, config,
+                                  seed=args.seed, verbose=True,
+                                  checkpoint_dir=args.checkpoint_dir,
+                                  resume=args.resume,
+                                  guardrails=_guardrails_from_args(args))
     print(f"\nAcc = {100 * result.acc():.2f}%   Fgt = {100 * result.fgt():.2f}%   "
           f"time = {result.elapsed_seconds:.1f}s")
     with np.printoptions(precision=3, nanstr="  .  "):
         print(result.accuracy_matrix)
-    if transfer is not None:
+    if args.scenario is not None:
         summary = transfer.summary()
         cells = "   ".join(
             f"{key} = {100 * value:.2f}%" if value is not None else f"{key} = n/a"
@@ -224,8 +218,6 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_compare(args: argparse.Namespace) -> int:
     import pathlib
-
-    from repro.utils.serialization import load_result
 
     sequence = _load_benchmark(args.benchmark, args.scale, args.n_tasks)
     config = _config_from_args(args)
@@ -245,16 +237,23 @@ def _command_compare(args: argparse.Namespace) -> int:
             method_dir = pathlib.Path(args.checkpoint_dir) / method
             result_path = method_dir / "result.json"
         if args.resume and result_path is not None and result_path.exists():
-            result = load_result(result_path)
-            if result.complete:
+            try:
+                result = load_result(result_path)
+            except (OSError, ValueError, KeyError) as exc:
+                # A torn file counts as missing: resume restores the run
+                # from its checkpoints instead.
+                print(f"{method}: unreadable {result_path} ({exc}); "
+                      f"resuming from checkpoints")
+                result = None
+            if result is not None and result.complete:
                 print(f"{method}: complete result found, skipping training")
                 rows.append([method, f"{100 * result.acc():.2f}",
                              f"{100 * result.fgt():.2f}",
                              f"{result.elapsed_seconds:.1f}"])
                 continue
-        result = run_method(method, sequence, config, seed=args.seed,
-                            checkpoint_dir=method_dir, resume=args.resume,
-                            guardrails=guardrails)
+        result, _ = run_method(method, sequence, config, seed=args.seed,
+                               checkpoint_dir=method_dir, resume=args.resume,
+                               guardrails=guardrails)
         if result_path is not None:
             save_result(result, result_path)
         rows.append([method, f"{100 * result.acc():.2f}", f"{100 * result.fgt():.2f}",
@@ -277,7 +276,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             if args.resume and path.exists():
                 print(f"{method} seed {seed}: result exists, skipping -> {path}")
                 continue
-            result = run_method(method, sequence, config, seed=seed)
+            result, _ = run_method(method, sequence, config, seed=seed)
             save_result(result, path)
             print(f"{method} seed {seed}: Acc={100 * result.acc():.2f} "
                   f"Fgt={100 * result.fgt():.2f} -> {path}")

@@ -77,10 +77,11 @@ class ContinualConfig:
         for tape-safe methods; disable to force eager execution everywhere.
     scenario, scenario_seed:
         Stream shape by registry name
-        (:data:`repro.scenarios.registry.SCENARIO_REGISTRY`):
-        ``"class_incremental"`` (default; byte-identical to the classic
-        trainer path), ``"task_free"``, ``"blurry"``,
-        ``"domain_incremental"``, or ``"long_sequence"``.
+        (:data:`repro.scenarios.registry.SCENARIO_REGISTRY`) that
+        :func:`~repro.continual.trainer.run_method` trains over:
+        ``"class_incremental"`` (default; one segment per task),
+        ``"task_free"``, ``"blurry"``, ``"domain_incremental"``, or
+        ``"long_sequence"``.
         ``scenario_seed`` keys every stream builder's randomness —
         streams are pure functions of ``(scenario_seed, params)``,
         independent of the training seed.

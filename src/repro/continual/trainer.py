@@ -3,8 +3,9 @@
 For each increment: fresh optimizer over the method's current parameter set
 (heads change per increment), epochs of two-view CSSL batches, method hooks
 around each optimizer step, then the method's ``end_task`` (selection /
-consolidation) and a KNN evaluation over all increments seen so far — one
-row of the accuracy matrix.
+consolidation) and one probe of the stream's eval panel — one row of the
+transfer matrix, whose columns for the increments seen so far are the
+accuracy-matrix row.
 
 Fault tolerance (``repro.runtime``) threads through the same loop:
 
@@ -18,17 +19,15 @@ Fault tolerance (``repro.runtime``) threads through the same loop:
   ladder: skip batch → restore the task-start state with LR backoff →
   abort with a structured failure report (:class:`TrainingDiverged`).
 
-The boundary signal is a *stream event*, not an assumption:
-:meth:`ContinualTrainer.run` accepts either a plain ``TaskSequence``
-(sharp boundaries, the classic path) or a
-:class:`~repro.scenarios.streams.ScenarioStream`.  A boundary controller
-turns the stream's shape into :class:`~repro.continual.method.BoundaryEvent`
-begin/end pairs: sharp streams get one pair per segment (behaviour
-identical to the pre-scenario trainer, pinned byte-for-byte by the parity
-test), while ``task_free`` streams route every segment through a
-:class:`~repro.scenarios.drift.DriftDetector` and emit boundaries only
-when the input statistics drift — methods self-trigger selection and
-consolidation.  Stream runs additionally record a
+Every run is a stream run: :meth:`ContinualTrainer.run` iterates a
+:class:`~repro.scenarios.streams.ScenarioStream`, and a plain
+``TaskSequence`` runs as its ``class_incremental`` stream.  A boundary
+controller turns the stream's shape into
+:class:`~repro.continual.method.BoundaryEvent` begin/end pairs: sharp
+streams get one pair per segment, while ``task_free`` streams route every
+segment through a :class:`~repro.scenarios.drift.DriftDetector` and emit
+boundaries only when the input statistics drift — methods self-trigger
+selection and consolidation.  Every run records a
 :class:`~repro.eval.transfer.TransferMatrix` (online + final accuracy on
 the full eval panel per segment), rewritten atomically next to the
 checkpoints *before* each checkpoint commit so resume restores it
@@ -61,7 +60,7 @@ from repro.runtime.guardrail import (GuardrailPolicy, GuardrailViolation,
                                      build_failure_report, clip_detail,
                                      global_grad_norm)
 from repro.scenarios.drift import DriftDetector
-from repro.scenarios.streams import ScenarioStream
+from repro.scenarios.streams import ScenarioStream, class_incremental_stream
 from repro.tensor.anomaly import AnomalyError, detect_anomaly
 from repro.tensor.tape import TapedFunction
 from repro.utils.rng import get_rng_state, set_rng_state
@@ -95,13 +94,13 @@ def _build_augment(config: ContinualConfig, train_x: np.ndarray) -> TwoViewAugme
     raise ValueError(f"unsupported data shape {train_x.shape}")
 
 
-def _stream_identity(stream: ScenarioStream | None) -> dict | None:
+def _stream_identity(stream: ScenarioStream) -> dict | None:
     """Which stream a run trains on, as recorded in its checkpoints.
 
-    ``None`` for the classic path and the identity stream, so their
-    checkpoint bytes stay identical to the pre-scenario format.
+    ``None`` for the identity stream, so its checkpoint bytes stay
+    identical to the pre-scenario format.
     """
-    if stream is None or stream.scenario == "class_incremental":
+    if stream.scenario == "class_incremental":
         return None
     return {"name": stream.scenario, "params": dict(stream.params)}
 
@@ -261,8 +260,8 @@ class ContinualTrainer:
         self._taped_step: TapedFunction | None = None
         self._controller = SharpBoundaryController()
         self._stream_identity: dict | None = None
-        #: The stream run's TransferMatrix (``None`` for plain sequences);
-        #: populated by :meth:`run` and kept current row by row.
+        #: The run's TransferMatrix; populated by :meth:`run` and kept
+        #: current row by row.
         self.transfer_matrix: TransferMatrix | None = None
         self.checkpoints = None
         log_path = None
@@ -344,24 +343,22 @@ class ContinualTrainer:
     # ------------------------------------------------------------------
     def run(self, sequence: TaskSequence | ScenarioStream,
             resume: bool = False) -> ContinualResult:
-        """Train over a task sequence or a scenario stream.
+        """Train over a scenario stream, segment by segment.
 
-        A plain :class:`TaskSequence` runs the classic sharp-boundary
-        loop.  A :class:`~repro.scenarios.streams.ScenarioStream` runs
-        segment by segment under the stream's boundary controller and
-        additionally fills :attr:`transfer_matrix` — one online row
-        (probed *before* the segment trains) and one final row (after)
-        over the stream's full eval panel per segment.
+        A plain :class:`TaskSequence` runs as its ``class_incremental``
+        stream.  Besides the result, the run fills :attr:`transfer_matrix`
+        — one online row (the panel before the segment trains) and one
+        final row (after) over the stream's full eval panel per segment.
         """
         config = self.config
         method = self.method
-        stream = sequence if isinstance(sequence, ScenarioStream) else None
-        n_tasks = len(sequence)
+        stream = (sequence if isinstance(sequence, ScenarioStream)
+                  else class_incremental_stream(sequence))
+        n_tasks = len(stream)
         result = ContinualResult(n_tasks, name=method.name, probe=config.probe)
         self._controller = self._make_controller(stream)
         self._stream_identity = _stream_identity(stream)
-        transfer = None if stream is None else self._make_transfer(stream)
-        self.transfer_matrix = transfer
+        transfer = self.transfer_matrix = self._make_transfer(stream)
         start_task = 0
         prior_elapsed = 0.0
 
@@ -374,8 +371,7 @@ class ContinualTrainer:
                     self.log.append("corrupt-checkpoint", detail=reason)
                 start_task = self._restore_run_state(loaded.state, n_tasks, result)
                 prior_elapsed = result.elapsed_seconds
-                if transfer is not None:
-                    self._restore_transfer(transfer, start_task)
+                self._restore_transfer(transfer, start_task)
                 self.log.append("resume", task_index=start_task,
                                 checkpoint=str(loaded.path))
                 if self.verbose:
@@ -383,42 +379,32 @@ class ContinualTrainer:
                           f"{start_task}/{n_tasks} from {loaded.path.name}")
 
         start = time.perf_counter()
-        for task_index in range(n_tasks):
-            if task_index < start_task:
-                continue
-            task = (sequence[task_index] if stream is None
-                    else stream.segments[task_index].task)
-            if transfer is not None:
-                online_row = evaluate_tasks(method.objective,
-                                            list(stream.eval_tasks),
-                                            knn_k=config.knn_k,
-                                            probe=config.probe)
-            self._run_task(task, task_index, n_tasks)
-            if stream is None:
-                accuracies = evaluate_tasks(method.objective,
-                                            list(sequence)[:task_index + 1],
-                                            knn_k=config.knn_k,
-                                            probe=config.probe)
-            else:
-                final_row = evaluate_tasks(method.objective,
-                                           list(stream.eval_tasks),
-                                           knn_k=config.knn_k,
-                                           probe=config.probe)
-                accuracies = self._segment_accuracies(stream, task_index,
-                                                      final_row)
-            result.record_row(accuracies)
+        online_row = None
+        for task_index in range(start_task, n_tasks):
+            if online_row is None:
+                online_row = self._probe_panel(stream)
+            self._run_task(stream.segments[task_index].task, task_index,
+                           n_tasks)
+            final_row = self._probe_panel(stream)
+            result.record_row(self._segment_accuracies(stream, task_index,
+                                                       final_row))
             result.elapsed_seconds = prior_elapsed + (time.perf_counter() - start)
-            if transfer is not None:
-                # Matrix first, checkpoint second: a crash between the
-                # two leaves the matrix one row ahead, which resume
-                # truncates back to the checkpoint's row count — the
-                # reverse order would lose a row it cannot recompute.
-                transfer.record_row(online_row, final_row)
-                self._save_transfer(transfer)
+            # Matrix first, checkpoint second: a crash between the two
+            # leaves the matrix one row ahead, which resume truncates back
+            # to the checkpoint's row count — the reverse order would lose
+            # a row it cannot recompute.
+            transfer.record_row(online_row, final_row)
+            self._save_transfer(transfer)
             self._save_checkpoint(task_index, n_tasks, result)
             if self.verbose:
                 print(f"[{method.name}] task {task_index + 1}/{n_tasks}: "
                       f"Acc={result.acc_at(task_index):.4f} Fgt={result.fgt_at(task_index):.4f}")
+            # This final row is the next segment's online row: since this
+            # probe the loop only recorded rows and wrote files, and a
+            # probe is a pure function of the model (eval mode under
+            # no_grad, deterministic KNN and ridge, a LinearProbe reseeded
+            # from a fixed seed on every fit).
+            online_row = final_row
 
         result.elapsed_seconds = prior_elapsed + (time.perf_counter() - start)
         return result
@@ -426,11 +412,16 @@ class ContinualTrainer:
     # ------------------------------------------------------------------
     # Stream plumbing (boundary controllers and the transfer matrix)
     # ------------------------------------------------------------------
-    def _make_controller(self, stream: ScenarioStream | None):
-        if stream is not None and stream.boundary_mode == "task_free":
+    def _make_controller(self, stream: ScenarioStream):
+        if stream.boundary_mode == "task_free":
             return TaskFreeBoundaryController(
                 stream, DriftDetector(stream.drift_threshold))
         return SharpBoundaryController()
+
+    def _probe_panel(self, stream: ScenarioStream) -> list[float]:
+        """One accuracy per eval-panel task for the model as it is now."""
+        return evaluate_tasks(self.method.objective, list(stream.eval_tasks),
+                              knn_k=self.config.knn_k, probe=self.config.probe)
 
     def _make_transfer(self, stream: ScenarioStream) -> TransferMatrix:
         eval_names = [f"task-{task.task_id}" for task in stream.eval_tasks]
@@ -444,12 +435,12 @@ class ContinualTrainer:
 
     def _segment_accuracies(self, stream: ScenarioStream, task_index: int,
                             final_row: list[float]) -> list[float]:
-        """The classic result row over segments seen so far.
+        """The result row over segments seen so far.
 
         Segments whose test split *is* an eval-panel task (``eval_alias``)
         reuse the panel row — for sharp streams that makes the result
-        matrix provably equal to the classic path's; alias-free segments
-        are probed directly.
+        matrix the lower triangle of the panel; alias-free segments are
+        probed directly.
         """
         accuracies = []
         for segment in stream.segments[:task_index + 1]:
@@ -701,29 +692,29 @@ def run_method(name: str, sequence: TaskSequence, config: ContinualConfig,
                seed: int = 0, verbose: bool = False,
                checkpoint_dir: str | pathlib.Path | None = None,
                resume: bool = False,
-               guardrails: GuardrailPolicy | None = None) -> ContinualResult:
-    """One-call convenience: build objective + method, train, return result.
+               guardrails: GuardrailPolicy | None = None,
+               ) -> tuple[ContinualResult, TransferMatrix]:
+    """Apply method ``name`` to ``config.scenario``'s stream over ``sequence``.
 
+    Builds the stream, then the objective and method from
+    ``default_rng(seed)`` (stream building draws nothing from it), trains,
+    and returns the result and the transfer matrix.
     ``checkpoint_dir``/``resume``/``guardrails`` are forwarded to
     :class:`ContinualTrainer`; a resumed run rebuilds the objective and
     method from the same seed, then the checkpoint overwrites every piece of
     state (including the RNG stream), so the continuation is bit-for-bit
     identical to the uninterrupted run.
-
-    Only the classic class-incremental sequence runs here; any other
-    ``config.scenario`` raises rather than being silently ignored — use
-    :func:`repro.scenarios.registry.run_scenario_method` for those.
     """
-    if config.scenario != "class_incremental":
-        raise ValueError(
-            f"run_method runs the classic class-incremental sequence only; "
-            f"config.scenario={config.scenario!r} needs run_scenario_method "
-            f"(repro.scenarios.registry)")
+    # Late import: the registry imports repro.continual.config, so a
+    # module-scope import would cycle when repro.scenarios loads first.
+    from repro.scenarios.registry import build_stream
+
+    stream = build_stream(config.scenario, sequence, config)
     rng = np.random.default_rng(seed)
-    sample_shape = sequence[0].train.x.shape[1:]
-    objective = build_objective(config, sample_shape, rng)
+    objective = build_objective(config, stream.sample_shape, rng)
     method = make_method(name, objective, config, rng)
     trainer = ContinualTrainer(method, config, rng, verbose=verbose,
                                checkpoint_dir=checkpoint_dir,
                                guardrails=guardrails)
-    return trainer.run(sequence, resume=resume)
+    result = trainer.run(stream, resume=resume)
+    return result, trainer.transfer_matrix

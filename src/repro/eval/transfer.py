@@ -257,6 +257,7 @@ class TransferMatrix:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TransferMatrix":
+        """Rebuild a matrix; ``ValueError`` when the arrays contradict the header."""
         matrix = cls(
             int(payload["n_rows"]), [str(n) for n in payload["eval_names"]],
             name=payload["name"], scenario=payload["scenario"],
@@ -264,11 +265,20 @@ class TransferMatrix:
             row_sources=payload["row_sources"],
             chance=[np.nan if c is None else c for c in payload["chance"]])
         nan = float("nan")
-        matrix.online = np.array(
-            [[nan if v is None else v for v in row] for row in payload["online"]])
-        matrix.final = np.array(
-            [[nan if v is None else v for v in row] for row in payload["final"]])
-        matrix._rows_recorded = int(payload["rows_recorded"])
+        for label in ("online", "final"):
+            rows = payload[label]
+            if (len(rows) != matrix.n_rows
+                    or any(len(row) != matrix.n_eval for row in rows)):
+                raise ValueError(f"{label} is not {matrix.n_rows}x"
+                                 f"{matrix.n_eval} as the header declares")
+            setattr(matrix, label, np.array(
+                [[nan if v is None else v for v in row] for row in rows],
+                dtype=np.float64))
+        recorded = int(payload["rows_recorded"])
+        if not 0 <= recorded <= matrix.n_rows:
+            raise ValueError(f"rows_recorded {recorded} is outside "
+                             f"[0, {matrix.n_rows}]")
+        matrix._rows_recorded = recorded
         return matrix
 
     def __repr__(self) -> str:

@@ -4,8 +4,8 @@ The registry (:mod:`repro.scenarios.registry`) names five stream shapes —
 ``class_incremental``, ``task_free``, ``blurry``, ``domain_incremental``,
 ``long_sequence`` — each built by a pure function of ``(seed, params)``
 (:mod:`repro.scenarios.streams`).  Any continual method runs over any
-scenario via :func:`run_scenario_method`, producing the classic result
-plus a first-class :class:`~repro.eval.transfer.TransferMatrix`.
+scenario via :func:`repro.continual.trainer.run_method`, producing the
+result plus a first-class :class:`~repro.eval.transfer.TransferMatrix`.
 Task-free streams self-trigger boundaries through the
 :class:`~repro.scenarios.drift.DriftDetector`.
 """
@@ -17,7 +17,7 @@ from repro.scenarios.streams import (ScenarioStream, StreamSegment,
                                      long_sequence_stream, task_free_stream)
 from repro.scenarios.registry import (SCENARIO_REGISTRY, ScenarioSpec,
                                       build_stream, register_scenario,
-                                      run_scenario_method, scenario_names)
+                                      scenario_names)
 
 __all__ = [
     "DriftDetector",
@@ -31,7 +31,6 @@ __all__ = [
     "domain_incremental_stream",
     "long_sequence_stream",
     "register_scenario",
-    "run_scenario_method",
     "scenario_names",
     "task_free_stream",
 ]

@@ -1,32 +1,21 @@
-"""The scenario registry: named settings × any continual method.
+"""The scenario registry: named settings for any continual method.
 
 Mirrors the sequoia design (settings × methods → transfer-matrix results
 objects): a :class:`ScenarioSpec` maps a name to a stream builder, and
-:func:`run_scenario_method` applies any registered continual method to
-any registered scenario, returning the classic
-:class:`~repro.eval.metrics.ContinualResult` *and* the first-class
-:class:`~repro.eval.transfer.TransferMatrix`.
-
-``run_scenario_method`` replicates :func:`repro.continual.trainer.run_method`'s
-construction order exactly — ``default_rng(seed)`` → objective → method →
-trainer — and stream building consumes no trainer RNG, so the
-``class_incremental`` scenario is byte-for-byte identical to the classic
-path (pinned by ``tests/scenarios/test_parity.py``).
+:func:`repro.continual.trainer.run_method` applies any continual method to
+``config.scenario``'s stream, returning the
+:class:`~repro.eval.metrics.ContinualResult` *and* the
+:class:`~repro.eval.transfer.TransferMatrix`.  Stream building consumes no
+trainer RNG.
 """
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from repro.continual.config import ContinualConfig, build_objective
-from repro.continual.method import make_method
+from repro.continual.config import ContinualConfig
 from repro.data.splits import TaskSequence
-from repro.eval.metrics import ContinualResult
-from repro.eval.transfer import TransferMatrix
 from repro.scenarios.streams import (ScenarioStream, blurry_stream,
                                      class_incremental_stream,
                                      domain_incremental_stream,
@@ -37,7 +26,6 @@ __all__ = [
     "ScenarioSpec",
     "build_stream",
     "register_scenario",
-    "run_scenario_method",
     "scenario_names",
 ]
 
@@ -88,7 +76,7 @@ def build_stream(name: str, sequence: TaskSequence,
 
 register_scenario(
     "class_incremental",
-    "sharp class-incremental boundaries (the classic path, bit-identical)",
+    "sharp class-incremental boundaries, one segment per task",
     lambda sequence, config: class_incremental_stream(sequence))
 register_scenario(
     "task_free",
@@ -112,32 +100,3 @@ register_scenario(
     "the base task order cycled into a 20+ segment stream",
     lambda sequence, config: long_sequence_stream(
         sequence, cycles=config.long_cycles))
-
-
-def run_scenario_method(method_name: str, sequence: TaskSequence,
-                        config: ContinualConfig, seed: int = 0,
-                        verbose: bool = False,
-                        checkpoint_dir: str | pathlib.Path | None = None,
-                        resume: bool = False,
-                        guardrails=None) -> tuple[ContinualResult,
-                                                  TransferMatrix]:
-    """Apply ``method_name`` to ``config.scenario``'s stream over ``sequence``.
-
-    The scenario-path twin of :func:`repro.continual.trainer.run_method`:
-    same construction order, same checkpoint/resume/guardrail semantics,
-    plus the transfer matrix — written next to the checkpoints on every
-    boundary and restored bit-for-bit by ``resume=True``.
-    """
-    # Late import: the trainer itself iterates ScenarioStream objects, so
-    # importing it at module scope would cycle through this package.
-    from repro.continual.trainer import ContinualTrainer
-
-    stream = build_stream(config.scenario, sequence, config)
-    rng = np.random.default_rng(seed)
-    objective = build_objective(config, stream.sample_shape, rng)
-    method = make_method(method_name, objective, config, rng)
-    trainer = ContinualTrainer(method, config, rng, verbose=verbose,
-                               checkpoint_dir=checkpoint_dir,
-                               guardrails=guardrails)
-    result = trainer.run(stream, resume=resume)
-    return result, trainer.transfer_matrix

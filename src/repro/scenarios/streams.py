@@ -64,8 +64,8 @@ class StreamSegment:
     primarily comes from (transfer-matrix row labeling).  ``eval_alias``
     names the panel column whose evaluation is *identical* to evaluating
     this segment's own test split — when set, the trainer reuses the
-    panel row instead of re-probing (for sharp streams this is what makes
-    the scenario path bit-identical to the classic path).
+    panel row instead of re-probing (for sharp streams this keeps the
+    result matrix bit-identical to the pre-scenario trainer's).
     """
 
     index: int
@@ -125,9 +125,9 @@ def class_incremental_stream(sequence: TaskSequence) -> ScenarioStream:
     """The identity stream: the task sequence itself, one segment per task.
 
     Shares the *same* :class:`Task` objects with ``sequence`` — no copies,
-    no re-randomization — so running it through the trainer is provably
-    the classic class-incremental run (pinned byte-for-byte by the parity
-    regression test).
+    no re-randomization.  The trainer runs every plain ``TaskSequence`` as
+    this stream; ``tests/scenarios/test_parity.py`` pins its artifacts to
+    the pre-scenario trainer's bytes.
     """
     segments = tuple(StreamSegment(i, task, source_task=i, eval_alias=i)
                      for i, task in enumerate(sequence))

@@ -9,11 +9,11 @@ of the accuracy matrix were actually recorded, and :func:`load_result`
 rebuilds exactly that partial state, so ``save → load`` round-trips both
 complete and partial results (including ``elapsed_seconds``).
 
-Transfer matrices additionally go through the checkpoint layer's atomic
+Results and transfer matrices go through the checkpoint layer's atomic
 writer (:func:`repro.runtime.checkpoint.atomic_write_bytes`): the trainer
-rewrites the file on every stream boundary next to the checkpoints, so a
-crash mid-write must leave either the old rows or the new rows — never a
-torn file — for the bit-for-bit resume contract to hold.
+rewrites the matrix on every stream boundary next to the checkpoints, and
+``repro compare --resume`` reads results back, so a crash mid-write must
+leave either the old file or the new one — never a torn file.
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ def save_result(result: ContinualResult, path: str | pathlib.Path) -> None:
             for row in result.accuracy_matrix
         ],
     }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2))
+    atomic_write_bytes(pathlib.Path(path),
+                       json.dumps(payload, indent=2).encode("utf-8"),
+                       site="result.save")
 
 
 def _infer_rows_recorded(matrix: list[list[float | None]], n_tasks: int) -> int:

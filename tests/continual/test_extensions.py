@@ -36,13 +36,13 @@ class TestLin:
         assert all(p.grad is not None for p in objective.encoder.parameters())
 
     def test_full_run(self, tiny_sequence, fast_config):
-        result = run_method("lin", tiny_sequence, fast_config, seed=0)
+        result, _ = run_method("lin", tiny_sequence, fast_config, seed=0)
         assert result.complete
 
 
 class TestPFR:
     def test_full_run(self, tiny_sequence, fast_config):
-        result = run_method("pfr", tiny_sequence, fast_config, seed=0)
+        result, _ = run_method("pfr", tiny_sequence, fast_config, seed=0)
         assert result.complete
 
     def test_distill_bypasses_predictor(self, tiny_sequence, fast_config, rng):
@@ -63,7 +63,7 @@ class TestPFR:
 class TestSimilarityReplayInEDSR:
     def test_full_run_with_similarity_sampling(self, tiny_sequence, fast_config):
         config = fast_config.with_overrides(replay_sampling="similarity")
-        result = run_method("edsr", tiny_sequence, config, seed=0)
+        result, _ = run_method("edsr", tiny_sequence, config, seed=0)
         assert result.complete
 
     def test_memory_reps_cached_per_task(self, tiny_sequence, fast_config, rng):

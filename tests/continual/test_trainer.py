@@ -85,35 +85,35 @@ class TestBuilders:
 
 class TestTrainerRun:
     def test_produces_complete_result(self, tiny_sequence, fast_config, rng):
-        result = run_method("finetune", tiny_sequence, fast_config, seed=0)
+        result, _ = run_method("finetune", tiny_sequence, fast_config, seed=0)
         assert result.complete
         assert result.accuracy_matrix.shape == (3, 3)
         assert np.isnan(result.accuracy_matrix[0, 1])
         assert result.elapsed_seconds > 0
 
     def test_accuracies_in_unit_interval(self, tiny_sequence, fast_config):
-        result = run_method("finetune", tiny_sequence, fast_config, seed=0)
+        result, _ = run_method("finetune", tiny_sequence, fast_config, seed=0)
         recorded = result.accuracy_matrix[~np.isnan(result.accuracy_matrix)]
         assert ((recorded >= 0) & (recorded <= 1)).all()
 
     def test_seed_reproducibility(self, tiny_sequence, fast_config):
-        a = run_method("finetune", tiny_sequence, fast_config, seed=3)
-        b = run_method("finetune", tiny_sequence, fast_config, seed=3)
+        a, _ = run_method("finetune", tiny_sequence, fast_config, seed=3)
+        b, _ = run_method("finetune", tiny_sequence, fast_config, seed=3)
         np.testing.assert_allclose(a.accuracy_matrix, b.accuracy_matrix, equal_nan=True)
 
     def test_different_seeds_differ(self, tiny_sequence, fast_config):
-        a = run_method("finetune", tiny_sequence, fast_config, seed=0)
-        b = run_method("finetune", tiny_sequence, fast_config, seed=1)
+        a, _ = run_method("finetune", tiny_sequence, fast_config, seed=0)
+        b, _ = run_method("finetune", tiny_sequence, fast_config, seed=1)
         assert not np.allclose(a.accuracy_matrix, b.accuracy_matrix, equal_nan=True)
 
     def test_edsr_full_run(self, tiny_sequence, fast_config):
-        result = run_method("edsr", tiny_sequence, fast_config, seed=0)
+        result, _ = run_method("edsr", tiny_sequence, fast_config, seed=0)
         assert result.complete
 
     def test_tabular_sequence_runs(self, fast_config):
         sequence = load_tabular_benchmark("ci")
         config = fast_config.with_overrides(optimizer="adam", lr=1e-3, epochs=1)
-        result = run_method("edsr", sequence, config, seed=0)
+        result, _ = run_method("edsr", sequence, config, seed=0)
         assert result.complete
 
 

@@ -36,13 +36,13 @@ def config():
 
 class TestLearningHappens:
     def test_first_task_beats_chance(self, sequence, config):
-        result = run_method("finetune", sequence, config, seed=0)
+        result, _ = run_method("finetune", sequence, config, seed=0)
         # 2 classes per task: chance is 0.5
         assert result.accuracy_matrix[0, 0] > 0.7
 
     def test_representations_transfer_across_tasks(self, sequence, config):
         """The final model should still beat chance on the first task."""
-        result = run_method("finetune", sequence, config, seed=0)
+        result, _ = run_method("finetune", sequence, config, seed=0)
         assert result.accuracy_matrix[-1, 0] > 0.6
 
 
@@ -50,7 +50,7 @@ class TestMethodBehaviours:
     def test_edsr_runs_all_mechanisms(self, sequence, config):
         """EDSR with every mechanism on: entropy selection, noisy replay,
         distillation.  The run must complete with sane metrics."""
-        result = run_method("edsr", sequence, config, seed=0)
+        result, _ = run_method("edsr", sequence, config, seed=0)
         assert result.complete
         assert 0.5 <= result.acc() <= 1.0
         assert -0.05 <= result.fgt() <= 0.5
@@ -61,7 +61,7 @@ class TestMethodBehaviours:
 
     @pytest.mark.parametrize("name", ["si", "der", "lump", "cassle"])
     def test_baselines_complete(self, name, sequence, config):
-        result = run_method(name, sequence, config, seed=0)
+        result, _ = run_method(name, sequence, config, seed=0)
         assert result.complete
         assert result.acc() > 0.5
 
@@ -69,7 +69,7 @@ class TestMethodBehaviours:
 class TestBarlowVariant:
     def test_barlow_objective_trains_continually(self, sequence, config):
         barlow_config = config.with_overrides(objective="barlow", lr=0.02)
-        result = run_method("edsr", sequence, barlow_config, seed=0)
+        result, _ = run_method("edsr", sequence, barlow_config, seed=0)
         assert result.complete
         assert result.acc() > 0.5
 
@@ -80,7 +80,7 @@ class TestTabularPipeline:
         config = ContinualConfig(epochs=2, batch_size=32, representation_dim=16,
                                  optimizer="adam", lr=1e-3, memory_budget=25,
                                  replay_batch_size=8, noise_neighbors=10, knn_k=10)
-        result = run_method("edsr", sequence, config, seed=0)
+        result, _ = run_method("edsr", sequence, config, seed=0)
         assert result.complete
         # binary tasks: chance is ~the majority rate; require real signal
         assert result.acc() > 0.6
@@ -90,5 +90,5 @@ class TestRegistryEndToEnd:
     def test_ci_benchmark_loads_and_trains(self):
         sequence = load_image_benchmark("cifar10-like", "ci")
         config = ContinualConfig(epochs=2, knn_k=10)
-        result = run_method("finetune", sequence, config, seed=0)
+        result, _ = run_method("finetune", sequence, config, seed=0)
         assert result.complete

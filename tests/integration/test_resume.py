@@ -24,7 +24,7 @@ from repro.continual import trainer as trainer_module
 from repro.continual.finetune import Finetune
 from repro.runtime import (CheckpointError, CheckpointManager,
                            GuardrailPolicy, TrainingDiverged)
-from repro.scenarios import build_stream, run_scenario_method
+from repro.scenarios import build_stream
 
 SEED = 20240
 
@@ -164,17 +164,13 @@ class TestLongSequenceKillAndResume:
     @pytest.mark.slow
     def test_21_segment_resume_is_bit_for_bit(self, fast_config,
                                               tiny_sequence, tmp_path):
-        from repro.scenarios import run_scenario_method
-
         config = fast_config.with_overrides(epochs=1, long_cycles=7,
                                             scenario="long_sequence")
         n_segments = 7 * len(tiny_sequence)
 
         def scenario_trainer(checkpoint_dir=None, resume=False):
-            return run_scenario_method("edsr", tiny_sequence, config,
-                                       seed=SEED,
-                                       checkpoint_dir=checkpoint_dir,
-                                       resume=resume)
+            return run_method("edsr", tiny_sequence, config, seed=SEED,
+                              checkpoint_dir=checkpoint_dir, resume=resume)
 
         expected, expected_tm = scenario_trainer()
         assert expected_tm.n_rows == n_segments
@@ -265,9 +261,10 @@ class TestStreamKillAndResume:
         assert resume["task_index"] == n_segments - 2
 
 
-#: Config overrides per stream; ``None`` runs the classic path.
+#: Config overrides per stream; ``classic`` is the default
+#: ``class_incremental`` stream.
 STREAMS = {
-    "classic": None,
+    "classic": {},
     "blurry": {"scenario": "blurry"},
     "blurry-seed5": {"scenario": "blurry", "scenario_seed": 5},
     # One segment per task, so the task count matches the classic run's
@@ -288,14 +285,10 @@ STREAM_MISMATCHES = [
 
 
 def run_under(stream, config, sequence, checkpoint_dir, resume=False):
-    """One finetune run on ``STREAMS[stream]`` through the public entry points."""
-    overrides = STREAMS[stream]
-    if overrides is None:
-        return run_method("finetune", sequence, config, seed=SEED,
-                          checkpoint_dir=checkpoint_dir, resume=resume)
-    return run_scenario_method("finetune", sequence,
-                               config.with_overrides(**overrides), seed=SEED,
-                               checkpoint_dir=checkpoint_dir, resume=resume)
+    """One finetune run on ``STREAMS[stream]`` through ``run_method``."""
+    return run_method("finetune", sequence,
+                      config.with_overrides(**STREAMS[stream]), seed=SEED,
+                      checkpoint_dir=checkpoint_dir, resume=resume)
 
 
 @pytest.fixture(scope="module")
@@ -356,7 +349,8 @@ class TestResumeValidation:
 
 class TestBestEffortWrites:
     """A failed checkpoint or transfer-matrix write (a full disk) is logged
-    and the run goes on; resume falls back past the missing checkpoint."""
+    and the run goes on; resume falls back past the missing checkpoint and
+    backfills a transfer matrix it cannot load."""
 
     def test_failed_checkpoint_is_logged_and_resume_falls_back(
             self, fast_config, tiny_sequence, tmp_path, monkeypatch):
@@ -418,6 +412,91 @@ class TestBestEffortWrites:
         assert len(failed) == 1
         assert "No space left" in failed[0]["detail"]
         assert (tmp_path / "ckpt-00002.json").exists()
+
+    @pytest.mark.parametrize("corruption", ["online-row-short",
+                                            "final-column-extra"])
+    def test_matrix_arrays_that_contradict_the_header_are_backfilled(
+            self, corruption, fast_config, tiny_sequence, tmp_path):
+        config = fast_config.with_overrides(epochs=1)
+        stream = build_stream("class_incremental", tiny_sequence, config)
+        fresh_trainer("finetune", config, tiny_sequence,
+                      checkpoint_dir=tmp_path).run(stream)
+        last = len(stream) - 1
+        (tmp_path / f"ckpt-{last:05d}.json").unlink()
+        (tmp_path / f"ckpt-{last:05d}.npz").unlink()
+        path = tmp_path / "transfer-matrix.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if corruption == "online-row-short":
+            payload["online"].pop()
+        else:
+            for row in payload["final"]:
+                row.append(0.5)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+        resumed = fresh_trainer("finetune", config, tiny_sequence,
+                                checkpoint_dir=tmp_path)
+        result = resumed.run(stream, resume=True)
+
+        assert result.complete
+        assert resumed.transfer_matrix.complete
+        kinds = [e["kind"] for e in resumed.log.events]
+        assert "transfer-load-failed" in kinds
+        assert "transfer-backfilled" in kinds
+
+
+class CountedProbes:
+    """Counts the trainer's panel probes (``evaluate_tasks`` calls)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        evaluate_tasks = trainer_module.evaluate_tasks
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return evaluate_tasks(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "evaluate_tasks", counted)
+
+
+@pytest.mark.parametrize("scenario", ["class_incremental", "task_free"])
+class TestOnePanelProbePerBoundary:
+    """The panel is probed once before the first segment a run trains and
+    once after each segment: a final row doubles as the next online row."""
+
+    def test_n_segments_take_n_plus_one_probes(self, scenario, fast_config,
+                                               tiny_sequence, monkeypatch):
+        config = fast_config.with_overrides(epochs=1, scenario=scenario)
+        stream = build_stream(scenario, tiny_sequence, config)
+        probes = CountedProbes(monkeypatch)
+        trainer = fresh_trainer("edsr", config, tiny_sequence)
+        trainer.run(stream)
+
+        assert probes.calls == len(stream) + 1
+        transfer = trainer.transfer_matrix
+        assert transfer.online[1:].tobytes() == transfer.final[:-1].tobytes()
+
+    def test_resume_probes_once_then_once_per_remaining_segment(
+            self, scenario, fast_config, tiny_sequence, tmp_path,
+            monkeypatch):
+        config = fast_config.with_overrides(epochs=1, scenario=scenario)
+        stream = build_stream(scenario, tiny_sequence, config)
+        n_segments = len(stream)
+        fresh_trainer("edsr", config, tiny_sequence,
+                      checkpoint_dir=tmp_path).run(stream)
+        for lost in (n_segments - 1, n_segments - 2):
+            (tmp_path / f"ckpt-{lost:05d}.json").unlink()
+            (tmp_path / f"ckpt-{lost:05d}.npz").unlink()
+
+        probes = CountedProbes(monkeypatch)
+        resumed = fresh_trainer("edsr", config, tiny_sequence,
+                                checkpoint_dir=tmp_path)
+        resumed.run(stream, resume=True)
+
+        done = n_segments - 2
+        assert probes.calls == n_segments - done + 1
+        transfer = resumed.transfer_matrix
+        assert transfer.complete
+        assert transfer.online[1:].tobytes() == transfer.final[:-1].tobytes()
 
 
 class PoisonedFinetune(Finetune):

@@ -5,8 +5,7 @@ import pytest
 
 from repro.continual import ContinualConfig, run_method
 from repro.scenarios import (SCENARIO_REGISTRY, build_stream,
-                             register_scenario, run_scenario_method,
-                             scenario_names)
+                             register_scenario, scenario_names)
 from repro.scenarios.drift import DriftDetector
 
 
@@ -81,16 +80,24 @@ class TestDriftDetector:
 
 
 class TestRunScenarioMethod:
-    def test_run_method_rejects_non_classic_scenario(self, fast_config,
-                                                     tiny_sequence):
-        config = fast_config.with_overrides(scenario="task_free")
-        with pytest.raises(ValueError, match="run_scenario_method"):
-            run_method("finetune", tiny_sequence, config)
+    """``run_method`` applies a method to any registered scenario."""
+
+    def test_task_free_gives_one_row_per_segment(self, fast_config,
+                                                 tiny_sequence):
+        config = fast_config.with_overrides(epochs=1, scenario="task_free",
+                                            segments_per_task=2)
+        result, transfer = run_method("finetune", tiny_sequence, config,
+                                      seed=1)
+        n_segments = 2 * len(tiny_sequence)
+        assert result.n_tasks == n_segments and result.complete
+        assert transfer.n_rows == n_segments and transfer.complete
+        assert np.isfinite(transfer.online).all()
+        assert np.isfinite(transfer.final).all()
 
     def test_returns_result_and_matrix(self, fast_config, tiny_sequence):
         config = fast_config.with_overrides(epochs=1, scenario="blurry")
-        result, transfer = run_scenario_method("finetune", tiny_sequence,
-                                               config, seed=1)
+        result, transfer = run_method("finetune", tiny_sequence, config,
+                                      seed=1)
         assert result.complete
         assert transfer.complete
         assert transfer.scenario == "blurry"
@@ -103,7 +110,6 @@ class TestRunScenarioMethod:
                                                   tiny_sequence):
         config = fast_config.with_overrides(epochs=1,
                                             scenario="class_incremental")
-        _, transfer = run_scenario_method("finetune", tiny_sequence, config,
-                                          seed=1)
+        _, transfer = run_method("finetune", tiny_sequence, config, seed=1)
         for j, task in enumerate(tiny_sequence):
             assert transfer.chance[j] == pytest.approx(1 / len(task.classes))

@@ -1,20 +1,29 @@
 """The scenario x method matrix: every setting trains every method.
 
-The tentpole acceptance of the scenario registry — ``task_free``,
-``blurry``, ``domain_incremental``, ``long_sequence``, and the classic
-``class_incremental`` all complete a smoke run under finetune, EDSR, DER,
-and LUMP, each emitting a complete transfer matrix; repeat runs are
-deterministic.
+``task_free``, ``blurry``, ``domain_incremental``, ``long_sequence`` and
+``class_incremental`` all complete a checkpointed smoke run under
+finetune, EDSR, DER and LUMP, each emitting a complete transfer matrix;
+the other five methods run on ``class_incremental``.  Every cell's
+digests must equal its pin in ``test_golden.MATRIX_GOLDEN``, and repeat
+runs are deterministic.
 """
 
 import numpy as np
 import pytest
 
-from repro.scenarios import run_scenario_method, scenario_names
+from repro.cli import METHODS as ALL_METHODS
+from repro.continual import run_method
+from repro.scenarios import scenario_names
+from tests.scenarios.test_golden import MATRIX_GOLDEN, SEED, run_digests
 
 SCENARIOS = ["class_incremental", "task_free", "blurry",
              "domain_incremental", "long_sequence"]
 METHODS = ["finetune", "edsr", "der", "lump"]
+#: Methods smoke-run and pinned on the identity stream only.
+CLASS_INCREMENTAL_ONLY = ["si", "cassle", "lin", "pfr", "curl"]
+CASES = ([(scenario, method) for scenario in SCENARIOS for method in METHODS]
+         + [("class_incremental", method)
+            for method in CLASS_INCREMENTAL_ONLY])
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +37,19 @@ def test_the_matrix_covers_every_registered_scenario():
     assert sorted(SCENARIOS) == sorted(scenario_names())
 
 
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_scenario_method_smoke(scenario, method, smoke_config, tiny_sequence):
+def test_the_matrix_covers_every_method_and_every_pin():
+    assert sorted(METHODS + CLASS_INCREMENTAL_ONLY) == sorted(ALL_METHODS)
+    assert sorted(CASES) == sorted(MATRIX_GOLDEN)
+
+
+@pytest.mark.parametrize("scenario,method", CASES)
+def test_scenario_method_smoke(scenario, method, smoke_config, tiny_sequence,
+                               tmp_path):
     config = smoke_config.with_overrides(scenario=scenario)
-    result, transfer = run_scenario_method(method, tiny_sequence, config,
-                                           seed=3)
+    if method == "curl":
+        config = config.with_overrides(objective="vae")
+    result, transfer, digests = run_digests(method, config, tiny_sequence,
+                                            tmp_path)
     assert result.complete
     assert transfer.complete
     assert transfer.scenario == scenario
@@ -45,6 +61,7 @@ def test_scenario_method_smoke(scenario, method, smoke_config, tiny_sequence):
     summary = transfer.summary()
     assert summary["final_accuracy"] is not None
     assert summary["forgetting"] is not None
+    assert digests == MATRIX_GOLDEN[scenario, method]
 
 
 @pytest.mark.parametrize("scenario,method", [("task_free", "edsr"),
@@ -52,10 +69,10 @@ def test_scenario_method_smoke(scenario, method, smoke_config, tiny_sequence):
 def test_repeat_runs_are_deterministic(scenario, method, smoke_config,
                                        tiny_sequence):
     config = smoke_config.with_overrides(scenario=scenario)
-    first_result, first_tm = run_scenario_method(method, tiny_sequence,
-                                                 config, seed=3)
-    second_result, second_tm = run_scenario_method(method, tiny_sequence,
-                                                   config, seed=3)
+    first_result, first_tm = run_method(method, tiny_sequence, config,
+                                        seed=SEED)
+    second_result, second_tm = run_method(method, tiny_sequence, config,
+                                          seed=SEED)
     np.testing.assert_array_equal(first_result.accuracy_matrix,
                                   second_result.accuracy_matrix)
     np.testing.assert_array_equal(first_tm.online, second_tm.online)
@@ -68,8 +85,8 @@ def test_task_free_run_discovers_boundaries(smoke_config, tiny_sequence,
     boundary on the default task-free stream shape (and the stream hands
     the trainer one row per *segment*, not per base task)."""
     config = smoke_config.with_overrides(scenario="task_free")
-    result, transfer = run_scenario_method("finetune", tiny_sequence, config,
-                                           seed=3, checkpoint_dir=tmp_path)
+    result, transfer = run_method("finetune", tiny_sequence, config,
+                                  seed=SEED, checkpoint_dir=tmp_path)
     n_segments = config.segments_per_task * len(tiny_sequence)
     assert transfer.n_rows == n_segments
     assert result.n_tasks == n_segments

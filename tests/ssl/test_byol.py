@@ -78,5 +78,5 @@ class TestBYOL:
     def test_runs_in_continual_loop(self, tiny_sequence, fast_config):
         from repro.continual import run_method
         config = fast_config.with_overrides(objective="byol")
-        result = run_method("edsr", tiny_sequence, config, seed=0)
+        result, _ = run_method("edsr", tiny_sequence, config, seed=0)
         assert result.complete

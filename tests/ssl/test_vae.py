@@ -86,7 +86,7 @@ class TestGenerativeReplay:
 
     def test_factory_and_full_run(self, tiny_sequence, fast_config):
         config = fast_config.with_overrides(objective="vae", optimizer="adam", lr=1e-3)
-        result = run_method("curl", tiny_sequence, config, seed=0)
+        result, _ = run_method("curl", tiny_sequence, config, seed=0)
         assert result.complete
 
     def test_replay_term_uses_old_decoder(self, tiny_sequence, fast_config, rng):

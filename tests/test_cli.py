@@ -87,8 +87,8 @@ class TestScenarioFlags:
         ["--domain-shift", "0.5"], ["--long-cycles", "2"],
     ])
     def test_scenario_flags_are_run_only(self, command, flag):
-        # compare/sweep train the classic path only; a scenario flag there
-        # must be rejected, not silently dropped.
+        # compare/sweep train the class_incremental stream only; a scenario
+        # flag there must be rejected, not silently dropped.
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + flag)
 
@@ -178,3 +178,24 @@ class TestFaultToleranceFlags:
         assert main(base + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "finetune" in out
+
+    def test_compare_resume_restores_a_torn_result_from_checkpoints(
+            self, capsys, tmp_path):
+        ckpt = tmp_path / "cmp"
+        base = ["compare", "cifar10-like", "--methods", "finetune",
+                "--epochs", "1", "--checkpoint-dir", str(ckpt)]
+        assert main(base) == 0
+        result_path = ckpt / "finetune" / "result.json"
+        written = json.loads(result_path.read_text())
+        data = result_path.read_bytes()
+        result_path.write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+
+        assert main(base + ["--resume"]) == 0
+        assert "resuming from checkpoints" in capsys.readouterr().out
+        restored = json.loads(result_path.read_text())
+        assert restored["accuracy_matrix"] == written["accuracy_matrix"]
+        events = [json.loads(line) for line in
+                  (ckpt / "finetune" / "events.jsonl").read_text().splitlines()]
+        resume = [e for e in events if e["kind"] == "resume"]
+        assert resume and resume[-1]["task_index"] == written["n_tasks"]

@@ -66,6 +66,6 @@ class TestQuickstartSnippet:
         from repro import ContinualConfig, load_image_benchmark, run_method
 
         sequence = load_image_benchmark("cifar10-like", scale="ci")
-        result = run_method("edsr", sequence, ContinualConfig(epochs=1), seed=0)
+        result, _ = run_method("edsr", sequence, ContinualConfig(epochs=1), seed=0)
         assert 0.0 <= result.acc() <= 1.0
         assert result.accuracy_matrix.shape == (5, 5)

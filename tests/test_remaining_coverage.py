@@ -97,5 +97,5 @@ class TestTabularMinVarPath:
         sequence = load_tabular_benchmark("ci")
         config = fast_config.with_overrides(selection="min-var", optimizer="adam",
                                             lr=1e-3, epochs=1)
-        result = run_method("edsr", sequence, config, seed=0)
+        result, _ = run_method("edsr", sequence, config, seed=0)
         assert result.complete
