@@ -69,8 +69,10 @@ class DER(ContinualMethod):
         samples = task.train.x[chosen]
         was_training = self.objective.training
         self.objective.eval()
-        with no_grad():
-            targets = self.objective.encoder.features(samples).numpy().copy()
-        self.objective.train(was_training)
+        try:
+            with no_grad():
+                targets = self.objective.encoder.features(samples).numpy().copy()
+        finally:
+            self.objective.train(was_training)
         self.buffer.add(MemoryRecord(task_id=task_index, samples=samples.copy(),
                                      targets=targets, labels=task.train.y[chosen].copy()))

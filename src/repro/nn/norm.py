@@ -9,6 +9,8 @@ exactly as it did when it finished its task.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.module import Module, Parameter
@@ -43,38 +45,41 @@ class _BatchNorm(Module):
         self._set_buffer("running_var",
                          ((1 - m) * self.running_var + m * unbias * var.reshape(-1)).astype(np.float32))
 
-    def _normalize(self, x: Tensor, axes: tuple[int, ...], shape: tuple[int, ...]) -> Tensor:
+    def _normalize(self, x: Tensor, axes: tuple[int, ...], relu: bool) -> Tensor:
+        # One fused kernel per mode (one tape node), affine and ReLU included.
         if self.training:
-            # Fused batch-norm kernel (one tape node); the batch statistics
-            # reach _update_running_stats through the stat callback.
-            count = int(np.prod([x.shape[a] for a in axes]))
-            x_hat, _mean, _var = ops.batch_norm_train(
-                x, axes, self.eps,
-                stat_callback=lambda mean, var: self._update_running_stats(mean, var, count))
-        else:
-            cap = engine.active_capture()
-            if cap is not None:
-                cap.mark_unsafe("eval-mode BatchNorm reads running stats the "
-                                "tape would bake in as constants")
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-            x_hat = (x - mean) / ops.sqrt(var + self.eps)
-        return x_hat * self.weight.reshape(*shape) + self.bias.reshape(*shape)
+            # The batch statistics reach _update_running_stats through the
+            # stat callback.
+            count = math.prod(x.shape[a] for a in axes)
+            return ops.batch_norm_train(
+                x, self.weight, self.bias, axes, self.eps, relu=relu,
+                stat_callback=lambda mean, var: self._update_running_stats(mean, var, count))[0]
+        cap = engine.active_capture()
+        if cap is not None:
+            cap.mark_unsafe("eval-mode BatchNorm reads running stats the "
+                            "tape would bake in as constants")
+        return ops.batch_norm_eval(x, self.weight, self.bias, self.running_mean,
+                                   self.running_var, axes, self.eps, relu=relu)
 
 
 class BatchNorm1d(_BatchNorm):
-    """Normalizes (N, F) activations per feature."""
+    """Normalizes (N, F) activations per feature.
 
-    def forward(self, x: Tensor) -> Tensor:
+    ``relu=True`` applies a following ReLU inside the same kernel (the
+    ``(BatchNorm1d, ReLU)`` fold :class:`~repro.nn.container.Sequential`
+    makes).
+    """
+
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         if x.ndim != 2:
             raise ValueError(f"BatchNorm1d expects (N, F), got {x.shape}")
-        return self._normalize(x, axes=(0,), shape=(1, self.num_features))
+        return self._normalize(x, axes=(0,), relu=relu)
 
 
 class BatchNorm2d(_BatchNorm):
-    """Normalizes (N, C, H, W) activations per channel."""
+    """Normalizes (N, C, H, W) activations per channel; ``relu`` as in 1-D."""
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects (N, C, H, W), got {x.shape}")
-        return self._normalize(x, axes=(0, 2, 3), shape=(1, self.num_features, 1, 1))
+        return self._normalize(x, axes=(0, 2, 3), relu=relu)

@@ -2,11 +2,11 @@
 
 Part one is the core surface (arithmetic, shape, reductions, activations);
 part two is the fused kernels (linear+bias[+relu], l2-normalize, row-wise
-cosine, normalized MSE, batch-norm) whose backward passes compute all input
-gradients from shared intermediates in a single call.  Each fused op has an
-exact unfused reference composition — the parity property tests in
-``tests/tensor/test_fusion_parity.py`` pin forward and gradients of the two
-paths against each other.
+cosine, normalized MSE, batch-norm+affine[+relu]) whose backward passes
+compute all input gradients from shared intermediates in a single call.
+Each fused op has an exact unfused reference composition — the parity
+property tests in ``tests/tensor/test_fusion_parity.py`` pin forward and
+gradients of the two paths against each other.
 
 All ops save what backward needs eagerly via ``ctx.save(...)`` and consult
 ``ctx.needs_input_grad`` to skip gradients nobody will consume.  ``None``
@@ -15,6 +15,8 @@ result; eager dispatch and tape replay run the same code.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -645,38 +647,72 @@ class NormalizedMseOp(Op):
 
 @register
 class BatchNormOp(Op):
-    """Fused train-mode batch normalization ``(x - mean) / sqrt(var + eps)``.
+    """Fused batch normalization with its affine and an optional ReLU.
 
-    Reference composition: ``mean``/``var``/``sqrt``/``div`` — roughly 15
-    tape nodes per BatchNorm layer.  ``ctx.mean``/``ctx.var`` expose the
-    batch statistics (keepdims) so the layer can update running stats
-    without recomputing the reductions.  Backward is the standard analytic
-    form with full gradient flow through mean and variance:
+    ``y = xhat * w + b`` per channel, then ``max(y, 0)`` when ``relu``.
+    The train form (no running statistics given) normalizes with the batch
+    statistics, ``xhat = (x - mean) * (1 / sqrt(var + eps))``, and exposes
+    them on ``ctx.mean``/``ctx.var`` (keepdims) so the layer can update its
+    running stats without recomputing the reductions.  The eval form
+    normalizes with the given running statistics,
+    ``xhat = (x - running_mean) / sqrt(running_var + float32(eps))``.
 
-    ``dx = inv/m * (m*g - sum(g) - xhat * sum(g * xhat))``.
+    Reference composition: ``mean``/``var``/``sqrt``/``div`` (train) or
+    ``sub``/``add``/``sqrt``/``div`` (eval), then ``reshape``/``mul``/
+    ``reshape``/``add`` and a ``relu`` node.  The kernel performs the same
+    IEEE operations in the same order, so it equals that composition byte
+    for byte.  Backward, with ``g = grad * (y > 0)`` and ``gx = g * w``:
+    ``dbias = sum(g)``, ``dweight = sum(g * xhat)`` and
+
+    - train: ``dx = inv/m * (m*gx - sum(gx) - xhat * sum(gx * xhat))``,
+      the analytic form with full gradient flow through mean and variance;
+    - eval: ``dx = gx / std``.
     """
 
     name = "batch_norm"
 
     @staticmethod
-    def forward(ctx: Context, x, *, axes, eps: float):
+    def forward(ctx: Context, x, weight, bias, *, axes, eps: float,
+                relu: bool = False, running_mean=None, running_var=None):
         axes = tuple(axes)
-        mean = x.mean(axis=axes, keepdims=True)
-        centered = x - mean
-        var = np.mean(centered * centered, axis=axes, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = centered * inv
-        ctx.save(xhat, inv)
+        shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+        if running_mean is None:
+            mean = x.mean(axis=axes, keepdims=True)
+            centered = x - mean
+            var = np.mean(centered * centered, axis=axes, keepdims=True)
+            scale = 1.0 / np.sqrt(var + eps)
+            xhat = centered * scale
+            ctx.m = math.prod(x.shape[a] for a in axes)
+            ctx.mean = mean
+            ctx.var = var
+        else:
+            scale = np.sqrt(running_var.reshape(shape) + np.float32(eps))
+            xhat = (x - running_mean.reshape(shape)) / scale
+        w = weight.reshape(shape)
+        y = xhat * w + bias.reshape(shape)
+        mask = None
+        if relu:
+            if any(ctx.needs_input_grad):
+                mask = y > 0
+            y = np.maximum(y, 0.0, out=y)
+        ctx.save(xhat, scale, w, mask)
         ctx.axes = axes
-        ctx.m = int(np.prod([x.shape[a] for a in axes]))
-        ctx.mean = mean
-        ctx.var = var
-        return xhat
+        ctx.train = running_mean is None
+        return y
 
     @staticmethod
     def backward(ctx: Context, grad):
-        xhat, inv = ctx.saved
+        xhat, scale, w, mask = ctx.saved
+        g = grad if mask is None else grad * mask
+        need_x, need_w, need_b = ctx.needs_input_grad
+        gw = _unbroadcast(g * xhat, w.shape).reshape(-1) if need_w else None
+        gb = _unbroadcast(g, w.shape).reshape(-1) if need_b else None
+        if not need_x:
+            return None, gw, gb
+        gx = g * w
+        if not ctx.train:
+            return gx / scale, gw, gb
         axes, m = ctx.axes, ctx.m
-        sum_g = grad.sum(axis=axes, keepdims=True)
-        sum_gx = (grad * xhat).sum(axis=axes, keepdims=True)
-        return ((inv / m) * (m * grad - sum_g - xhat * sum_gx),)
+        sum_g = gx.sum(axis=axes, keepdims=True)
+        sum_gx = (gx * xhat).sum(axis=axes, keepdims=True)
+        return (scale / m) * (m * gx - sum_g - xhat * sum_gx), gw, gb

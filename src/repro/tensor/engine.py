@@ -246,15 +246,15 @@ def apply_ctx(name: str, *inputs, **params):
     ordinary callers use :func:`apply`.
     """
     tensor_cls = _TENSOR_CLS
-    op = get_op(name)
-    tensors = tuple(t if isinstance(t, tensor_cls) else tensor_cls(t)
-                    for t in inputs)
+    op = _REGISTRY.get(name) or get_op(name)
+    tensors = tuple([t if isinstance(t, tensor_cls) else tensor_cls(t)
+                     for t in inputs])
 
     ctx = Context()
-    ctx.needs_input_grad = tuple(_GRAD_ENABLED and t.requires_grad
-                                 for t in tensors)
+    ctx.needs_input_grad = tuple([_GRAD_ENABLED and t.requires_grad
+                                  for t in tensors])
 
-    data = op.forward(ctx, *(t._data for t in tensors), **params)
+    data = op.forward(ctx, *[t._data for t in tensors], **params)
 
     expected = result_dtype(tensors)
     if data.dtype != expected:
@@ -265,9 +265,9 @@ def apply_ctx(name: str, *inputs, **params):
 
     if any(ctx.needs_input_grad):
         out = tensor_cls(data, requires_grad=True, _op=name)
-        parents = tuple(t for t in tensors if t.requires_grad)
+        parents = tuple([t for t in tensors if t.requires_grad])
         out._parents = parents
-        out._parent_versions = tuple(t._version for t in parents)
+        out._parent_versions = tuple([t._version for t in parents])
         out._op_cls = op
         out._ctx = ctx
         out._inputs = tensors

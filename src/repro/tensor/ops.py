@@ -6,10 +6,10 @@ composite conveniences used widely across the library (``softmax``,
 ``l2_normalize``).  Each dispatches a registered op through the engine's
 ``apply`` choke point; the fusable ones (``l2_normalize``,
 ``cosine_similarity``, ``normalized_mse``, ``linear``, ``linear_relu``,
-``batch_norm_train``) consult :func:`~repro.tensor.engine.fusion_enabled`
-and fall back to the unfused reference composition under
-:func:`~repro.tensor.engine.no_fusion` so parity tests can pin the two
-paths against each other.
+``batch_norm_train``, ``batch_norm_eval``) consult
+:func:`~repro.tensor.engine.fusion_enabled` and fall back to the unfused
+reference composition under :func:`~repro.tensor.engine.no_fusion` so
+parity tests can pin the two paths against each other.
 """
 
 from __future__ import annotations
@@ -129,19 +129,29 @@ def linear_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     return relu(linear(x, weight, bias))
 
 
-def batch_norm_train(x: Tensor, axes: tuple[int, ...], eps: float,
-                     stat_callback=None):
-    """Train-mode batch normalization; returns ``(xhat, mean, var)``.
+def _affine(xhat: Tensor, weight: Tensor, bias: Tensor, shape: tuple[int, ...],
+            apply_relu: bool) -> Tensor:
+    """The composed BatchNorm tail: ``xhat * weight + bias``, then ReLU."""
+    out = xhat * weight.reshape(*shape) + bias.reshape(*shape)
+    return relu(out) if apply_relu else out
 
-    ``mean``/``var`` are the batch statistics as plain keepdims arrays (for
-    running-stat updates), not tensors on the tape.  ``stat_callback`` is
-    the running-stat update itself, called here as ``callback(mean, var)``
-    and — when a tape capture is active — registered as a replay hook so a
-    replayed step updates the running averages exactly like an eager one.
+
+def batch_norm_train(x: Tensor, weight: Tensor, bias: Tensor,
+                     axes: tuple[int, ...], eps: float, *, relu: bool = False,
+                     stat_callback=None):
+    """Train-mode batch normalization, affine and optional ReLU.
+
+    Returns ``(y, mean, var)``.  ``mean``/``var`` are the batch statistics
+    as plain keepdims arrays (for running-stat updates), not tensors on the
+    tape.  ``stat_callback`` is the running-stat update itself, called here
+    as ``callback(mean, var)`` and — when a tape capture is active —
+    registered as a replay hook so a replayed step updates the running
+    averages exactly like an eager one.
     """
     axes = tuple(axes)
     if engine.fusion_enabled():
-        out, ctx = engine.apply_ctx("batch_norm", x, axes=axes, eps=eps)
+        out, ctx = engine.apply_ctx("batch_norm", x, weight, bias, axes=axes,
+                                    eps=eps, relu=relu)
         if stat_callback is not None:
             stat_callback(ctx.mean, ctx.var)
             cap = engine.active_capture()
@@ -157,4 +167,24 @@ def batch_norm_train(x: Tensor, axes: tuple[int, ...], eps: float,
         cap = engine.active_capture()
         if cap is not None:
             cap.record_stat_hook(stat_callback, tensors=(mean, var))
-    return xhat, mean.data, var.data
+    return _affine(xhat, weight, bias, mean.shape, relu), mean.data, var.data
+
+
+def batch_norm_eval(x: Tensor, weight: Tensor, bias: Tensor,
+                    running_mean, running_var, axes: tuple[int, ...],
+                    eps: float, *, relu: bool = False) -> Tensor:
+    """Eval-mode batch normalization over per-channel running statistics.
+
+    ``running_mean``/``running_var`` are plain ``(C,)`` arrays: constants,
+    not tensors on the tape.  Then the affine and an optional ReLU, as in
+    :func:`batch_norm_train`.
+    """
+    axes = tuple(axes)
+    if engine.fusion_enabled():
+        return _apply("batch_norm", x, weight, bias, axes=axes, eps=eps,
+                      relu=relu, running_mean=running_mean,
+                      running_var=running_var)
+    shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+    mean = Tensor(running_mean.reshape(shape))
+    var = Tensor(running_var.reshape(shape))
+    return _affine((x - mean) / sqrt(var + eps), weight, bias, shape, relu)

@@ -18,6 +18,8 @@ arrays behave the same way, so ``zero_grad(set_to_none=False)`` makes the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.tensor import anomaly, engine
@@ -30,7 +32,7 @@ def _as_array(value, dtype=DEFAULT_DTYPE) -> np.ndarray:
     if isinstance(value, np.ndarray):
         # Preserve floating dtypes (float64 graphs are used by gradcheck);
         # promote anything else (ints, bools) to the default float dtype.
-        if np.issubdtype(value.dtype, np.floating):
+        if value.dtype.kind == "f":
             return value
         return value.astype(dtype)
     if isinstance(value, np.floating):
@@ -350,7 +352,7 @@ class Tensor:
         if axis is None:
             count = self.size
         elif isinstance(axis, tuple):
-            count = int(np.prod([self.shape[a] for a in axis]))
+            count = math.prod(self.shape[a] for a in axis)
         else:
             count = self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)

@@ -16,6 +16,9 @@ from repro.continual import (
     make_method,
 )
 from repro.continual.trainer import _build_augment
+from repro.data.dataset import ArrayDataset
+from repro.data.splits import Task
+from repro.tensor import AnomalyError, detect_anomaly
 
 
 METHOD_NAMES = ["finetune", "si", "der", "lump", "cassle", "edsr"]
@@ -198,6 +201,20 @@ class TestDER:
         record = method.buffer.records[0]
         assert record.targets is not None
         assert record.targets.shape == (len(record.samples), objective.encoder.backbone.output_dim)
+
+    def test_end_task_restores_train_mode_when_encoding_raises(self, setup,
+                                                              tiny_sequence):
+        objective, config, rng = setup
+        method = DER(objective, config, rng)
+        task = tiny_sequence[0]
+        poisoned = Task(task.task_id, task.classes,
+                        ArrayDataset(np.full_like(task.train.x, np.nan),
+                                     task.train.y),
+                        task.test)
+        method.begin_task(poisoned, 0, 3)
+        with detect_anomaly(), pytest.raises(AnomalyError):
+            method.end_task(poisoned, 0)
+        assert all(module.training for module in objective.modules())
 
     def test_replay_term_after_first_task(self, setup, tiny_sequence):
         objective, config, rng = setup

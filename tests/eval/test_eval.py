@@ -5,6 +5,7 @@ import pytest
 
 from repro.eval import ContinualResult, KNNClassifier, forgetting_matrix
 from repro.eval.protocol import evaluate_task, evaluate_tasks, extract_representations
+from repro.tensor import AnomalyError, detect_anomaly
 
 
 class TestKNN:
@@ -182,6 +183,16 @@ class TestProtocol:
         objective.train()
         extract_representations(objective, tiny_sequence[0].train.x[:4])
         assert objective.training
+
+    def test_extract_restores_training_mode_when_forward_raises(
+            self, tiny_sequence, fast_config, rng):
+        from repro.continual import build_objective
+        objective = build_objective(fast_config, tiny_sequence[0].train.x.shape[1:], rng)
+        objective.train()
+        poisoned = np.full_like(tiny_sequence[0].train.x[:4], np.nan)
+        with detect_anomaly(), pytest.raises(AnomalyError):
+            extract_representations(objective, poisoned)
+        assert all(module.training for module in objective.modules())
 
     def test_evaluate_tasks_returns_one_accuracy_per_task(self, tiny_sequence, fast_config, rng):
         from repro.continual import build_objective

@@ -1,11 +1,15 @@
-"""Reference parity for the strided-slice ``maxpool2d`` and ``conv2d`` kernels.
+"""Reference parity for the rewritten ``maxpool2d``, ``conv2d`` and ``batch_norm`` kernels.
 
 ``MaxPool2dOp`` takes its max as a chain of ``np.maximum`` over the k²
 slices ``x[:, :, i::k, j::k]``; ``_im2col`` and ``_col2im`` copy and
-scatter-add k² channels-last slices.  The functions below are the forms
-they replaced: the 6-D reshape max-pool with its broadcast tie mask, the
-``as_strided`` im2col and the NCHW col2im.  Both sides perform the same
-IEEE operations in the same accumulation order, so every comparison is on
+scatter-add k² channels-last slices; ``BatchNormOp`` applies the affine,
+the eval form and a trailing ReLU inside one dispatch.  The functions
+below are the forms they replaced: the 6-D reshape max-pool with its
+broadcast tie mask, the ``as_strided`` im2col, the NCHW col2im, and the
+BatchNorm layer's op sequence (the affine-less train kernel or the eval
+``sub``/``add``/``sqrt``/``div`` chain, then ``reshape``/``mul``/
+``reshape``/``add`` and a ``relu`` op).  Both sides perform the same IEEE
+operations in the same accumulation order, so every comparison is on
 bytes, dtypes and strides, with no tolerance.  Strides count because a
 reduction downstream may sum a contiguous array in another order than a
 strided view of the same values.
@@ -16,8 +20,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.nn import conv
+from repro.nn import (BatchNorm1d, BatchNorm2d, Conv2d, Linear, MaxPool2d,
+                      ReLU, Sequential, conv)
 from repro.nn.pool import MaxPool2dOp
+from repro.tensor import Tensor, engine, no_fusion
+from repro.tensor.core_ops import BatchNormOp, _unbroadcast
 from repro.tensor.engine import Context
 
 DTYPES = [np.float32, np.float64]
@@ -187,3 +194,158 @@ def test_conv_op_matches_reference_kernels(kernel, stride, padding, dtype,
     want = run_conv(x, w, bias, grad, **geometry)
     for got_array, want_array in zip(got, want, strict=True):
         assert_same_bytes(got_array, want_array)
+
+
+# -- batch_norm --------------------------------------------------------------
+EPS = 1e-5
+
+
+def reference_batch_norm(x, weight, bias, axes, relu, running=None):
+    """The replaced layer sequence, forward; returns ``(out, backward)``.
+
+    Train: the affine-less ``batch_norm`` kernel.  Eval: ``x - mean``,
+    ``var + eps`` (``eps`` coerced to a float32 constant), ``sqrt``, ``/``.
+    Then ``w.reshape`` and ``mul``, ``b.reshape`` and ``add``, then ``relu``.
+    ``backward(grad)`` returns ``(dx, dweight, dbias)`` as those ops'
+    backward passes computed them.
+    """
+    if running is None:
+        mean = x.mean(axis=axes, keepdims=True)
+        centered = x - mean
+        var = np.mean(centered * centered, axis=axes, keepdims=True)
+        inv = 1.0 / np.sqrt(var + EPS)
+        xhat = centered * inv
+        m = int(np.prod([x.shape[a] for a in axes]))
+        shape = mean.shape
+    else:
+        shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+        centered = x - running[0].reshape(shape)
+        std = np.sqrt(running[1].reshape(shape)
+                      + np.asarray(EPS, dtype=np.float32))
+        xhat = centered / std
+    w, b = weight.reshape(shape), bias.reshape(shape)
+    product = xhat * w
+    y = product + b
+    out = np.maximum(y, 0.0) if relu else y
+    mask = y > 0
+
+    def backward(grad):
+        gy = grad * mask if relu else grad
+        gproduct = _unbroadcast(gy, product.shape)
+        dbias = _unbroadcast(gy, b.shape).reshape(bias.shape)
+        gxhat = _unbroadcast(gproduct * w, xhat.shape)
+        dweight = _unbroadcast(gproduct * xhat, w.shape).reshape(weight.shape)
+        if running is None:
+            sum_g = gxhat.sum(axis=axes, keepdims=True)
+            sum_gx = (gxhat * xhat).sum(axis=axes, keepdims=True)
+            dx = (inv / m) * (m * gxhat - sum_g - xhat * sum_gx)
+        else:
+            dx = _unbroadcast(_unbroadcast(gxhat / std, centered.shape), x.shape)
+        return dx, dweight, dbias
+
+    return out, backward
+
+
+BN_SHAPES = {
+    "1d": ((6, 5), (0,)),
+    "2d": ((3, 4, 5, 6), (0, 2, 3)),
+    "2d-1x1": ((6, 4, 1, 1), (0, 2, 3)),
+}
+NEEDS = list(itertools.product([False, True], repeat=3))
+
+
+def make_batch_norm_inputs(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    channels = shape[1]
+    if len(shape) == 4:
+        # conv2d hands BatchNorm2d a channels-last buffer viewed as NCHW.
+        n, c, h, w = shape
+        x = rng.normal(size=(n, h, w, c)).astype(np.float32).transpose(0, 3, 1, 2)
+    else:
+        x = rng.normal(size=shape).astype(np.float32)
+    weight = rng.normal(size=channels).astype(np.float32)
+    bias = rng.normal(size=channels).astype(np.float32)
+    running = (rng.normal(size=channels).astype(np.float32),
+               rng.uniform(0.2, 2.0, size=channels).astype(np.float32))
+    grad = rng.normal(size=shape).astype(np.float32)
+    return x, weight, bias, running, grad
+
+
+def needs_id(needs):
+    """``grad-xb`` when x and the bias need a gradient and the weight not."""
+    names = "".join(name for name, need in zip("xwb", needs) if need)
+    return f"grad-{names or 'none'}"
+
+
+@pytest.mark.parametrize("needs", NEEDS, ids=needs_id)
+@pytest.mark.parametrize("relu", [False, True], ids=["affine", "relu"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("layout", sorted(BN_SHAPES))
+def test_batch_norm_matches_reference(layout, mode, relu, needs):
+    shape, axes = BN_SHAPES[layout]
+    x, weight, bias, running, grad = make_batch_norm_inputs(shape)
+    stats = {} if mode == "train" else dict(running_mean=running[0],
+                                            running_var=running[1])
+    ctx = Context()
+    ctx.needs_input_grad = needs
+    out = BatchNormOp.forward(ctx, x, weight, bias, axes=axes, eps=EPS,
+                              relu=relu, **stats)
+    want_out, reference_backward = reference_batch_norm(
+        x, weight, bias, axes, relu, None if mode == "train" else running)
+    assert_same_bytes(out, want_out)
+    if mode == "train":
+        assert_same_bytes(ctx.mean, x.mean(axis=axes, keepdims=True))
+    if not any(needs):
+        return
+    got = BatchNormOp.backward(ctx, grad)
+    for need, got_array, want_array in zip(needs, got, reference_backward(grad),
+                                           strict=True):
+        if need:
+            assert_same_bytes(got_array, want_array)
+        else:
+            assert got_array is None
+
+
+# -- dispatch budget -------------------------------------------------------
+def dispatched_ops(monkeypatch, block, x):
+    """The op names one forward of ``block`` dispatches."""
+    names = []
+    dispatch = engine.apply_ctx
+
+    def counting(name, *inputs, **params):
+        names.append(name)
+        return dispatch(name, *inputs, **params)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "apply_ctx", counting)
+        block(Tensor(x))
+    return names
+
+
+def linear_block():
+    rng = np.random.default_rng(0)
+    return (Sequential(Linear(4, 6, rng=rng), BatchNorm1d(6), ReLU()),
+            rng.normal(size=(5, 4)).astype(np.float32))
+
+
+def conv_block():
+    rng = np.random.default_rng(0)
+    return (Sequential(Conv2d(3, 4, 3, padding=1, bias=False, rng=rng),
+                       BatchNorm2d(4), ReLU(), MaxPool2d(2)),
+            rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("build,budget", [
+    (linear_block, ["linear", "batch_norm"]),
+    (conv_block, ["conv2d", "batch_norm", "maxpool2d"]),
+], ids=["linear-bn-relu", "conv-bn-relu-pool"])
+def test_block_dispatch_budget(build, budget, training, monkeypatch):
+    """One dispatch per layer: BatchNorm carries its affine and the ReLU."""
+    block, x = build()
+    block.train(training)
+    assert dispatched_ops(monkeypatch, block, x) == budget
+    with no_fusion():
+        composed = dispatched_ops(monkeypatch, block, x)
+    assert composed.count("relu") == 1
+    assert "batch_norm" not in composed

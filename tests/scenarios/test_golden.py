@@ -161,13 +161,18 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def last_checksums(directory):
+    """The per-array ``checksums`` of the last checkpoint manifest."""
+    last = CheckpointManager(directory).manifest_paths()[-1]
+    return json.loads(last.read_text(encoding="utf-8"))["checksums"]
+
+
 def run_digests(method, config, sequence, directory):
     """Train one checkpointed run; return its result, matrix and digests."""
     result, transfer = run_method(method, sequence, config, seed=SEED,
                                   checkpoint_dir=directory)
     matrix = np.ascontiguousarray(result.accuracy_matrix, dtype=np.float64)
-    last = CheckpointManager(directory).manifest_paths()[-1]
-    checksums = json.loads(last.read_text(encoding="utf-8"))["checksums"]
+    checksums = last_checksums(directory)
     digests = (sha256(matrix.tobytes()),
                sha256(json.dumps(checksums, sort_keys=True).encode()),
                sha256((directory / "transfer-matrix.json").read_bytes()))

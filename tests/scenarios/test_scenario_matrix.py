@@ -5,7 +5,8 @@
 finetune, EDSR, DER and LUMP, each emitting a complete transfer matrix;
 the other five methods run on ``class_incremental``.  Every cell's
 digests must equal its pin in ``test_golden.MATRIX_GOLDEN``, and repeat
-runs are deterministic.
+runs are deterministic.  The memory methods' manifest pins cover every
+array of their replay buffer.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from repro.cli import METHODS as ALL_METHODS
 from repro.continual import run_method
 from repro.scenarios import scenario_names
-from tests.scenarios.test_golden import MATRIX_GOLDEN, SEED, run_digests
+from tests.scenarios.test_golden import (MATRIX_GOLDEN, SEED, last_checksums,
+                                         run_digests)
 
 SCENARIOS = ["class_incremental", "task_free", "blurry",
              "domain_incremental", "long_sequence"]
@@ -24,6 +26,10 @@ CLASS_INCREMENTAL_ONLY = ["si", "cassle", "lin", "pfr", "curl"]
 CASES = ([(scenario, method) for scenario in SCENARIOS for method in METHODS]
          + [("class_incremental", method)
             for method in CLASS_INCREMENTAL_ONLY])
+#: Memory method -> the arrays each of its buffer records checkpoints.
+BUFFER_ARRAYS = {"edsr": {"samples", "noise_scales", "labels"},
+                 "der": {"samples", "targets", "labels"},
+                 "lump": {"samples", "labels"}}
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +48,28 @@ def test_the_matrix_covers_every_method_and_every_pin():
     assert sorted(CASES) == sorted(MATRIX_GOLDEN)
 
 
+@pytest.fixture(scope="module")
+def trained_cell(smoke_config, tiny_sequence, tmp_path_factory):
+    """Train a cell once per module; returns its run and checkpoint dir."""
+    cells = {}
+
+    def train(scenario, method):
+        if (scenario, method) not in cells:
+            config = smoke_config.with_overrides(scenario=scenario)
+            if method == "curl":
+                config = config.with_overrides(objective="vae")
+            directory = tmp_path_factory.mktemp(f"{scenario}-{method}")
+            cells[scenario, method] = (
+                *run_digests(method, config, tiny_sequence, directory),
+                directory)
+        return cells[scenario, method]
+
+    return train
+
+
 @pytest.mark.parametrize("scenario,method", CASES)
-def test_scenario_method_smoke(scenario, method, smoke_config, tiny_sequence,
-                               tmp_path):
-    config = smoke_config.with_overrides(scenario=scenario)
-    if method == "curl":
-        config = config.with_overrides(objective="vae")
-    result, transfer, digests = run_digests(method, config, tiny_sequence,
-                                            tmp_path)
+def test_scenario_method_smoke(scenario, method, trained_cell):
+    result, transfer, digests, _directory = trained_cell(scenario, method)
     assert result.complete
     assert transfer.complete
     assert transfer.scenario == scenario
@@ -62,6 +82,23 @@ def test_scenario_method_smoke(scenario, method, smoke_config, tiny_sequence,
     assert summary["final_accuracy"] is not None
     assert summary["forgetting"] is not None
     assert digests == MATRIX_GOLDEN[scenario, method]
+
+
+@pytest.mark.parametrize("scenario,method", [
+    case for case in CASES if case[1] in BUFFER_ARRAYS])
+def test_manifest_pin_covers_the_memory_buffer(scenario, method, trained_cell):
+    """``MATRIX_GOLDEN``'s manifest digest hashes every buffer record array."""
+    *_, directory = trained_cell(scenario, method)
+    prefix = "state/method/buffer/records/"
+    records: dict[int, set[str]] = {}
+    for key in last_checksums(directory):
+        if key.startswith(prefix):
+            index, array = key[len(prefix):].split("/")
+            records.setdefault(int(index), set()).add(array)
+    assert records, "the last manifest checksums no buffer array"
+    assert sorted(records) == list(range(len(records)))
+    for arrays in records.values():
+        assert arrays == BUFFER_ARRAYS[method]
 
 
 @pytest.mark.parametrize("scenario,method", [("task_free", "edsr"),

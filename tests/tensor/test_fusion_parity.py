@@ -5,8 +5,8 @@ under ``no_fusion()``.  These tests pin the two paths against each other —
 forward outputs and input gradients — to tight tolerance, and gradcheck
 each fused kernel against the finite-difference reference so the coverage
 auditor counts them (ops.linear, ops.linear_relu, ops.normalized_mse,
-ops.batch_norm_train, plus the fused dispatch inside ops.l2_normalize and
-ops.cosine_similarity).
+ops.batch_norm_train, ops.batch_norm_eval, plus the fused dispatch inside
+ops.l2_normalize and ops.cosine_similarity).
 """
 
 import numpy as np
@@ -125,40 +125,93 @@ class TestFusedNormalizeFamily:
         np.testing.assert_allclose(mse, 2.0 - 2.0 * cos, atol=1e-10)
 
 
+def _bn_train(axes, relu, scale):
+    """Train-mode BatchNorm (affine, optional ReLU) weighted by ``scale``."""
+    def fn(x, w, b):
+        return ops.batch_norm_train(x, w, b, axes, 1e-5, relu=relu)[0] * scale
+    return fn
+
+
+#: (input shape, reduction axes) of BatchNorm1d and BatchNorm2d.
+BN_LAYOUTS = [((6, 4), (0,)), ((3, 2, 3, 3), (0, 2, 3))]
+
+
+def _bn_inputs(shape, seed=1234):
+    rng = np.random.default_rng(seed)
+    channels = shape[1]
+    return (rng.normal(size=shape), rng.normal(size=channels),
+            rng.normal(size=channels), Tensor(rng.normal(size=shape)))
+
+
+def _running_stats(channels, seed=99):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=channels).astype(np.float32),
+            rng.uniform(0.5, 2.0, size=channels).astype(np.float32))
+
+
 class TestFusedBatchNorm:
     # Parity tolerance note: the unfused Tensor.mean reference multiplies by
     # a weak scalar 1/count that coerces to float32 (the engine's historical
     # behavior), while the fused kernel divides exactly — a benign ~2e-9
     # relative divergence, with the fused path the more accurate one.
-    # The loss is weighted so the BN gradient is O(1) rather than the
-    # degenerate ~0 that a plain sum produces (BN outputs sum to zero).
+    # The train-mode output is weighted so the BN gradient is O(1) rather
+    # than the degenerate ~0 that a plain sum produces (BN outputs sum to
+    # zero).
 
     def test_batch_norm_parity(self):
-        rng = _rng()
-        x = rng.normal(size=(8, 5))
-        w = Tensor(rng.normal(size=(8, 5)))
-        _assert_paths_match(
-            lambda x: (ops.batch_norm_train(x, axes=(0,), eps=1e-5)[0] * w).sum(),
-            [x], atol=1e-6)
+        x, w, b, scale = _bn_inputs((8, 5))
+        for relu in (False, True):
+            _assert_paths_match(_bn_train((0,), relu, scale), [x, w, b],
+                                atol=1e-6)
 
     def test_batch_norm_2d_axes_parity(self):
-        rng = _rng()
-        x = rng.normal(size=(4, 3, 5, 5))
-        w = Tensor(rng.normal(size=(4, 3, 5, 5)))
-        _assert_paths_match(
-            lambda x: (ops.batch_norm_train(x, axes=(0, 2, 3), eps=1e-5)[0] * w).sum(),
-            [x], atol=1e-6)
+        x, w, b, scale = _bn_inputs((4, 3, 5, 5))
+        for relu in (False, True):
+            _assert_paths_match(_bn_train((0, 2, 3), relu, scale), [x, w, b],
+                                atol=1e-6)
 
     def test_batch_norm_gradcheck(self):
-        rng = _rng()
+        x, w, b, scale = _bn_inputs((6, 4))
         assert check_gradients(
-            lambda x: ops.batch_norm_train(x, axes=(0,), eps=1e-5)[0],
-            [rng.normal(size=(6, 4))])
+            lambda x, w, b: ops.batch_norm_train(x, w, b, (0,), 1e-5)[0] * scale,
+            [x, w, b])
+
+    @pytest.mark.parametrize("shape,axes", BN_LAYOUTS)
+    def test_batch_norm_relu_gradcheck(self, shape, axes):
+        x, w, b, scale = _bn_inputs(shape)
+        assert check_gradients(
+            lambda x, w, b: ops.batch_norm_train(x, w, b, axes, 1e-5,
+                                                 relu=True)[0] * scale,
+            [x, w, b])
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("shape,axes", BN_LAYOUTS)
+    def test_batch_norm_eval_parity(self, shape, axes, relu):
+        x, w, b, _scale = _bn_inputs(shape)
+        running_mean, running_var = _running_stats(shape[1])
+        _assert_paths_match(
+            lambda x, w, b: ops.batch_norm_eval(x, w, b, running_mean,
+                                                running_var, axes, 1e-5,
+                                                relu=relu),
+            [x, w, b])
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("shape,axes", BN_LAYOUTS)
+    def test_batch_norm_eval_gradcheck(self, shape, axes, relu):
+        x, w, b, _scale = _bn_inputs(shape)
+        running_mean, running_var = _running_stats(shape[1])
+        assert check_gradients(
+            lambda x, w, b: ops.batch_norm_eval(x, w, b, running_mean,
+                                                running_var, axes, 1e-5,
+                                                relu=relu),
+            [x, w, b])
 
     def test_batch_norm_stats_match_numpy(self):
         rng = _rng()
         x = rng.normal(size=(16, 3)).astype(np.float32)
-        out, mean, var = ops.batch_norm_train(Tensor(x), axes=(0,), eps=1e-5)
+        w = Tensor(np.ones(3, dtype=np.float32))
+        b = Tensor(np.zeros(3, dtype=np.float32))
+        out, mean, var = ops.batch_norm_train(Tensor(x), w, b, (0,), 1e-5)
         np.testing.assert_allclose(mean.reshape(-1), x.mean(axis=0), atol=1e-6)
         np.testing.assert_allclose(var.reshape(-1), x.var(axis=0), atol=1e-6)
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-6)
@@ -166,9 +219,12 @@ class TestFusedBatchNorm:
     def test_batch_norm_stats_match_under_no_fusion(self):
         rng = _rng()
         x = rng.normal(size=(16, 3)).astype(np.float32)
-        _out, mean, var = ops.batch_norm_train(Tensor(x), axes=(0,), eps=1e-5)
+        w, b = (Tensor(rng.normal(size=3).astype(np.float32)) for _ in range(2))
+        _out, mean, var = ops.batch_norm_train(Tensor(x), w, b, (0,), 1e-5,
+                                               relu=True)
         with no_fusion():
-            _out2, mean2, var2 = ops.batch_norm_train(Tensor(x), axes=(0,), eps=1e-5)
+            _out2, mean2, var2 = ops.batch_norm_train(Tensor(x), w, b, (0,),
+                                                      1e-5, relu=True)
         np.testing.assert_allclose(mean, mean2, atol=1e-6)
         np.testing.assert_allclose(var, var2, atol=1e-6)
 
@@ -235,6 +291,29 @@ class TestSequentialFusion:
         model.zero_grad()
         with no_fusion():
             model(Tensor(x)).sum().backward()
+        for fg, p in zip(fused, model.parameters()):
+            np.testing.assert_allclose(fg, p.grad, atol=1e-5)
+
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_batch_norm_relu_fold_matches_unfused(self, training):
+        from repro.nn import BatchNorm1d, Linear, ReLU, Sequential
+
+        rng = np.random.default_rng(0)
+        model = Sequential(Linear(4, 8, rng=rng), BatchNorm1d(8), ReLU(),
+                           Linear(8, 2, rng=rng))
+        model.train(training)
+        x = np.random.default_rng(1).normal(size=(5, 4)).astype(np.float32)
+        scale = Tensor(np.random.default_rng(2).normal(size=(5, 2)))
+
+        out_fused = model(Tensor(x))
+        (out_fused * scale).sum().backward()
+        fused = [p.grad.copy() for p in model.parameters()]
+        model.zero_grad()
+        with no_fusion():
+            out_ref = model(Tensor(x))
+            (out_ref * scale).sum().backward()
+        np.testing.assert_allclose(out_fused.data, out_ref.data, atol=1e-5)
         for fg, p in zip(fused, model.parameters()):
             np.testing.assert_allclose(fg, p.grad, atol=1e-5)
 
