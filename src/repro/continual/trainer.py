@@ -10,7 +10,8 @@ accuracy-matrix row.
 Fault tolerance (``repro.runtime``) threads through the same loop:
 
 - with a ``checkpoint_dir``, the full run state (method, memory, RNG
-  stream, partial accuracy matrix) is checkpointed atomically after every
+  stream, partial accuracy and transfer matrices, stream identity and
+  boundary-controller state) is checkpointed atomically after every
   increment, and ``run(..., resume=True)`` continues a killed run
   bit-for-bit from the last good checkpoint — refusing one written by
   another method, sequence length or stream;
@@ -29,9 +30,10 @@ segment through a :class:`~repro.scenarios.drift.DriftDetector` and emit
 boundaries only when the input statistics drift — methods self-trigger
 selection and consolidation.  Every run records a
 :class:`~repro.eval.transfer.TransferMatrix` (online + final accuracy on
-the full eval panel per segment), rewritten atomically next to the
-checkpoints *before* each checkpoint commit so resume restores it
-bit-for-bit.
+the full eval panel per segment).  The checkpoint is the one place a
+run's history lives: the matrix rides in every checkpoint's run state
+beside the result, and ``transfer-matrix.json`` is written next to the
+checkpoints once, when :meth:`ContinualTrainer.run` returns.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ from repro.scenarios.streams import ScenarioStream, class_incremental_stream
 from repro.tensor.anomaly import AnomalyError, detect_anomaly
 from repro.tensor.tape import TapedFunction
 from repro.utils.rng import get_rng_state, set_rng_state
-from repro.utils.serialization import (load_transfer_matrix,
-                                       save_transfer_matrix)
+from repro.utils.serialization import save_transfer_matrix
 
 
 def _build_optimizer(config: ContinualConfig, parameters):
@@ -94,20 +95,15 @@ def _build_augment(config: ContinualConfig, train_x: np.ndarray) -> TwoViewAugme
     raise ValueError(f"unsupported data shape {train_x.shape}")
 
 
-def _stream_identity(stream: ScenarioStream) -> dict | None:
-    """Which stream a run trains on, as recorded in its checkpoints.
-
-    ``None`` for the identity stream, so its checkpoint bytes stay
-    identical to the pre-scenario format.
-    """
-    if stream.scenario == "class_incremental":
-        return None
+def _stream_identity(stream: ScenarioStream) -> dict:
+    """Which stream a run trains on, as recorded in its checkpoints."""
     return {"name": stream.scenario, "params": dict(stream.params)}
 
 
-def _describe_stream(identity: dict | None) -> str:
-    if identity is None:
-        return "class_incremental"
+def _describe_stream(identity: dict) -> str:
+    """``name(key=value, ...)``, or the bare name of a param-less stream."""
+    if not identity["params"]:
+        return identity["name"]
     params = ", ".join(f"{key}={value}"
                        for key, value in identity["params"].items())
     return f"{identity['name']}({params})"
@@ -116,11 +112,9 @@ def _describe_stream(identity: dict | None) -> str:
 class SharpBoundaryController:
     """Default boundary controller: every stream segment is its own task.
 
-    Emits exactly the begin/end pair per segment the pre-scenario trainer
-    hard-coded, routed through :meth:`ContinualMethod.on_boundary` — the
-    behaviour-preserving half of the stream-event refactor.  Stateless,
-    so its checkpoint contribution is ``None`` (sharp-stream checkpoint
-    bytes stay identical to the legacy format).
+    Emits one begin/end pair per segment through
+    :meth:`ContinualMethod.on_boundary`.  Stateless, so its checkpoint
+    contribution is ``None``.
     """
 
     def begin_segment(self, method: ContinualMethod, task: Task,
@@ -134,11 +128,8 @@ class SharpBoundaryController:
     def state_dict(self) -> dict | None:
         return None
 
-    def load_state_dict(self, state: dict | None) -> None:
-        if state is not None:
-            raise CheckpointError(
-                "checkpoint carries task-free stream state but this run uses "
-                "sharp boundaries — resume under the original scenario")
+    def load_state_dict(self, state: None) -> None:
+        """Nothing to restore: the controller is stateless."""
 
 
 class TaskFreeBoundaryController:
@@ -212,12 +203,7 @@ class TaskFreeBoundaryController:
             "detector": self.detector.state_dict(),
         }
 
-    def load_state_dict(self, state: dict | None) -> None:
-        if state is None:
-            raise CheckpointError(
-                "checkpoint carries no task-free stream state — it was "
-                "written by a sharp-boundary run; resume under the original "
-                "scenario")
+    def load_state_dict(self, state: dict) -> None:
         self.virtual_index = int(state["virtual_index"])
         self.open_segments = [int(i) for i in state["open_segments"]]
         self.detector.load_state_dict(state["detector"])
@@ -276,27 +262,25 @@ class ContinualTrainer:
     def _run_state(self, task_index: int, n_tasks: int,
                    result: ContinualResult) -> dict:
         """The full serializable state of the run after ``task_index``."""
-        state = {
+        return {
             "method_name": self.method.name,
             "n_tasks": n_tasks,
             "task_index": task_index,
+            "scenario": self._stream_identity,
+            "stream": self._controller.state_dict(),
             "method": self.method.state_dict(),
             "rng": get_rng_state(self.rng),
             "result": result.state_dict(),
+            "transfer": self.transfer_matrix.state_dict(),
         }
-        # Only stateful controllers (task-free streams) contribute; sharp
-        # runs omit the key so their checkpoint bytes stay identical to
-        # the pre-scenario format.
-        stream_state = self._controller.state_dict()
-        if stream_state is not None:
-            state["stream"] = stream_state
-        if self._stream_identity is not None:
-            state["scenario"] = self._stream_identity
-        return state
 
     def _restore_run_state(self, state: dict, n_tasks: int,
                            result: ContinualResult) -> int:
-        """Load a checkpoint state; returns the first task still to run."""
+        """Load a checkpoint state; returns the first task still to run.
+
+        Every identity check runs before any state loads, so a checkpoint
+        from another method, sequence length or stream is refused whole.
+        """
         if state["method_name"] != self.method.name:
             raise CheckpointError(
                 f"checkpoint was written by method {state['method_name']!r}, "
@@ -305,28 +289,26 @@ class ContinualTrainer:
             raise CheckpointError(
                 f"checkpoint covers a {state['n_tasks']}-task sequence, "
                 f"this run has {n_tasks} tasks")
-        self._controller.load_state_dict(state.get("stream"))
-        recorded = state.get("scenario")
+        recorded = state["scenario"]
         if recorded != self._stream_identity:
             raise CheckpointError(
                 f"checkpoint was written under stream "
                 f"{_describe_stream(recorded)}, this run uses "
                 f"{_describe_stream(self._stream_identity)}")
+        self._controller.load_state_dict(state["stream"])
         self.method.load_state_dict(state["method"])
         set_rng_state(self.rng, state["rng"])
         result.load_state_dict(state["result"])
+        self.transfer_matrix.load_state_dict(state["transfer"])
         return int(state["task_index"]) + 1
 
     def _save_checkpoint(self, task_index: int, n_tasks: int,
                          result: ContinualResult) -> None:
         if self.checkpoints is None:
             return
-        # Informational only: the probe choice also lives in the result
-        # state, so resume never reads this.
         try:
             path = self.checkpoints.save(
-                task_index, self._run_state(task_index, n_tasks, result),
-                meta={"probe": self.config.probe})
+                task_index, self._run_state(task_index, n_tasks, result))
         except (OSError, CheckpointError) as exc:
             # Checkpointing is best-effort: a full disk or torn write must
             # not kill a run that is otherwise training fine.  The failure
@@ -348,7 +330,9 @@ class ContinualTrainer:
         A plain :class:`TaskSequence` runs as its ``class_incremental``
         stream.  Besides the result, the run fills :attr:`transfer_matrix`
         — one online row (the panel before the segment trains) and one
-        final row (after) over the stream's full eval panel per segment.
+        final row (after) over the stream's full eval panel per segment —
+        and, with a ``checkpoint_dir``, writes it to
+        ``transfer-matrix.json`` on return.
         """
         config = self.config
         method = self.method
@@ -371,7 +355,6 @@ class ContinualTrainer:
                     self.log.append("corrupt-checkpoint", detail=reason)
                 start_task = self._restore_run_state(loaded.state, n_tasks, result)
                 prior_elapsed = result.elapsed_seconds
-                self._restore_transfer(transfer, start_task)
                 self.log.append("resume", task_index=start_task,
                                 checkpoint=str(loaded.path))
                 if self.verbose:
@@ -389,12 +372,7 @@ class ContinualTrainer:
             result.record_row(self._segment_accuracies(stream, task_index,
                                                        final_row))
             result.elapsed_seconds = prior_elapsed + (time.perf_counter() - start)
-            # Matrix first, checkpoint second: a crash between the two
-            # leaves the matrix one row ahead, which resume truncates back
-            # to the checkpoint's row count — the reverse order would lose
-            # a row it cannot recompute.
             transfer.record_row(online_row, final_row)
-            self._save_transfer(transfer)
             self._save_checkpoint(task_index, n_tasks, result)
             if self.verbose:
                 print(f"[{method.name}] task {task_index + 1}/{n_tasks}: "
@@ -407,6 +385,7 @@ class ContinualTrainer:
             online_row = final_row
 
         result.elapsed_seconds = prior_elapsed + (time.perf_counter() - start)
+        self._save_transfer(transfer)
         return result
 
     # ------------------------------------------------------------------
@@ -452,57 +431,17 @@ class ContinualTrainer:
                     probe=self.config.probe))
         return accuracies
 
-    def _transfer_path(self) -> pathlib.Path | None:
-        if self.checkpoints is None:
-            return None
-        return self.checkpoints.directory / "transfer-matrix.json"
-
     def _save_transfer(self, transfer: TransferMatrix) -> None:
-        path = self._transfer_path()
-        if path is None:
+        if self.checkpoints is None:
             return
         try:
-            save_transfer_matrix(transfer, path)
+            save_transfer_matrix(
+                transfer, self.checkpoints.directory / "transfer-matrix.json")
         except OSError as exc:
             # Best-effort, like checkpoints: a failed matrix write must
-            # not kill a training run.  Resume backfills what it cannot
-            # recover (see _restore_transfer).
+            # not fail a finished run.  Every recorded row is still in the
+            # last checkpoint, and a resume writes the file again.
             self.log.append("transfer-save-failed", detail=clip_detail(exc))
-
-    def _restore_transfer(self, transfer: TransferMatrix,
-                          start_task: int) -> None:
-        """Reload the on-disk matrix and align it with the checkpoint.
-
-        The matrix is written *before* each checkpoint, so it is normally
-        at or ahead of the checkpoint's row count: ahead gets truncated
-        (the re-run segments re-record identical rows).  Behind means an
-        earlier save failed — those model states are gone, so the lost
-        rows are backfilled as NaN and logged rather than silently
-        misaligned.
-        """
-        path = self._transfer_path()
-        loaded = None
-        if path is not None and path.exists():
-            try:
-                loaded = load_transfer_matrix(path)
-            except (OSError, ValueError, KeyError) as exc:
-                self.log.append("transfer-load-failed",
-                                detail=clip_detail(exc))
-        if loaded is not None and (loaded.n_rows != transfer.n_rows
-                                   or loaded.n_eval != transfer.n_eval):
-            self.log.append(
-                "transfer-load-failed",
-                detail=f"matrix shape {loaded.n_rows}x{loaded.n_eval} does "
-                       f"not match stream {transfer.n_rows}x{transfer.n_eval}")
-            loaded = None
-        if loaded is not None:
-            transfer.load_state_dict(loaded.state_dict())
-        if transfer.rows_recorded > start_task:
-            transfer.truncate(start_task)
-        elif transfer.rows_recorded < start_task:
-            self.log.append("transfer-backfilled",
-                            rows=start_task - transfer.rows_recorded)
-            transfer.backfill(start_task)
 
     # ------------------------------------------------------------------
     # One task, with the guardrail escalation ladder

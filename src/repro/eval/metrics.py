@@ -92,8 +92,7 @@ class ContinualResult:
             raise ValueError(f"accuracy matrix shape {matrix.shape} != "
                              f"{self.accuracy_matrix.shape}")
         self.name = state["name"]
-        # Pre-PR-9 checkpoints carry no probe field; those runs were KNN.
-        self.probe = str(state.get("probe", "knn"))
+        self.probe = str(state["probe"])
         self.accuracy_matrix = matrix.copy()
         self._rows_recorded = int(state["rows_recorded"])
         self.elapsed_seconds = float(state["elapsed_seconds"])

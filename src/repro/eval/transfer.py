@@ -22,9 +22,10 @@ transfer measurable.  From the two matrices:
   had *already* bought on task ``j`` before any training on it, relative
   to chance (GEM Eq. for FWT).
 
-Rows are append-only and recomputable, so a matrix interrupted at row
-``k`` resumes by truncating to ``k`` rows and re-recording — the property
-the trainer's bit-for-bit resume path relies on.
+A run's matrix lives in its checkpoints (:meth:`TransferMatrix.state_dict`
+is part of the trainer's run state), so a resumed run restores it exactly,
+like its :class:`~repro.eval.metrics.ContinualResult`.  The JSON form
+(:meth:`TransferMatrix.to_payload`) is written once, when the run ends.
 """
 
 from __future__ import annotations
@@ -117,27 +118,6 @@ class TransferMatrix:
         self.online[i] = online_row
         self.final[i] = final_row
         self._rows_recorded += 1
-
-    def truncate(self, rows: int) -> None:
-        """Drop recorded rows beyond ``rows`` (resume re-records them)."""
-        if not 0 <= rows <= self._rows_recorded:
-            raise ValueError(f"cannot truncate to {rows} rows, "
-                             f"{self._rows_recorded} recorded")
-        self.online[rows:] = np.nan
-        self.final[rows:] = np.nan
-        self._rows_recorded = rows
-
-    def backfill(self, rows: int) -> None:
-        """Advance the row cursor to ``rows`` leaving missing rows NaN.
-
-        The degraded-resume path: when the matrix file for an interrupted
-        run is lost (its best-effort save failed), the already-trained
-        segments cannot be re-probed — their model states are gone — so
-        the rows stay NaN and recording continues at ``rows``.
-        """
-        if not 0 <= rows <= self.n_rows:
-            raise ValueError(f"cannot backfill to {rows} of {self.n_rows} rows")
-        self._rows_recorded = max(self._rows_recorded, rows)
 
     # ------------------------------------------------------------------
     # Metrics

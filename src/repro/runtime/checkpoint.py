@@ -10,20 +10,18 @@ Both files are written via write-to-temp + ``fsync`` + ``os.replace``; the
 manifest is written *last*, so its presence is the commit point — a crash
 mid-write leaves at worst a stale temp file, never a manifest pointing at
 missing or truncated data.  On load, :meth:`CheckpointManager.load_latest`
-verifies the manifest parses, the schema version matches, every referenced
-array exists, and every checksum agrees; a checkpoint failing any check is
-skipped (recorded in ``LoadedCheckpoint.skipped``) and the next most recent
-one is tried, so a corrupt or partial newest checkpoint falls back to the
-last good one instead of crashing the run.
+verifies the manifest parses into the shape :meth:`CheckpointManager.save`
+writes, the schema version matches, every referenced array exists, and
+every checksum agrees; a checkpoint failing any check is skipped (recorded
+in ``LoadedCheckpoint.skipped``) and the next most recent one is tried, so
+a corrupt or partial newest checkpoint falls back to the last good one
+instead of crashing the run.
 
 The state trees being checkpointed are the nested dicts produced by the
 ``state_dict()`` family (methods, optimizers, buffers, results): leaves must
 be ndarrays (non-object dtype), plain Python scalars, strings, ``None``, or
 lists/tuples/dicts thereof.  :func:`check_serializable` is the runtime
 enforcement of that contract (lint rule SER001 is the static sibling).
-
-A manifest may carry an informational ``meta`` mapping (e.g. the probe
-name), but restoring a checkpoint never reads it.
 """
 
 from __future__ import annotations
@@ -41,7 +39,9 @@ import numpy as np
 
 from repro.faults import plane as _faults
 
-SCHEMA_VERSION = 1
+#: Bumped whenever the manifest layout or the trainer's run-state contract
+#: changes; a checkpoint of another version is skipped, never half-read.
+SCHEMA_VERSION = 2
 
 #: Every fault-injection site on the checkpoint write path, in program
 #: order.  The crash-consistency sweep (:mod:`repro.faults.crashsweep`)
@@ -58,6 +58,10 @@ CHECKPOINT_SITES = tuple(f"{prefix}.{stage}"
 _ARRAY_REF = "__ndarray__"
 
 _MANIFEST_RE = re.compile(r"^ckpt-(\d+)\.json$")
+
+#: Manifest field -> the JSON type :meth:`CheckpointManager.save` writes.
+_MANIFEST_FIELDS = {"arrays_file": str, "checksums": dict, "tree": dict,
+                    "task_index": int}
 
 
 class CheckpointError(RuntimeError):
@@ -187,9 +191,6 @@ class LoadedCheckpoint:
     state: dict
     path: pathlib.Path
     skipped: list[str] = field(default_factory=list)
-    #: Informational run metadata (e.g. the probe name); never used to
-    #: restore state.
-    meta: dict = field(default_factory=dict)
 
 
 class CheckpointManager:
@@ -241,14 +242,8 @@ class CheckpointManager:
         return f"{stem}.npz", f"{stem}.json"
 
     # -- write ----------------------------------------------------------
-    def save(self, task_index: int, state: dict,
-             meta: dict | None = None) -> pathlib.Path:
-        """Atomically write ``state`` as the checkpoint for ``task_index``.
-
-        ``meta`` is an optional JSON-safe mapping recorded in the manifest
-        for humans and tooling (e.g. ``{"probe": "knn"}``); loading ignores
-        it when restoring state.
-        """
+    def save(self, task_index: int, state: dict) -> pathlib.Path:
+        """Atomically write ``state`` as the checkpoint for ``task_index``."""
         tree, arrays = flatten_state(state)
         arrays_name, manifest_name = self._names(task_index)
         arrays_path = self.directory / arrays_name
@@ -264,12 +259,6 @@ class CheckpointManager:
             "checksums": {key: _array_checksum(a) for key, a in arrays.items()},
             "tree": tree,
         }
-        if meta:
-            meta_arrays: dict[str, np.ndarray] = {}
-            manifest["meta"] = _flatten(meta, "meta", meta_arrays)
-            if meta_arrays:
-                raise TypeError("checkpoint meta must be JSON-only "
-                                "(ndarrays belong in the state tree)")
         manifest_path = self.directory / manifest_name
         atomic_write_bytes(manifest_path,
                            json.dumps(manifest, indent=1).encode("utf-8"),
@@ -287,7 +276,9 @@ class CheckpointManager:
         """
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
+            return False
+        if not isinstance(manifest, dict):
             return False
         arrays_file = manifest.get("arrays_file")
         return (isinstance(arrays_file, str)
@@ -321,14 +312,21 @@ class CheckpointManager:
                     npz.unlink(missing_ok=True)
 
     # -- read -----------------------------------------------------------
-    def _load_manifest(self, manifest_path: pathlib.Path) -> tuple[int, dict, dict]:
+    def _load_manifest(self, manifest_path: pathlib.Path) -> tuple[int, dict]:
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CheckpointError(
+                f"manifest is a JSON {type(manifest).__name__}, not an object")
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise CheckpointError(
                 f"schema version {manifest.get('schema_version')!r} != {SCHEMA_VERSION}")
+        for key, kind in _MANIFEST_FIELDS.items():
+            if type(manifest.get(key)) is not kind:
+                raise CheckpointError(
+                    f"manifest field {key!r} is not a JSON {kind.__name__}")
         arrays_path = self.directory / manifest["arrays_file"]
         try:
             with np.load(arrays_path) as archive:
@@ -345,8 +343,13 @@ class CheckpointManager:
             if actual != expected:
                 raise CheckpointError(
                     f"checksum mismatch for array {key!r} in {arrays_path.name}")
-        state = unflatten_state(manifest["tree"], arrays)
-        return int(manifest["task_index"]), state, manifest.get("meta") or {}
+        try:
+            state = unflatten_state(manifest["tree"], arrays)
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"manifest tree references an array {arrays_path.name} "
+                f"does not hold: {exc}") from exc
+        return manifest["task_index"], state
 
     def load_latest(self) -> LoadedCheckpoint | None:
         """Newest checkpoint that passes validation, or ``None`` if none do.
@@ -357,11 +360,10 @@ class CheckpointManager:
         skipped: list[str] = []
         for manifest_path in reversed(self.manifest_paths()):
             try:
-                task_index, state, meta = self._load_manifest(manifest_path)
+                task_index, state = self._load_manifest(manifest_path)
             except CheckpointError as exc:
                 skipped.append(f"{manifest_path.name}: {exc}")
                 continue
             return LoadedCheckpoint(task_index=task_index, state=state,
-                                    path=manifest_path, skipped=skipped,
-                                    meta=meta)
+                                    path=manifest_path, skipped=skipped)
         return None

@@ -126,8 +126,8 @@ def class_incremental_stream(sequence: TaskSequence) -> ScenarioStream:
 
     Shares the *same* :class:`Task` objects with ``sequence`` — no copies,
     no re-randomization.  The trainer runs every plain ``TaskSequence`` as
-    this stream; ``tests/scenarios/test_parity.py`` pins its artifacts to
-    the pre-scenario trainer's bytes.
+    this stream; ``tests/scenarios/test_parity.py`` pins its result JSON
+    and ``transfer-matrix.json`` to the pre-scenario trainer's bytes.
     """
     segments = tuple(StreamSegment(i, task, source_task=i, eval_alias=i)
                      for i, task in enumerate(sequence))

@@ -11,9 +11,11 @@ complete and partial results (including ``elapsed_seconds``).
 
 Results and transfer matrices go through the checkpoint layer's atomic
 writer (:func:`repro.runtime.checkpoint.atomic_write_bytes`): the trainer
-rewrites the matrix on every stream boundary next to the checkpoints, and
-``repro compare --resume`` reads results back, so a crash mid-write must
-leave either the old file or the new one — never a torn file.
+writes the matrix next to the checkpoints when a run ends, and ``repro
+compare --resume`` reads results back, so a crash mid-write must leave
+either the old file or the new one — never a torn file.  Both loaders
+check the arrays against the header and raise ``ValueError`` when they
+disagree.
 """
 
 from __future__ import annotations
@@ -105,8 +107,10 @@ def load_result(path: str | pathlib.Path) -> ContinualResult:
     """Rebuild a :class:`ContinualResult` from :func:`save_result` output.
 
     Round-trips partial matrices: exactly ``rows_recorded`` rows are
-    restored, and a recorded row containing ``None`` (a corrupted file) is an
-    error instead of a silent truncation.
+    restored.  A file that contradicts itself — a matrix that is not
+    ``n_tasks x n_tasks``, a ``rows_recorded`` outside ``[0, n_tasks]``, or
+    a recorded row containing ``None`` — raises ``ValueError`` instead of
+    being silently truncated.
     """
     payload = json.loads(pathlib.Path(path).read_text())
     n_tasks = payload["n_tasks"]
@@ -114,9 +118,15 @@ def load_result(path: str | pathlib.Path) -> ContinualResult:
     result = ContinualResult(n_tasks, name=payload["name"],
                              probe=payload.get("probe", "knn"))
     matrix = payload["accuracy_matrix"]
+    if len(matrix) != n_tasks or any(len(row) != n_tasks for row in matrix):
+        raise ValueError(f"{path}: accuracy_matrix is not {n_tasks}x{n_tasks} "
+                         f"as the header declares")
     recorded = payload.get("rows_recorded")
     if recorded is None:
         recorded = _infer_rows_recorded(matrix, n_tasks)
+    if not 0 <= recorded <= n_tasks:
+        raise ValueError(f"{path}: rows_recorded {recorded} is outside "
+                         f"[0, {n_tasks}]")
     for i in range(recorded):
         row = [matrix[i][j] for j in range(i + 1)]
         if any(v is None for v in row):
@@ -131,10 +141,9 @@ def save_transfer_matrix(transfer: TransferMatrix,
                          path: str | pathlib.Path) -> None:
     """Atomically write a transfer matrix to JSON.
 
-    Same inlined-matrix philosophy as :func:`save_result`, but through
-    the atomic writer: the trainer overwrites this file on every stream
-    boundary, and resume reads it back expecting either the previous or
-    the new rows — partial writes would break the bit-for-bit contract.
+    Same inlined-matrix philosophy as :func:`save_result`: the trainer
+    writes this file once when a run ends (the run's checkpoints hold the
+    same rows), and the CLI writes it for ``--scenario`` runs.
     """
     data = json.dumps(transfer.to_payload(), indent=2).encode("utf-8")
     atomic_write_bytes(pathlib.Path(path), data, site="transfer.matrix")

@@ -245,9 +245,5 @@ class TestProbeRegistry:
         restored = ContinualResult(2)
         restored.load_state_dict(state)
         assert restored.probe == "ridge"
-        # legacy checkpoint states (pre-registry) default to knn
-        del state["probe"]
-        restored.load_state_dict(state)
-        assert restored.probe == "knn"
         save_result(result, tmp_path / "r.json")
         assert load_result(tmp_path / "r.json").probe == "ridge"

@@ -5,11 +5,13 @@ A run checkpointed after task ``k`` and resumed in a fresh process must
 produce a bit-for-bit identical accuracy matrix and final weights compared
 to the uninterrupted run — for EDSR (replay buffer + noise scales + old
 representations) and DER (replay buffer + stored targets), and on the
-task-free and blurry streams.  Resuming under another method or stream is
-refused, and a failed checkpoint or transfer-matrix write is logged while
-the run goes on.  An injected NaN loss must trigger the guardrail recovery
-ladder: skip for transient poisons, restore + LR backoff + abort for
-persistent ones.
+task-free and blurry streams.  The checkpoint is the run's one history:
+resume restores the transfer matrix from it, so a lost or corrupt
+``transfer-matrix.json`` changes nothing.  Resuming under another method
+or stream is refused, and a failed checkpoint or transfer-matrix write is
+logged while the run goes on.  An injected NaN loss must trigger the
+guardrail recovery ladder: skip for transient poisons, restore + LR
+backoff + abort for persistent ones.
 """
 
 import errno
@@ -25,6 +27,7 @@ from repro.continual.finetune import Finetune
 from repro.runtime import (CheckpointError, CheckpointManager,
                            GuardrailPolicy, TrainingDiverged)
 from repro.scenarios import build_stream
+from repro.utils.serialization import save_transfer_matrix
 
 SEED = 20240
 
@@ -279,8 +282,12 @@ STREAM_MISMATCHES = [
      r"stream class_incremental, this run uses blurry\(ratio=0\.3, seed=0\)$"),
     ("blurry", "blurry-seed5",
      r"blurry\(ratio=0\.3, seed=0\), this run uses blurry\(ratio=0\.3, seed=5\)$"),
-    ("classic", "task_free", "carries no task-free stream state"),
-    ("task_free", "classic", "carries task-free stream state"),
+    ("classic", "task_free",
+     r"stream class_incremental, this run uses task_free\(segments_per_task=1, "
+     r"seed=0, drift_threshold=0\.7\)$"),
+    ("task_free", "classic",
+     r"stream task_free\(segments_per_task=1, seed=0, drift_threshold=0\.7\), "
+     r"this run uses class_incremental$"),
 ]
 
 
@@ -350,7 +357,7 @@ class TestResumeValidation:
 class TestBestEffortWrites:
     """A failed checkpoint or transfer-matrix write (a full disk) is logged
     and the run goes on; resume falls back past the missing checkpoint and
-    backfills a transfer matrix it cannot load."""
+    restores the transfer matrix from the checkpoint, never from the file."""
 
     def test_failed_checkpoint_is_logged_and_resume_falls_back(
             self, fast_config, tiny_sequence, tmp_path, monkeypatch):
@@ -390,20 +397,17 @@ class TestBestEffortWrites:
 
     def test_failed_transfer_write_is_logged(self, fast_config, tiny_sequence,
                                              tmp_path, monkeypatch):
-        save = trainer_module.save_transfer_matrix
+        def full_disk(transfer, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-        def full_disk_at_segment_1(transfer, path):
-            if transfer.rows_recorded == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return save(transfer, path)
-
-        monkeypatch.setattr(trainer_module, "save_transfer_matrix",
-                            full_disk_at_segment_1)
         config = fast_config.with_overrides(epochs=1)
         stream = build_stream("class_incremental", tiny_sequence, config)
-        trainer = fresh_trainer("finetune", config, tiny_sequence,
-                                checkpoint_dir=tmp_path)
-        result = trainer.run(stream)
+        run_dir = tmp_path / "run"
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer_module, "save_transfer_matrix", full_disk)
+            trainer = fresh_trainer("finetune", config, tiny_sequence,
+                                    checkpoint_dir=run_dir)
+            result = trainer.run(stream)
 
         assert result.complete
         assert trainer.transfer_matrix.complete
@@ -411,37 +415,101 @@ class TestBestEffortWrites:
                   if e["kind"] == "transfer-save-failed"]
         assert len(failed) == 1
         assert "No space left" in failed[0]["detail"]
-        assert (tmp_path / "ckpt-00002.json").exists()
+        assert not (run_dir / "transfer-matrix.json").exists()
+        assert (run_dir / f"ckpt-{len(stream) - 1:05d}.json").exists()
 
-    @pytest.mark.parametrize("corruption", ["online-row-short",
-                                            "final-column-extra"])
-    def test_matrix_arrays_that_contradict_the_header_are_backfilled(
-            self, corruption, fast_config, tiny_sequence, tmp_path):
+        # Every row is in the last checkpoint: resuming the finished run
+        # trains nothing and writes the whole matrix.
+        save_transfer_matrix(trainer.transfer_matrix, tmp_path / "expected.json")
+        resumed = fresh_trainer("finetune", config, tiny_sequence,
+                                checkpoint_dir=run_dir)
+        resumed.run(stream, resume=True)
+        assert "checkpoint" not in [e["kind"] for e in resumed.log.events]
+        assert ((run_dir / "transfer-matrix.json").read_bytes()
+                == (tmp_path / "expected.json").read_bytes())
+
+    @pytest.mark.parametrize("damage", ["lost", "torn", "online-row-short"])
+    def test_resume_writes_the_uninterrupted_matrix_whatever_the_file_holds(
+            self, damage, fast_config, tiny_sequence, tmp_path):
         config = fast_config.with_overrides(epochs=1)
         stream = build_stream("class_incremental", tiny_sequence, config)
-        fresh_trainer("finetune", config, tiny_sequence,
+        fresh_trainer("edsr", config, tiny_sequence,
                       checkpoint_dir=tmp_path).run(stream)
+        path = tmp_path / "transfer-matrix.json"
+        uninterrupted = path.read_bytes()
         last = len(stream) - 1
         (tmp_path / f"ckpt-{last:05d}.json").unlink()
         (tmp_path / f"ckpt-{last:05d}.npz").unlink()
-        path = tmp_path / "transfer-matrix.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if corruption == "online-row-short":
-            payload["online"].pop()
+        if damage == "lost":
+            path.unlink()
+        elif damage == "torn":
+            path.write_bytes(uninterrupted[:len(uninterrupted) // 2])
         else:
-            for row in payload["final"]:
-                row.append(0.5)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+            payload = json.loads(uninterrupted)
+            payload["online"].pop()
+            path.write_text(json.dumps(payload), encoding="utf-8")
 
-        resumed = fresh_trainer("finetune", config, tiny_sequence,
+        resumed = fresh_trainer("edsr", config, tiny_sequence,
                                 checkpoint_dir=tmp_path)
-        result = resumed.run(stream, resume=True)
+        resumed.run(stream, resume=True)
 
-        assert result.complete
-        assert resumed.transfer_matrix.complete
-        kinds = [e["kind"] for e in resumed.log.events]
-        assert "transfer-load-failed" in kinds
-        assert "transfer-backfilled" in kinds
+        resume = next(e for e in resumed.log.events if e["kind"] == "resume")
+        assert resume["task_index"] == last
+        assert path.read_bytes() == uninterrupted
+
+
+@pytest.mark.parametrize("scenario", ["class_incremental", "task_free"])
+class TestCheckpointedHistory:
+    """Every checkpoint holds the run's transfer matrix, stream identity and
+    boundary-controller state; a checkpoint from before that contract
+    (schema 1) is skipped, not half-read."""
+
+    def test_last_manifest_holds_the_returned_matrix(
+            self, scenario, fast_config, tiny_sequence, tmp_path):
+        config = fast_config.with_overrides(epochs=1, scenario=scenario)
+        _, transfer = run_method("edsr", tiny_sequence, config, seed=SEED,
+                                 checkpoint_dir=tmp_path)
+        loaded = CheckpointManager(tmp_path).load_latest()
+        assert loaded.skipped == []
+        manifest = json.loads(loaded.path.read_text(encoding="utf-8"))
+        assert {"state/transfer/online",
+                "state/transfer/final"} <= set(manifest["checksums"])
+        state = loaded.state
+        np.testing.assert_array_equal(state["transfer"]["online"],
+                                      transfer.online)
+        np.testing.assert_array_equal(state["transfer"]["final"],
+                                      transfer.final)
+        assert state["transfer"]["rows_recorded"] == transfer.n_rows
+        assert state["scenario"]["name"] == scenario
+        assert (state["stream"] is None) == (scenario == "class_incremental")
+
+    def test_schema_1_checkpoint_is_skipped_and_logged(
+            self, scenario, fast_config, tiny_sequence, tmp_path):
+        config = fast_config.with_overrides(epochs=1, scenario=scenario)
+        expected, _ = run_method("finetune", tiny_sequence, config, seed=SEED,
+                                 checkpoint_dir=tmp_path)
+        newest = CheckpointManager(tmp_path).manifest_paths()[-1]
+        manifest = json.loads(newest.read_text(encoding="utf-8"))
+        # A schema-1 run state had no transfer matrix, and a sharp stream's
+        # had no identity or controller state either.
+        manifest["schema_version"] = 1
+        for key in ("transfer", "scenario", "stream"):
+            del manifest["tree"][key]
+        newest.write_text(json.dumps(manifest), encoding="utf-8")
+
+        result, _ = run_method("finetune", tiny_sequence, config, seed=SEED,
+                               checkpoint_dir=tmp_path, resume=True)
+
+        events = [json.loads(line) for line in
+                  (tmp_path / "events.jsonl").read_text().splitlines()]
+        skipped = [e for e in events if e["kind"] == "corrupt-checkpoint"]
+        assert len(skipped) == 1
+        assert newest.name in skipped[0]["detail"]
+        assert "schema version 1" in skipped[0]["detail"]
+        resume = [e for e in events if e["kind"] == "resume"]
+        assert resume[-1]["task_index"] == expected.n_tasks - 1
+        np.testing.assert_array_equal(result.accuracy_matrix,
+                                      expected.accuracy_matrix)
 
 
 class CountedProbes:

@@ -8,6 +8,7 @@ import pytest
 from repro.faults import plane
 from repro.runtime import (
     CheckpointManager,
+    atomic_write_bytes,
     check_serializable,
     flatten_state,
     unflatten_state,
@@ -153,6 +154,31 @@ class TestCheckpointManager:
         manifest_path.write_text(json.dumps(manifest))
         assert manager.load_latest() is None
 
+    @pytest.mark.parametrize("damage", ["renamed-key", "dangling-array",
+                                        "json-array", "not-utf8"])
+    def test_malformed_manifest_is_skipped(self, damage, tmp_path):
+        """A manifest committed whole but not in the shape ``save`` writes
+        falls back to the previous checkpoint instead of crashing
+        ``load_latest``."""
+        manager = CheckpointManager(tmp_path)
+        manager.save(0, {"v": np.array([0.0])})
+        newest = manager.save(1, {"v": np.array([1.0])})
+        manifest = json.loads(newest.read_text())
+        if damage == "renamed-key":
+            manifest["arrays_fild"] = manifest.pop("arrays_file")
+        elif damage == "dangling-array":
+            manifest["tree"]["w"] = {"__ndarray__": "state/w"}
+        elif damage == "json-array":
+            manifest = []
+        data = json.dumps(manifest).encode()
+        if damage == "not-utf8":
+            data = b'{"schema_version": \xff}'
+        atomic_write_bytes(newest, data)
+        loaded = manager.load_latest()
+        assert loaded.task_index == 0
+        assert len(loaded.skipped) == 1
+        assert "ckpt-00001.json" in loaded.skipped[0]
+
     def test_prune_keeps_newest(self, tmp_path):
         manager = CheckpointManager(tmp_path, keep=2)
         for i in range(5):
@@ -217,6 +243,14 @@ class TestPartialStates:
         names = [path.name for path in manager.manifest_paths()]
         assert names == ["ckpt-00001.json", "ckpt-00003.json"]
         assert manager.load_latest().task_index == 3
+
+    def test_non_object_manifest_never_counts_toward_keep(self, tmp_path):
+        manager = CheckpointManager(tmp_path, keep=1)
+        manager.save(0, {"v": np.array([0.0])})
+        atomic_write_bytes(tmp_path / "ckpt-00001.json", b"[]")
+        manager.save(2, {"v": np.array([2.0])})
+        assert [p.name for p in manager.manifest_paths()] == ["ckpt-00002.json"]
+        assert manager.load_latest().task_index == 2
 
     def test_npz_without_manifest_is_pruned_as_an_orphan(self, tmp_path):
         manager = CheckpointManager(tmp_path, keep=1)

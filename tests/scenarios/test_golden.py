@@ -21,7 +21,10 @@ sequence; the linear probe's do not).
 The end-to-end benchmark compares digests only among the runs of one
 invocation, never across commits, so a change that moves numerics would
 pass it as long as accuracy stays within its bound.  These pins close that
-gap.  A pin moves only in a commit that says why numerics moved.
+gap.  A pin moves only in a commit that says why numerics moved.  The
+manifest-checksum digests were re-pinned once without a numerics change,
+when the run state gained the transfer matrix: the only new checksums are
+``state/transfer/online`` and ``state/transfer/final``.
 """
 
 import hashlib
@@ -39,10 +42,10 @@ SEED = 3
 GOLDEN = {
     "finetune": (
         "1ea4909a9d47a00e627102bd5b41cc01e8d2b3df802061d8c6307e19a8582d7e",
-        "68e86726bd60cd8780031f07a303b5443c55beed2ef536a43bc433bcb815c465"),
+        "4422c64fbbca0c9b4d15f0afa3ec2e1a6bed46db975677d095d8a4e7b119bb18"),
     "edsr": (
         "518f2dc616b65fc1d6fda6e04b518752a1855acc14234b3058fa76dfa72a89ca",
-        "222586a8b4635fab312cceff1a7f348fe66513484d0178ae71efd613f638bb40"),
+        "e8716bba3bf4b70c8db2a0a98746435fbec831bdefe310972cfbedccca249273"),
 }
 
 #: (scenario, method) -> (matrix, manifest-checksums, transfer-matrix.json)
@@ -50,103 +53,103 @@ GOLDEN = {
 MATRIX_GOLDEN = {
     ("class_incremental", "finetune"): (
         "1ea4909a9d47a00e627102bd5b41cc01e8d2b3df802061d8c6307e19a8582d7e",
-        "68e86726bd60cd8780031f07a303b5443c55beed2ef536a43bc433bcb815c465",
+        "4422c64fbbca0c9b4d15f0afa3ec2e1a6bed46db975677d095d8a4e7b119bb18",
         "11f394ac100385d3e6643ec43a24c7a8ee303f8d1f72de8d674535b1eaf2412c"),
     ("class_incremental", "edsr"): (
         "518f2dc616b65fc1d6fda6e04b518752a1855acc14234b3058fa76dfa72a89ca",
-        "222586a8b4635fab312cceff1a7f348fe66513484d0178ae71efd613f638bb40",
+        "e8716bba3bf4b70c8db2a0a98746435fbec831bdefe310972cfbedccca249273",
         "73d8f67d962e716d3de0a7763c0f79fbf5936871f79e76ef42d821f1f71226a2"),
     ("class_incremental", "der"): (
         "4ac980378ad60e68b7728a5dcdd436f8d73697ca2774809867f264e67148ae91",
-        "138895cc32b127a26cc4e57070866d936e923d893d8fb8fbfcd5f2e6e83cbd01",
+        "fb10d1a1ebf925b589b2e6ac4e6099e953c6a247c9c96a6a9375f6a1a4c07f82",
         "8a468bc81ad3c9e0d242d083c3663843b77d78528773347496a80363f65fbecc"),
     ("class_incremental", "lump"): (
         "7fc890ec7e16ba3f55404b6997420f786fd11756ae9971000cfcdc15aefd7e4b",
-        "7a9ed9bca9a2e603c7467877bf74df0fc2244ecd77ebd3ca94b36bbf2ea43d02",
+        "e84fe5d30e167b9db6a8e6324ffbef69a57f480dfefe383e9b5b703a7d128574",
         "46313cc768a15e85ae324d8f658191b444c0e8a80b35018d88c32875e5e7217d"),
     ("class_incremental", "si"): (
         "1ea4909a9d47a00e627102bd5b41cc01e8d2b3df802061d8c6307e19a8582d7e",
-        "d8c64e2bd25e653a58b51f5dc226970d1dc7d54f74244d643ec6c8ef254de41f",
+        "cf3ab5463a9e26f7d3dde760cd08ec22abaf0afd22ea263370bf869ceeeb5942",
         "e23d9ddd814ffd2ffc8faeb1398885c08f7f235f611fc331cf2e309ebb0e34be"),
     ("class_incremental", "cassle"): (
         "1ea4909a9d47a00e627102bd5b41cc01e8d2b3df802061d8c6307e19a8582d7e",
-        "2f733347f1d6283e0f3213e7e1bd135563bda18c4f8fb7494448170bc64984c6",
+        "fafc0384ad44a7c80bff40fc439acbf7d400f0bf3e70c0a7e04ad1bd95951203",
         "a04819f6dd31ac975d4360f791029845a21a7c65be6644ef5b70d58f4c566b91"),
     ("class_incremental", "lin"): (
         "5ceb41901ee6dc9faf91423c6f86b8f461b6a7418a7d6a38779371bc314c9354",
-        "c22551e17ff2557dd35c2481001d63e6cc872b5367f60f20f97220d218a5781d",
+        "81c0c97263e37b5c63f5b96fb3c75b037786a2f7256e85f557f4e40709c25751",
         "9a859ab8e14d503d2ff503f654da577cbe0d97528441b7fd7791b3189f509798"),
     ("class_incremental", "pfr"): (
         "39f1eb66cbe39ef85c2841014ece7f5e92c1d978e20e2846aa8b58e82f842c78",
-        "540cf53d377fec6e2b14fae856f3646bb7c66f35c20b5c51e78a34870ad7581e",
+        "d419c5126848c09499ba88e21c17553aede20bd7069702eea68f2fb5c4be190e",
         "bd34a682c1807338f0f4467e3ae50f83a7013ae0e8a0fbf94035a0818c3c96a1"),
     ("class_incremental", "curl"): (
         "0188ae633a344cff6c3e1e19d4aee381282c1f963cc09d7478371f26ea6f96cb",
-        "3a840bcbce2dcebefaec90b1ba259333ae8fdb2ff3292c1595ed6b7050f4d575",
+        "94cb5f0c2ca5a6d6cf59c3a852ade69a6dde08f0df8ccf452a82b21cab207f82",
         "5110da669b1cad2eca3462769b293989d347ee517ed3bd10eee3f051c420739e"),
     ("task_free", "finetune"): (
         "3be6bf8074873ed5c52e200c32c9054806538ad7a5ecb1ccf550b4f875013f50",
-        "c6edb20abb0431919cb1ecff87c55c08c7521d1b64f059635e8a04e96de73370",
+        "13049932f7eb6777d840cdbf6d440c83c3de9f5ac8b9549f3a41fc772211f1f9",
         "89309d052a050b3720c34af9d6674ad2be887160713b5a02e8e096e82e446626"),
     ("task_free", "edsr"): (
         "0b974229a4596d5466c1bbd7b82c642d72ceae5fdb6fa4fb9dc2a2bbd6649fea",
-        "7fb86ad7a8429a39a0f68f9c29684d25a515ebfd67b94a04522cc816dc24bdfa",
+        "782ff62ff9f0e93bf9badef4755aa9aa186feff3c375646e1d3b3f45cfd7eb00",
         "ba74b0fa05b32d25f0edeaeb72f1e870a7193c4b597c9f699a1300fcded0cb12"),
     ("task_free", "der"): (
         "8b2cc649e9063550eb445456303067d5beea4f276ef6624532e5dbb6883d8253",
-        "e946fbaa12de840d06f94fd76dcd119b8ca966b6bca20a5896f3ca15a645f7f8",
+        "108b7f33ac42d32e795ff37fb938e13e64a3b20745b5cd46b8b78b8c1e230596",
         "67d7fbf3dc48c3fa10fe4a7af5e6c79f943c83b369edf6168f8dc5192b637c6f"),
     ("task_free", "lump"): (
         "8dcdb5c6ed8390511b661cdb3552ec4575bb24bf16bfda79567940fc4c9e63ad",
-        "afa67bdb4a3afe6f0afde50b4a3f71b4f039e44ce256665226faa45821f47f4e",
+        "ee15a66d9a6706cb5290ffd9d398af59463a1caea1a27cec5d06edd19204b4ad",
         "fe44a0258e0b4bb4ccf9595a65023933e4805d85b9113de7085df59e8c811a9d"),
     ("blurry", "finetune"): (
         "b37108abc3c599ccc8ae0bc8455e8fb719d74ab30b0f9aa4e74af4e9ddc354a6",
-        "09ad53ff29bf00c557623a7d4d2a7ad6d9545cac5bb793381909e9510b56fe8c",
+        "cfc69b7bc025529f1985f516c48954a31e9022e97c641f6f81fc47fa49442bc9",
         "849ad46159b5436c90da5bb4db3065b6c072fe0f518bca27997e32a3e7d23b08"),
     ("blurry", "edsr"): (
         "d5e788a18836adf27d348cf789060cf20afe3481b90bd80500ad26c689fa7ec1",
-        "d0630afa59d370acad33a0ae15d348f81440b1a023ed226c3dd69ce21f0d43dd",
+        "061d24bd888f64986f4926af743b6f094a4a6b2dc93ec9f7b9b370ace1ad88b4",
         "f62cb7fbc8b952bc8b8cc97295b87e9ca3aeb515298f00e7f53b7aa18d7bc3cc"),
     ("blurry", "der"): (
         "ec4b349f80b4637fafeef4778c0676bd54f31f2bf591725440ab6e1590d8fb43",
-        "fdeb8ec375900110c29a8204a760ea43e3789a817dc6f3bdf57ba109569bb26d",
+        "2fb0c8ab21d633b258f70455a18344d18800dc7c40ca17588ae654ee246b0a4f",
         "14313ea2e87c7c796e32782dc31ea2379b1468b4427f2123affcb4ed5474daf6"),
     ("blurry", "lump"): (
         "e248f980dda0dbb434b5d9a26600b9a5f1288125f0063d439c9a8e8b6ee8b32e",
-        "77787e2d2949290322eaf946368a7b54e728cb00e79450eab70141f6c4501b53",
+        "525bdab8a6c8aa021fb21df0cbeae9e04d40798af5ae35ce504d1d4a3bbe62c6",
         "9c7d6a5d5898a40247efdbbe5dad70352b8a38d1eac762640a633782e9f35dba"),
     ("domain_incremental", "finetune"): (
         "ff8805b8bd239a2bc16157233e33355211ee451e2bc5f0aece7b9b0507e4af73",
-        "6d237865e7e9bdd7ba8c45ba97113430b1640519952823b6d7f1326dfdb0d9af",
+        "db5df5a41fab5e3c422c753ddc69da37ee10b252c9f5cd59d97160a04b2cfb44",
         "8cc09e328a24b876fb8fa4a0bd8837cfc54c08cd034edad0df0bf469c24c1f4d"),
     ("domain_incremental", "edsr"): (
         "4b0628d2464f2096525518f3f8a906742b6d0b216cd27f4d9de6dc027526fdcd",
-        "6f149a34e4f2c26dbd0901523cc1d305c47c105d2597c033d89096ff6340141a",
+        "865b307d8e0a4180ec4c261198004b4546858ff1ee1adef3f523edaca2dd43e4",
         "7e9ea673a3909ab30f622266e90f9a2429ec2131d124d6cbd8bc2686996b8cc7"),
     ("domain_incremental", "der"): (
         "111b116e4b5e7f839c8209db91a893838619a11c62e12ed8b961db4d138936c2",
-        "8a409dd0c4c3e5d66a62ec6b1e2e640d0f5d04654b7fc67f066b222eac532047",
+        "a9bd3d6896ffe0455e1dedbb7faf93c51362c78d23841eb32786518c5b79d5d2",
         "4a151f4b12a771808c8a2a1e5b478c9556026a104c0c31584817fe01a6f11fae"),
     ("domain_incremental", "lump"): (
         "712125560765705c22428f6edf4e50d3001540c8af51e2ef97a10583c5e0c9b3",
-        "f83dbcebe273c3d72384e057a56955e52ddc5f18d6b0775af3dcce1c21575a5d",
+        "8893a77f3742e4232e43b534c969b3a552ecff27269d637ae1f51acacb6c6f04",
         "6b1d988861b5e29bd5ac2ac91a08970c93648f4d6f89fe39b4e356bc02663a83"),
     ("long_sequence", "finetune"): (
         "f90987be2cc4ccb3e2f7c49846d92b39d0c8e140c0c5b10c0e12e0794e897bc5",
-        "76cf2cae0a231ea5adc42c0383c688aa79fd5a1eaba17e9baf8fa742a27ef397",
+        "05f9c2e90cac99caf0697869e1f7aa0b6a1d00b734d057f4875a6961a19d80b4",
         "e5f5360f018e8c3efad19f1fc6d042f36c93a52f0f4fb21d4beffae9b42a33f0"),
     ("long_sequence", "edsr"): (
         "5d09cb7933fb4d72d737886d9915e20f81bf047db139d6d95084dea28d881a5f",
-        "5c29462943992c264895ebf8dc5ba06eb5da928ad32f762547a16436df024be2",
+        "e2376273f1c3e5b732c038b5e5e5eb5423466c7585ae440df4aa567b277fa96e",
         "fef6dc7dd907bbdfe5f8931468278155497f94098a032b079865918e187e4d03"),
     ("long_sequence", "der"): (
         "0a4351b5c8260b82609e2f34241d28f782e1c14b8b2d55e2c18b9fef82c5e365",
-        "e4fe7d9b45bb8e7f986e38e3ed6e6855077bc45707990dd56f51c03f6492fadb",
+        "76e20ce9ff13f1831d6837b33953a502c22f35eaaeca08d73018b123b1cbf10f",
         "f1ab89d70f4b78b34c50d08c42df81e7f55e063ea87785db5dc9387cd033a046"),
     ("long_sequence", "lump"): (
         "675c36db034d33829ddb5be2c80e9228f27a1df097d3c79cdf6df0f66a2072c6",
-        "94db3e96392d6e0f2ea25f9dd1e068fd0e39870e18ccfac641e8597529179678",
+        "e265b41532bf5057652bd7b1c59b2eb62c6cd1ec165a809b80a69a8438b1b935",
         "4edb50c51be574b2c2a50e0bde17544dc4e0511292f30116c48139310c3f7446"),
 }
 

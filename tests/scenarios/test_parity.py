@@ -1,13 +1,17 @@
-"""Class-incremental artifact pins: checkpoints keep the pre-scenario bytes.
+"""Class-incremental artifact pins: every artifact of a ``TaskSequence`` run.
 
-A ``TaskSequence`` run is the ``class_incremental`` stream run.  The pins
-below were computed from the separate classic trainer loop that predates
-the stream loop (its result JSON, checkpoints and manifests were byte for
-byte those of the ``class_incremental`` stream path, whose transfer matrix
-is pinned too), so a checkpoint written today resumes exactly as one
-written before streams existed.  Each case pins the sha256 of the result
-JSON (``elapsed_seconds`` zeroed), every ``ckpt-*.npz``, every canonical
-manifest and ``transfer-matrix.json``.
+A ``TaskSequence`` run is the ``class_incremental`` stream run.  Each case
+pins the sha256 of the result JSON (``elapsed_seconds`` zeroed), every
+``ckpt-*.npz``, every canonical manifest and ``transfer-matrix.json``.
+
+The result JSON and ``transfer-matrix.json`` pins still date from the
+separate classic trainer loop that predates the stream loop: they were
+computed from it before it was deleted, so today's numerics are the
+classic loop's.  The ``ckpt-*`` pins were re-pinned when every checkpoint
+began to hold the run's transfer matrix, stream identity and controller
+state (checkpoint schema 2); every array checksum of the older manifests
+is unchanged, and the only new arrays are ``state/transfer/online`` and
+``state/transfer/final``.
 """
 
 import hashlib
@@ -27,17 +31,17 @@ ARTIFACTS = {
         "result.json":
             "44199bfbc4422101be2f2d3550dd12b08b1605eea1b9c96194ecf8031d83caba",
         "ckpt-00000.npz":
-            "f10e8eed152e8b96e40914287d520a419197f377b5a767c8d66525f455a73691",
+            "c2d2399ea636db81612a1c4e9d680f2c49b9fdf022eb02a8565e828d00076b5f",
         "ckpt-00000.json":
-            "af40014b45688b867c609cfcf55949ec96926342f084e3e67a1495c8a75985df",
+            "342518cdc396f9ec533834729f25f3c1e5aa41f9ccfe42a7b90fa47a54cb366e",
         "ckpt-00001.npz":
-            "56559c8c2d36feaa30c450ae8bf577c26fbbf688bab9882d26d9be303c936404",
+            "54b8318924b9cf22145a2bbde0668859a0f56b4a7f20a27f67a630e0f24ce4d9",
         "ckpt-00001.json":
-            "a5701583c047e40ce8b3cba6217710698a5fca001e1b4ee50e0122bc54b7ee93",
+            "213ed3a605f4a1094698fc3c16fdc4dd575e62ceb56a5b0b563e799dafad118d",
         "ckpt-00002.npz":
-            "0fd2c56644cda7dfeb37a261c5fdc792a8aad2db5dfb438b2553ef06e90ffae1",
+            "6f7b68e6e750059ae5e2058587975f106b033e66ee77bb4f694a7e5db510902e",
         "ckpt-00002.json":
-            "56d2c547cb9945a953039bc4a28a7743d079e347438a71ca7f00dd8e58c10c4b",
+            "b8000e2414ddefd2a012a1973a1ce0cc3feb6d8428262a0e7639baea17d3b447",
         "transfer-matrix.json":
             "3d9d5a75106e8198a92cffb25bb8fbef5d24727d76f54a9784ce6a03694c6363",
     },
@@ -45,17 +49,17 @@ ARTIFACTS = {
         "result.json":
             "0c3e2fdbd368015c392850802bf3170d669594e9c179ec505071b9f3eef65d8f",
         "ckpt-00000.npz":
-            "ddd7bc8225112b3bce726e5575566dd0a4460020e47e9c989a45361f6f409a6d",
+            "442f57626520eab8a85321826f3c52ec33da7dfe9d0901bbc0c494725792fcfd",
         "ckpt-00000.json":
-            "448f23041c35a5772a1b12fbaff42be5ace4f5bc2ec5da7652450fb7eadba2c9",
+            "2cc4ed8b5c5caf6419bb7ff3e85296dc094a82a4d1228751fa3b67e9776d4074",
         "ckpt-00001.npz":
-            "6192bff0871c08260810a5cba873acc15973fcf7dd587cc24e3259173de74f3a",
+            "b6282f898ef625b6c1aafd0be00086e4eea10d7ab5649e4ef246dd70366c7af5",
         "ckpt-00001.json":
-            "208ca959bfe22919784ab972fe863767e7edd99770ba389da9adf63b6437b63c",
+            "9a11c4ad5ade7891afdf09cdd0e9963e6b4432088d1861a8f47b3b27c9248fb1",
         "ckpt-00002.npz":
-            "a24ff557a1daa1e1c66b0000f92a64c39a50f967b99589811c72ab47c78f4552",
+            "c0706d72969d1caa8ce2d305873e902e7587ed37995c6d24a112be3f891d5dc7",
         "ckpt-00002.json":
-            "8dee36267b5b69880f3395905bd0ad7492252e0b7fcde9583eed827be1a767ed",
+            "08f90ccec5709a054b534dbad6f53777b67a8c8b570aa67317d1dc367f667fcd",
         "transfer-matrix.json":
             "6fa9550e1eb2974e78f8e6fbbcc33ffc8b4467a76c38ecf18e43f52277e4f56f",
     },

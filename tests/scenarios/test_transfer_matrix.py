@@ -48,24 +48,6 @@ class TestRecording:
         with pytest.raises(ValueError, match="final"):
             matrix.record_row([0.5] * 3, [0.5] * 4)
 
-    def test_truncate_drops_tail_rows(self):
-        matrix = filled_matrix()
-        matrix.truncate(1)
-        assert matrix.rows_recorded == 1
-        assert np.isnan(matrix.final[1]).all()
-        matrix.record_row([0.1] * 3, [0.2] * 3)
-        assert matrix.rows_recorded == 2
-        with pytest.raises(ValueError, match="truncate"):
-            matrix.truncate(3)
-
-    def test_backfill_advances_leaving_nan(self):
-        matrix = small_matrix()
-        matrix.backfill(2)
-        assert matrix.rows_recorded == 2
-        assert np.isnan(matrix.final[:2]).all()
-        matrix.record_row([0.5] * 3, [0.6] * 3)
-        assert matrix.complete
-
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="n_rows"):
             TransferMatrix(0, ["a"])

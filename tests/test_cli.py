@@ -179,16 +179,17 @@ class TestFaultToleranceFlags:
         out = capsys.readouterr().out
         assert "finetune" in out
 
-    def test_compare_resume_restores_a_torn_result_from_checkpoints(
-            self, capsys, tmp_path):
+    @staticmethod
+    def _compare_resume_restores(capsys, tmp_path, damage):
+        """Damage a finished ``compare`` run's result.json, then check
+        ``--resume`` rebuilds it from the checkpoints."""
         ckpt = tmp_path / "cmp"
         base = ["compare", "cifar10-like", "--methods", "finetune",
                 "--epochs", "1", "--checkpoint-dir", str(ckpt)]
         assert main(base) == 0
         result_path = ckpt / "finetune" / "result.json"
         written = json.loads(result_path.read_text())
-        data = result_path.read_bytes()
-        result_path.write_bytes(data[:len(data) // 2])
+        damage(result_path)
         capsys.readouterr()
 
         assert main(base + ["--resume"]) == 0
@@ -199,3 +200,20 @@ class TestFaultToleranceFlags:
                   (ckpt / "finetune" / "events.jsonl").read_text().splitlines()]
         resume = [e for e in events if e["kind"] == "resume"]
         assert resume and resume[-1]["task_index"] == written["n_tasks"]
+
+    def test_compare_resume_restores_a_torn_result_from_checkpoints(
+            self, capsys, tmp_path):
+        def torn(path):
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) // 2])
+
+        self._compare_resume_restores(capsys, tmp_path, torn)
+
+    def test_compare_resume_restores_a_self_contradicting_result(
+            self, capsys, tmp_path):
+        def matrix_rows_short(path):
+            payload = json.loads(path.read_text())
+            payload["accuracy_matrix"] = payload["accuracy_matrix"][:2]
+            path.write_text(json.dumps(payload))
+
+        self._compare_resume_restores(capsys, tmp_path, matrix_rows_short)

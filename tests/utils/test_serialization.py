@@ -120,6 +120,26 @@ class TestResultRoundtrip:
         with pytest.raises(ValueError, match="null"):
             load_result(path)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("accuracy_matrix", [[0.9, None, None], [0.85, 0.92, None]],
+         "not 3x3"),
+        ("accuracy_matrix", [[0.9, None], [0.85, 0.92], [0.8, 0.9]],
+         "not 3x3"),
+        ("rows_recorded", 4, "outside"),
+        ("rows_recorded", -1, "outside"),
+    ], ids=["matrix-rows-short", "matrix-columns-short",
+            "rows-recorded-past-n-tasks", "rows-recorded-negative"])
+    def test_file_contradicting_its_header_is_an_error(self, tmp_path, field,
+                                                       value, match):
+        import json
+        path = tmp_path / "bad.json"
+        save_result(self._result(), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
+            load_result(path)
+
     def test_legacy_file_without_rows_recorded(self, tmp_path):
         import json
         path = tmp_path / "legacy.json"
