@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
+from repro.augment.image import gaussian_blur
 from repro.data.dataset import ArrayDataset
 
 
@@ -67,7 +67,7 @@ def _smooth_field(rng: np.random.Generator, channels: int, size: int,
     coarse = rng.normal(size=(channels, grid, grid))
     reps = int(np.ceil(size / grid))
     field = np.kron(coarse, np.ones((reps, reps)))[:, :size, :size]
-    return ndimage.gaussian_filter(field, sigma=(0, sigma, sigma))
+    return gaussian_blur(field[None], np.array([sigma]))[0]
 
 
 def _class_figure(rng: np.random.Generator, size: int) -> np.ndarray:

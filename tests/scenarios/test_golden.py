@@ -13,7 +13,11 @@ The first two are the digests ``benchmarks/e2e/child.py`` computes.
 ``GOLDEN`` holds the two image-path cases on ``class_incremental``.
 ``MATRIX_GOLDEN`` holds every (scenario, method) cell that
 ``test_scenario_matrix.py`` trains, so each cell trains once and is both
-smoke-checked and pinned.  ``MULTITASK_GOLDEN`` pins the joint-training
+smoke-checked and pinned.  ``OBJECTIVE_GOLDEN`` holds finetune, CaSSLe and
+EDSR on ``class_incremental`` under the other two CSSL objectives,
+BarlowTwins and BYOL, so every objective's ``L_css`` is pinned under a
+method that uses only it and under the two that add ``L_dis``.
+``MULTITASK_GOLDEN`` pins the joint-training
 upper bound, which has no checkpoints: the bytes of its per-task
 accuracies under two probes (the KNN cells saturate at 1.0 on this
 sequence; the linear probe's do not).
@@ -153,6 +157,28 @@ MATRIX_GOLDEN = {
         "4edb50c51be574b2c2a50e0bde17544dc4e0511292f30116c48139310c3f7446"),
 }
 
+#: (objective, method) -> (matrix sha256, manifest-checksums sha256)
+OBJECTIVE_GOLDEN = {
+    ("barlow", "finetune"): (
+        "21794191f431a9d2272101ded67e5e880a1093b15ec1cf2aa87ea8295b8676f8",
+        "780402ee0416cc2bfe9f4bd73cfae649a147a45ebbf59c37920ef4e8552f156c"),
+    ("barlow", "cassle"): (
+        "0886abceb79f34a0aaceac025f54db211d55ac1a1b205e7ab66fe1b627687bd3",
+        "46b88938ab77e68238a7cc59305d3611fb677976772bc41f9379d99f5d537622"),
+    ("barlow", "edsr"): (
+        "2ad682afdba6b92c0f1c889703cd15c2adfaa31f9d648ec72e06d089a695be4f",
+        "0675fabd1bcb1b3ab4b7f0437c2d00d372d06f245e2dbd23bd1023f82dd996be"),
+    ("byol", "finetune"): (
+        "940e1f589b672c085c3c6649e1a07e21a1cca76719de0ab870c08c1bb056de0a",
+        "47ce90b061cd258a19244cb2f71c1d133722066856b89ec0a28e70e5e5a92037"),
+    ("byol", "cassle"): (
+        "b965aa8fb820203f12bba650c1ba9cd0a046007e0509c574c38c54234cc7d895",
+        "7a3dc1266d0581610158dca54381034c2c318ef3d4455bed84e5d9d13421949f"),
+    ("byol", "edsr"): (
+        "c59430cdefb6c8e1f670b16e5dc89fc5bf434e909c04a3327bf970c5c65c7363",
+        "2d99f615d3720e2c8318226090c8411a52fbdf44191c7b7b39a0ca9c68e42744"),
+}
+
 #: probe -> sha256 of ``run_multitask``'s float64 per-task accuracies
 MULTITASK_GOLDEN = {
     "knn": "cc143326a2646c605ea66139d7b440df7cbde18c050f1f8cf4dd30f42cfe7123",
@@ -189,6 +215,15 @@ def test_image_run_digests_are_pinned(method, fast_config, tiny_sequence,
                                         scenario="class_incremental")
     _, _, digests = run_digests(method, config, tiny_sequence, tmp_path)
     assert digests[:2] == GOLDEN[method]
+
+
+@pytest.mark.parametrize("objective,method", sorted(OBJECTIVE_GOLDEN))
+def test_objective_run_digests_are_pinned(objective, method, fast_config,
+                                          tiny_sequence, tmp_path):
+    config = fast_config.with_overrides(epochs=1, objective=objective,
+                                        scenario="class_incremental")
+    _, _, digests = run_digests(method, config, tiny_sequence, tmp_path)
+    assert digests[:2] == OBJECTIVE_GOLDEN[objective, method]
 
 
 @pytest.mark.parametrize("probe", sorted(MULTITASK_GOLDEN))

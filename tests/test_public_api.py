@@ -1,12 +1,14 @@
 """Meta-tests on the public API surface.
 
 Guards the contract a downstream user relies on: everything exported in
-``__all__`` resolves, every public module is documented, and the README's
-quickstart snippet actually runs.
+``__all__`` resolves, every public module is documented, the README's
+quickstart snippet actually runs, and training needs no scipy.
 """
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +71,26 @@ class TestQuickstartSnippet:
         result, _ = run_method("edsr", sequence, ContinualConfig(epochs=1), seed=0)
         assert 0.0 <= result.acc() <= 1.0
         assert result.accuracy_matrix.shape == (5, 5)
+
+
+#: Build the image benchmark and train EDSR for one epoch on two tasks
+#: (new-data distillation and noisy replay included), then list every
+#: loaded module whose name starts with ``scipy``.
+NO_SCIPY_SCRIPT = """
+import sys
+from repro import ContinualConfig, load_image_benchmark, run_method
+from repro.data.splits import TaskSequence
+
+sequence = load_image_benchmark("cifar10-like", scale="ci")
+two_tasks = TaskSequence(sequence.tasks[:2], name=sequence.name)
+config = ContinualConfig(epochs=1, batch_size=64, representation_dim=16)
+run_method("edsr", two_tasks, config, seed=0)
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_training_loads_no_scipy_module():
+    """scipy is a test-only dependency: no runtime path imports it."""
+    output = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                            check=True, capture_output=True, text=True)
+    assert output.stdout.strip() == "[]"
