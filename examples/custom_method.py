@@ -56,7 +56,8 @@ class EDSRLite(ContinualMethod):
         memory_view = self.augment.pipeline(self.buffer.all_samples()[idx], self.rng)
         with no_grad():
             target = self.old_objective.representation(memory_view).numpy()
-        return loss + 0.5 * self.head.loss(memory_view, target)
+        current = self.objective.representation(memory_view)
+        return loss + 0.5 * self.head.loss(current, target)
 
     def end_task(self, task, task_index):
         quota = self.buffer.per_task_quota

@@ -6,7 +6,8 @@ fresh distillation head ``p_dis`` is created.  Training minimizes
 ``L = L_css(x1, x2) + 1/2 (L_dis(x1) + L_dis(x2))``   (Eq. 9)
 
 where ``L_dis`` aligns the current (projected) representation of each view
-with the frozen model's representation of the same view.  No data is
+with the frozen model's representation of the same view.  Both terms read
+the same ``f(x)``: each view is encoded once per step.  No data is
 stored: the old model alone carries the old knowledge, which the paper
 identifies as CaSSLe's weakness over long sequences.
 """
@@ -48,16 +49,18 @@ class CaSSLe(ContinualMethod):
             params = params + self.head.parameters()
         return params
 
-    def _distill(self, view: np.ndarray) -> Tensor:
+    def _distill(self, view: np.ndarray, current: Tensor) -> Tensor:
+        """``L_dis`` of ``view``, whose live representation is ``current``."""
         with no_grad():
             target = self.old_objective.representation(view).numpy()
-        return self.head.loss(view, target)
+        return self.head.loss(current, target)
 
     def batch_loss(self, view1, view2, raw) -> Tensor:
-        loss = self.objective.css_loss(view1, view2)
+        z1, z2 = self.objective.encode(view1, view2)
+        loss = self.objective.css_loss(view1, view2, (z1, z2))
         if self.old_objective is None:
             return loss
-        distill = (self._distill(view1) + self._distill(view2)) * 0.5
+        distill = (self._distill(view1, z1) + self._distill(view2, z2)) * 0.5
         return loss + self.config.distill_weight * distill
 
     def state_dict(self) -> dict:

@@ -22,9 +22,8 @@ from repro.tensor.tensor import Tensor, no_grad
 class PFR(CaSSLe):
     name = "pfr"
 
-    def _distill(self, view: np.ndarray) -> Tensor:
+    def _distill(self, view: np.ndarray, current: Tensor) -> Tensor:
         with no_grad():
             target = self.old_objective.representation(view).numpy()
-        current = self.objective.representation(view)
         projected = self.head.projector(current)
         return -(ops.cosine_similarity(projected, Tensor(target))).mean()

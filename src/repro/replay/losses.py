@@ -80,7 +80,7 @@ class DistillReplay(ReplayLoss):
             raise ValueError("distillation replay requires the old model and a head")
         view = augment(batch, rng)
         target = self._old_target(old_objective, view)
-        return head.loss(view, target)
+        return head.loss(objective.representation(view), target)
 
 
 class NoisyDistillReplay(DistillReplay):
@@ -100,7 +100,7 @@ class NoisyDistillReplay(DistillReplay):
         # r(x) may be per-sample (m,) or per-sample-per-dimension (m, d).
         scales = noise if noise.ndim == 2 else noise[:, None]
         target = target + scales.astype(target.dtype) * sigma
-        return head.loss(view, target)
+        return head.loss(objective.representation(view), target)
 
 
 def make_replay(name: str) -> ReplayLoss:

@@ -40,8 +40,9 @@ class BarlowTwins(CSSLObjective):
         offdiag_term = ((c * (1.0 - eye)) ** 2).sum()
         return diag_term + self.lambda_offdiag * offdiag_term
 
-    def css_loss(self, x1: np.ndarray, x2: np.ndarray) -> Tensor:
-        return self._barlow_loss(self.encoder(x1), self.encoder(x2))
+    def pair_loss(self, x1: np.ndarray, x2: np.ndarray, z1: Tensor,
+                  z2: Tensor) -> Tensor:
+        return self._barlow_loss(z1, z2)
 
     def align(self, current: Tensor, target: np.ndarray) -> Tensor:
         """Barlow-style alignment of ``current`` against fixed old targets.

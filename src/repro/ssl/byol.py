@@ -8,9 +8,11 @@ stop-gradient of the live one:
 
 ``L = || normalize(h(f(x1))) - normalize(f_ema(x2)) ||^2`` (symmetrized).
 
-The EMA target network is refreshed at the start of every ``css_loss`` call
-(i.e. once per training step), which matches the usual per-step momentum
-update without requiring optimizer hooks.
+The EMA target network is refreshed by every ``encode`` call (i.e. once
+per training step, before the online network encodes the views), which
+matches the usual per-step momentum update without requiring optimizer
+hooks.  Refreshing first also means the target copies the online
+BatchNorm buffers before that step's encodes move them.
 """
 
 from __future__ import annotations
@@ -76,10 +78,14 @@ class BYOL(CSSLObjective):
         # Fused normalize-both + squared-distance kernel (one tape node).
         return ops.normalized_mse(prediction, Tensor(target), axis=1).mean()
 
-    def css_loss(self, x1: np.ndarray, x2: np.ndarray) -> Tensor:
+    def encode(self, x1: np.ndarray, x2: np.ndarray) -> tuple[Tensor, Tensor]:
         self.momentum_update()
-        p1 = self.predictor(self.encoder(x1))
-        p2 = self.predictor(self.encoder(x2))
+        return super().encode(x1, x2)
+
+    def pair_loss(self, x1: np.ndarray, x2: np.ndarray, z1: Tensor,
+                  z2: Tensor) -> Tensor:
+        p1 = self.predictor(z1)
+        p2 = self.predictor(z2)
         t1 = self.target_representation(x1)
         t2 = self.target_representation(x2)
         return (self._normalized_mse(p1, t2) + self._normalized_mse(p2, t1)) * 0.5

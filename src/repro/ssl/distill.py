@@ -47,12 +47,12 @@ class DistillationHead(Module):
             return
         super().__setattr__(name, value)
 
-    def loss(self, x: np.ndarray, target: np.ndarray) -> Tensor:
-        """``L_dis`` for a batch ``x`` against old-model targets ``target``.
+    def loss(self, current: Tensor, target: np.ndarray) -> Tensor:
+        """``L_dis`` for a batch whose live representation is ``current``.
 
-        ``target`` is a plain array: the old model's representation of the
-        same (augmented) inputs, optionally perturbed by EDSR's noise.
+        ``current`` is ``f(x)`` from the pass that also feeds ``L_css``, so
+        each batch is encoded once.  ``target`` is a plain array: the old
+        model's representation of the same (augmented) inputs, optionally
+        perturbed by EDSR's noise.
         """
-        current = self._objective.representation(x)
-        projected = self.projector(current)
-        return self._objective.align(projected, target)
+        return self._objective.align(self.projector(current), target)

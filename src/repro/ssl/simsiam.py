@@ -43,9 +43,8 @@ class SimSiam(CSSLObjective):
         """Mean of ``-cos(p, z)`` over the batch; ``z`` must be detached by the caller."""
         return -(ops.cosine_similarity(p, z)).mean()
 
-    def css_loss(self, x1: np.ndarray, x2: np.ndarray) -> Tensor:
-        z1 = self.encoder(x1)
-        z2 = self.encoder(x2)
+    def pair_loss(self, x1: np.ndarray, x2: np.ndarray, z1: Tensor,
+                  z2: Tensor) -> Tensor:
         p1 = self.predictor(z1)
         p2 = self.predictor(z2)
         loss = self._negative_cosine(p1, z2.detach()) + self._negative_cosine(p2, z1.detach())

@@ -126,7 +126,9 @@ class VAEObjective(CSSLObjective):
             return
         super().__setattr__(name, value)
 
-    def css_loss(self, x1: np.ndarray, x2: np.ndarray) -> Tensor:
+    def css_loss(self, x1: np.ndarray, x2: np.ndarray,
+                 z: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """The ELBO of ``x1``; it reads the raw view, so ``z`` goes unused."""
         return self.vae.elbo_loss(Tensor(x1), self._rng, self.kl_weight)
 
     def align(self, current: Tensor, target: np.ndarray) -> Tensor:

@@ -36,7 +36,7 @@ def _train_steps(objective, head, x_new, x_old, old_objective, augment, rng,
             view = augment(x_old, rng)
             with no_grad():
                 target = old_objective.representation(view).numpy()
-            loss = loss + head.loss(view, target)
+            loss = loss + head.loss(objective.representation(view), target)
         loss.backward()
         optimizer.step()
 

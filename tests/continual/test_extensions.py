@@ -52,7 +52,7 @@ class TestPFR:
         method.augment = _build_augment(fast_config, tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[1], 1, 3)
         x = tiny_sequence[1].train.x[:6]
-        loss = method._distill(x)
+        loss = method._distill(x, objective.representation(x))
         loss.backward()
         predictor_grads = [p.grad for p in objective.predictor.parameters()]
         assert all(g is None for g in predictor_grads)

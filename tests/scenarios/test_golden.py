@@ -28,7 +28,11 @@ pass it as long as accuracy stays within its bound.  These pins close that
 gap.  A pin moves only in a commit that says why numerics moved.  The
 manifest-checksum digests were re-pinned once without a numerics change,
 when the run state gained the transfer matrix: the only new checksums are
-``state/transfer/online`` and ``state/transfer/final``.
+``state/transfer/online`` and ``state/transfer/final``.  Every CaSSLe, PFR
+and EDSR pin moved once, when ``L_css`` and ``L_dis`` began to share one
+live-encoder pass per view (so the encoder's BatchNorm running statistics
+move once per view, not twice); every finetune pin, under all three
+objectives, held.
 """
 
 import hashlib
@@ -48,8 +52,8 @@ GOLDEN = {
         "1ea4909a9d47a00e627102bd5b41cc01e8d2b3df802061d8c6307e19a8582d7e",
         "4422c64fbbca0c9b4d15f0afa3ec2e1a6bed46db975677d095d8a4e7b119bb18"),
     "edsr": (
-        "518f2dc616b65fc1d6fda6e04b518752a1855acc14234b3058fa76dfa72a89ca",
-        "e8716bba3bf4b70c8db2a0a98746435fbec831bdefe310972cfbedccca249273"),
+        "9c6f0772902cd53f58ad4e86022557000a35e0e1e0bffe0657bdf31365379e5c",
+        "86c1aa619d5fec96b1667505dd06312fe4645fc18cf69ce9bf43897eac0168dc"),
 }
 
 #: (scenario, method) -> (matrix, manifest-checksums, transfer-matrix.json)
@@ -60,9 +64,9 @@ MATRIX_GOLDEN = {
         "4422c64fbbca0c9b4d15f0afa3ec2e1a6bed46db975677d095d8a4e7b119bb18",
         "11f394ac100385d3e6643ec43a24c7a8ee303f8d1f72de8d674535b1eaf2412c"),
     ("class_incremental", "edsr"): (
-        "518f2dc616b65fc1d6fda6e04b518752a1855acc14234b3058fa76dfa72a89ca",
-        "e8716bba3bf4b70c8db2a0a98746435fbec831bdefe310972cfbedccca249273",
-        "73d8f67d962e716d3de0a7763c0f79fbf5936871f79e76ef42d821f1f71226a2"),
+        "9c6f0772902cd53f58ad4e86022557000a35e0e1e0bffe0657bdf31365379e5c",
+        "86c1aa619d5fec96b1667505dd06312fe4645fc18cf69ce9bf43897eac0168dc",
+        "f3407503e2b813f8666a3967bd76ad415a0f7bc9ff6a74ca032662c73a25dcfa"),
     ("class_incremental", "der"): (
         "4ac980378ad60e68b7728a5dcdd436f8d73697ca2774809867f264e67148ae91",
         "fb10d1a1ebf925b589b2e6ac4e6099e953c6a247c9c96a6a9375f6a1a4c07f82",
@@ -76,17 +80,17 @@ MATRIX_GOLDEN = {
         "cf3ab5463a9e26f7d3dde760cd08ec22abaf0afd22ea263370bf869ceeeb5942",
         "e23d9ddd814ffd2ffc8faeb1398885c08f7f235f611fc331cf2e309ebb0e34be"),
     ("class_incremental", "cassle"): (
-        "1ea4909a9d47a00e627102bd5b41cc01e8d2b3df802061d8c6307e19a8582d7e",
-        "fafc0384ad44a7c80bff40fc439acbf7d400f0bf3e70c0a7e04ad1bd95951203",
-        "a04819f6dd31ac975d4360f791029845a21a7c65be6644ef5b70d58f4c566b91"),
+        "206f6cb29a6520fdac5557eb34b636efa36e40cd77a6a8cb1ba78a476ca391cd",
+        "eee2160bebd870baf60d7795d730c5fbf97cec6cdd3996929497701a2878861a",
+        "ef82f8aca192d50f49715d2452313b89d8f49d8a2aae6acee55f919d1a64ea55"),
     ("class_incremental", "lin"): (
         "5ceb41901ee6dc9faf91423c6f86b8f461b6a7418a7d6a38779371bc314c9354",
         "81c0c97263e37b5c63f5b96fb3c75b037786a2f7256e85f557f4e40709c25751",
         "9a859ab8e14d503d2ff503f654da577cbe0d97528441b7fd7791b3189f509798"),
     ("class_incremental", "pfr"): (
-        "39f1eb66cbe39ef85c2841014ece7f5e92c1d978e20e2846aa8b58e82f842c78",
-        "d419c5126848c09499ba88e21c17553aede20bd7069702eea68f2fb5c4be190e",
-        "bd34a682c1807338f0f4467e3ae50f83a7013ae0e8a0fbf94035a0818c3c96a1"),
+        "7b5c5dd8b49b78d8973e64c5cc1d80a12ce00093ecf89d499ef894a03374bb13",
+        "b8d37597a5265cf816142b536799d8a12fc61657c59017a78edd3cec5f258898",
+        "365fba590a278f95415a3e26114a13658794e353ddf81573158577604b93be2b"),
     ("class_incremental", "curl"): (
         "0188ae633a344cff6c3e1e19d4aee381282c1f963cc09d7478371f26ea6f96cb",
         "94cb5f0c2ca5a6d6cf59c3a852ade69a6dde08f0df8ccf452a82b21cab207f82",
@@ -96,9 +100,9 @@ MATRIX_GOLDEN = {
         "13049932f7eb6777d840cdbf6d440c83c3de9f5ac8b9549f3a41fc772211f1f9",
         "89309d052a050b3720c34af9d6674ad2be887160713b5a02e8e096e82e446626"),
     ("task_free", "edsr"): (
-        "0b974229a4596d5466c1bbd7b82c642d72ceae5fdb6fa4fb9dc2a2bbd6649fea",
-        "782ff62ff9f0e93bf9badef4755aa9aa186feff3c375646e1d3b3f45cfd7eb00",
-        "ba74b0fa05b32d25f0edeaeb72f1e870a7193c4b597c9f699a1300fcded0cb12"),
+        "ee0a399704a39b6a75341b3bf28fda7e996ac5f8ebc0ec55114b2702e85abb88",
+        "f17145924892025bd62f1d82f78d29399ed93401a785930454561ef228387686",
+        "39801cbb74349cfc402c940f8d2b095ce44fa1292dc72b27ce701b72ade99cca"),
     ("task_free", "der"): (
         "8b2cc649e9063550eb445456303067d5beea4f276ef6624532e5dbb6883d8253",
         "108b7f33ac42d32e795ff37fb938e13e64a3b20745b5cd46b8b78b8c1e230596",
@@ -112,9 +116,9 @@ MATRIX_GOLDEN = {
         "cfc69b7bc025529f1985f516c48954a31e9022e97c641f6f81fc47fa49442bc9",
         "849ad46159b5436c90da5bb4db3065b6c072fe0f518bca27997e32a3e7d23b08"),
     ("blurry", "edsr"): (
-        "d5e788a18836adf27d348cf789060cf20afe3481b90bd80500ad26c689fa7ec1",
-        "061d24bd888f64986f4926af743b6f094a4a6b2dc93ec9f7b9b370ace1ad88b4",
-        "f62cb7fbc8b952bc8b8cc97295b87e9ca3aeb515298f00e7f53b7aa18d7bc3cc"),
+        "e248f980dda0dbb434b5d9a26600b9a5f1288125f0063d439c9a8e8b6ee8b32e",
+        "7ab5fbaa0827ce6a7b8d7657402030c31a3629a72e125487a8636ac0ccdc3bfb",
+        "0a3054ac97278a7a6b6e72ae8403e2d476b225b0ae6d77f9288afeb714158cf2"),
     ("blurry", "der"): (
         "ec4b349f80b4637fafeef4778c0676bd54f31f2bf591725440ab6e1590d8fb43",
         "2fb0c8ab21d633b258f70455a18344d18800dc7c40ca17588ae654ee246b0a4f",
@@ -128,9 +132,9 @@ MATRIX_GOLDEN = {
         "db5df5a41fab5e3c422c753ddc69da37ee10b252c9f5cd59d97160a04b2cfb44",
         "8cc09e328a24b876fb8fa4a0bd8837cfc54c08cd034edad0df0bf469c24c1f4d"),
     ("domain_incremental", "edsr"): (
-        "4b0628d2464f2096525518f3f8a906742b6d0b216cd27f4d9de6dc027526fdcd",
-        "865b307d8e0a4180ec4c261198004b4546858ff1ee1adef3f523edaca2dd43e4",
-        "7e9ea673a3909ab30f622266e90f9a2429ec2131d124d6cbd8bc2686996b8cc7"),
+        "1df58a746740ce6c387b661eb7c04bafed4fab737d9aee4bf8d0705745738550",
+        "30a2ae975c3ab6635ef3fa68210ea2099b7e9354b0651025ff5bb108c2f001af",
+        "1cbc1b9457a42730cff37a27de892cb6dc8ecb93d239e55f24cabe1492bc6a35"),
     ("domain_incremental", "der"): (
         "111b116e4b5e7f839c8209db91a893838619a11c62e12ed8b961db4d138936c2",
         "a9bd3d6896ffe0455e1dedbb7faf93c51362c78d23841eb32786518c5b79d5d2",
@@ -144,9 +148,9 @@ MATRIX_GOLDEN = {
         "05f9c2e90cac99caf0697869e1f7aa0b6a1d00b734d057f4875a6961a19d80b4",
         "e5f5360f018e8c3efad19f1fc6d042f36c93a52f0f4fb21d4beffae9b42a33f0"),
     ("long_sequence", "edsr"): (
-        "5d09cb7933fb4d72d737886d9915e20f81bf047db139d6d95084dea28d881a5f",
-        "e2376273f1c3e5b732c038b5e5e5eb5423466c7585ae440df4aa567b277fa96e",
-        "fef6dc7dd907bbdfe5f8931468278155497f94098a032b079865918e187e4d03"),
+        "ba9e1fd003bda7ddf888277490bcd161d576befdcfbaf13915483c776845ca8e",
+        "b369853f248d145e7f609be1484eda609a6022b88baac9ea58c4649fb39d9061",
+        "e10ee9929bf54b77c390377593936345320d84b649167d47a328eec274c7341c"),
     ("long_sequence", "der"): (
         "0a4351b5c8260b82609e2f34241d28f782e1c14b8b2d55e2c18b9fef82c5e365",
         "76e20ce9ff13f1831d6837b33953a502c22f35eaaeca08d73018b123b1cbf10f",
@@ -163,20 +167,20 @@ OBJECTIVE_GOLDEN = {
         "21794191f431a9d2272101ded67e5e880a1093b15ec1cf2aa87ea8295b8676f8",
         "780402ee0416cc2bfe9f4bd73cfae649a147a45ebbf59c37920ef4e8552f156c"),
     ("barlow", "cassle"): (
-        "0886abceb79f34a0aaceac025f54db211d55ac1a1b205e7ab66fe1b627687bd3",
-        "46b88938ab77e68238a7cc59305d3611fb677976772bc41f9379d99f5d537622"),
+        "d3b2a5ca139cde1ca30dd3ee1067f5cfc1bbae13ef83b47bc2759c8b11799891",
+        "c2d5731fd3baa1875cdf4ca645d9f571f0e9045cd5fad89f250f646eaf4dcb17"),
     ("barlow", "edsr"): (
-        "2ad682afdba6b92c0f1c889703cd15c2adfaa31f9d648ec72e06d089a695be4f",
-        "0675fabd1bcb1b3ab4b7f0437c2d00d372d06f245e2dbd23bd1023f82dd996be"),
+        "eb31c3a7e74807e87645e282031b4b17a33f7b0841b095fe575c62b319ae8749",
+        "d821d0df0a092572b48e46817102a94d6aab7303c730ca6640479e4603e4c485"),
     ("byol", "finetune"): (
         "940e1f589b672c085c3c6649e1a07e21a1cca76719de0ab870c08c1bb056de0a",
         "47ce90b061cd258a19244cb2f71c1d133722066856b89ec0a28e70e5e5a92037"),
     ("byol", "cassle"): (
         "b965aa8fb820203f12bba650c1ba9cd0a046007e0509c574c38c54234cc7d895",
-        "7a3dc1266d0581610158dca54381034c2c318ef3d4455bed84e5d9d13421949f"),
+        "251cf144f4f178b5080e79cd05dea15b5c8485439207d6f35696934e96be35fc"),
     ("byol", "edsr"): (
-        "c59430cdefb6c8e1f670b16e5dc89fc5bf434e909c04a3327bf970c5c65c7363",
-        "2d99f615d3720e2c8318226090c8411a52fbdf44191c7b7b39a0ca9c68e42744"),
+        "607edf9d137f258813527c1ee07d5444ab37cad0bac962120ea1e79e97e94b01",
+        "3e59697290e698c08e96ee5b3ee0a53ef603b11aeb1aaeda700368a91c5b6591"),
 }
 
 #: probe -> sha256 of ``run_multitask``'s float64 per-task accuracies

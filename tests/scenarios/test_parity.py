@@ -4,10 +4,11 @@ A ``TaskSequence`` run is the ``class_incremental`` stream run.  Each case
 pins the sha256 of the result JSON (``elapsed_seconds`` zeroed), every
 ``ckpt-*.npz``, every canonical manifest and ``transfer-matrix.json``.
 
-The result JSON and ``transfer-matrix.json`` pins still date from the
-separate classic trainer loop that predates the stream loop: they were
+Finetune's result JSON and ``transfer-matrix.json`` pins still date from
+the separate classic trainer loop that predates the stream loop: they were
 computed from it before it was deleted, so today's numerics are the
-classic loop's.  The ``ckpt-*`` pins were re-pinned when every checkpoint
+classic loop's.  EDSR's pins after task 0 moved when ``L_css`` and
+``L_dis`` began to share one live-encoder pass per view.  The ``ckpt-*`` pins were re-pinned when every checkpoint
 began to hold the run's transfer matrix, stream identity and controller
 state (checkpoint schema 2); every array checksum of the older manifests
 is unchanged, and the only new arrays are ``state/transfer/online`` and
@@ -47,21 +48,21 @@ ARTIFACTS = {
     },
     "edsr": {
         "result.json":
-            "0c3e2fdbd368015c392850802bf3170d669594e9c179ec505071b9f3eef65d8f",
+            "6088821b8483285322afb45ef6232d64103351955402b15ed6c35db7d63ded27",
         "ckpt-00000.npz":
             "442f57626520eab8a85321826f3c52ec33da7dfe9d0901bbc0c494725792fcfd",
         "ckpt-00000.json":
             "2cc4ed8b5c5caf6419bb7ff3e85296dc094a82a4d1228751fa3b67e9776d4074",
         "ckpt-00001.npz":
-            "b6282f898ef625b6c1aafd0be00086e4eea10d7ab5649e4ef246dd70366c7af5",
+            "bd7990c8714755c83bc43f8eabd3fdcabc8a739eecb696d77cf8f9bd40999f75",
         "ckpt-00001.json":
-            "9a11c4ad5ade7891afdf09cdd0e9963e6b4432088d1861a8f47b3b27c9248fb1",
+            "756f17066caf5720f434740c557a0bbb4e6604a9286dcf43abddf83c955f1b2c",
         "ckpt-00002.npz":
-            "c0706d72969d1caa8ce2d305873e902e7587ed37995c6d24a112be3f891d5dc7",
+            "bcb8052b5783e8646b32beab3f983c4728776db6fa4c2b43b6d0b5cdf667ddcd",
         "ckpt-00002.json":
-            "08f90ccec5709a054b534dbad6f53777b67a8c8b570aa67317d1dc367f667fcd",
+            "2a86aa6298c293d4c822cc287085f4f1a08a0e0ebd46d6d83aad6bd950647a73",
         "transfer-matrix.json":
-            "6fa9550e1eb2974e78f8e6fbbcc33ffc8b4467a76c38ecf18e43f52277e4f56f",
+            "11176b1ed4141979ef15c7e08b160fe4060c5bb48fb59052b304e695aead765d",
     },
 }
 

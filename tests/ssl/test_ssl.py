@@ -127,7 +127,7 @@ class TestDistillationHead:
         model = SimSiam(encoder, rng=rng)
         head = DistillationHead(model, rng=rng)
         target = model.representation(image_batch).detach().numpy()
-        head.loss(image_batch, target).backward()
+        head.loss(model.representation(image_batch), target).backward()
         assert all(p.grad is not None for p in encoder.parameters())
         assert all(p.grad is not None for p in head.parameters())
 
@@ -142,7 +142,7 @@ class TestDistillationHead:
         first = None
         for _ in range(30):
             opt.zero_grad()
-            loss = head.loss(image_batch, target)
+            loss = head.loss(model.representation(image_batch), target)
             loss.backward()
             opt.step()
             if first is None:
