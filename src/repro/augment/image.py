@@ -13,10 +13,15 @@ import numpy as np
 from repro.augment.base import Augmentation, Compose
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _pad_index(size: int, pad: int, mode: str) -> np.ndarray:
-    """Source index of each position of ``np.pad(..., pad, mode=mode)``."""
-    return np.pad(np.arange(size), pad, mode=mode)
+    """Source index of each position of ``np.pad(..., pad, mode=mode)``.
+
+    Cached and shared between calls, so it is read-only.
+    """
+    index = np.pad(np.arange(size), pad, mode=mode)
+    index.flags.writeable = False
+    return index
 
 
 class RandomCrop(Augmentation):
