@@ -157,8 +157,7 @@ class GaussianBlur(Augmentation):
         apply = rng.uniform(size=len(x)) < self.p
         sigmas = rng.uniform(self.sigma[0], self.sigma[1], size=len(x))
         chosen = np.nonzero(apply)[0]
-        if len(chosen):
-            out[chosen] = gaussian_blur(x[chosen], sigmas[chosen])
+        out[chosen] = gaussian_blur(x[chosen], sigmas[chosen])
         return out
 
 

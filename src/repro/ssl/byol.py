@@ -79,6 +79,8 @@ class BYOL(CSSLObjective):
         return ops.normalized_mse(prediction, Tensor(target), axis=1).mean()
 
     def encode(self, x1: np.ndarray, x2: np.ndarray) -> tuple[Tensor, Tensor]:
+        """One momentum step, then the online encodes (which move the
+        BatchNorm buffers the target copies)."""
         self.momentum_update()
         return super().encode(x1, x2)
 
