@@ -28,7 +28,7 @@ STRATEGIES = ["random", "kmeans", "min-var", "distant", "high-entropy"]
 
 def train_one_increment(config, task, rng):
     objective = build_objective(config, task.train.x.shape[1:], rng)
-    augment = _build_augment(config, task.train.x)
+    augment = _build_augment(task.train.x)
     optimizer = _build_optimizer(config, objective.parameters())
     schedule = _build_schedule(config, optimizer)
     loader = DataLoader(task.train, config.batch_size, rng=rng)

@@ -10,7 +10,7 @@ whole-program rules consume:
   (``np.random.rand`` -> ``numpy.random.rand``, a bare ``default_rng``
   imported from ``numpy.random`` -> ``numpy.random.default_rng``);
 - a function table keyed by fully-qualified name
-  (``repro.nn.dropout.Dropout.forward``) holding the AST and the owning
+  (``repro.nn.norm.BatchNorm1d.forward``) holding the AST and the owning
   :class:`~repro.analysis.linter.ModuleSource`;
 - a class table with resolved project bases and ``self.attr`` types
   inferred from ``self.attr = ClassName(...)`` assignments in
@@ -73,9 +73,9 @@ def module_name_for(path: Path) -> str:
 class FunctionInfo:
     """One function or method, addressable by fully-qualified name."""
 
-    fq: str                       # "repro.nn.dropout.Dropout.forward"
+    fq: str                       # "repro.nn.norm.BatchNorm1d.forward"
     name: str                     # "forward"
-    qualname: str                 # "Dropout.forward"
+    qualname: str                 # "BatchNorm1d.forward"
     module: "ModuleInfo"
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: str | None = None        # owning class fq, methods only

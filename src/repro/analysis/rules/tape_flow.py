@@ -22,9 +22,9 @@ calling ``.item()``/``.any()``/``.all()`` on it — are flagged.
 Declaring capture-poisoning
     A function that calls ``mark_unsafe`` *is* the declaration: it tells
     the active capture its program must never be replayed, which is
-    exactly the contract (Dropout, the VAE sampler, BYOL's momentum
-    update).  Such functions are exempt.  The tape/engine/autograd
-    infrastructure itself (``repro.tensor``'s engine, tape, tensor,
+    exactly the contract (the VAE sampler, BYOL's momentum update,
+    eval-mode BatchNorm).  Such functions are exempt.  The
+    tape/engine/autograd infrastructure itself (``repro.tensor``'s engine, tape, tensor,
     anomaly, gradcheck modules) is exempt by module: it manipulates the
     recording machinery, it does not run under it.
 """

@@ -7,7 +7,7 @@ an explicit ``numpy.random.Generator``; ``TwoViewAugment`` draws the two
 positive views every CSSL loss consumes.
 """
 
-from repro.augment.base import Augmentation, Compose, TwoViewAugment, Identity
+from repro.augment.base import Augmentation, Compose, TwoViewAugment
 from repro.augment.image import (
     RandomCrop,
     RandomHorizontalFlip,
@@ -16,17 +16,12 @@ from repro.augment.image import (
     GaussianBlur,
     simsiam_image_pipeline,
 )
-from repro.augment.extra import Cutout, RandomResizedZoom, RandomRotate90
 from repro.augment.tabular import TabularCrop, tabular_pipeline
 
 __all__ = [
-    "Cutout",
-    "RandomRotate90",
-    "RandomResizedZoom",
     "Augmentation",
     "Compose",
     "TwoViewAugment",
-    "Identity",
     "RandomCrop",
     "RandomHorizontalFlip",
     "ColorJitter",

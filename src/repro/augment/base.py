@@ -19,11 +19,6 @@ class Augmentation:
         raise NotImplementedError
 
 
-class Identity(Augmentation):
-    def __call__(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return x
-
-
 class Compose(Augmentation):
     """Sequential application ``x_(k) = o_k(x_(k-1))`` (Eq. 2)."""
 

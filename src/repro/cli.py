@@ -40,6 +40,9 @@ from repro import analysis
 from repro.continual import ContinualConfig, run_method, run_multitask
 from repro.data import load_image_benchmark, load_tabular_benchmark
 from repro.data.registry import IMAGE_PRESETS
+from repro.replay.losses import REPLAY_LOSSES
+from repro.replay.sampling import SAMPLING_POLICIES
+from repro.selection import STRATEGIES
 from repro.utils import format_table
 from repro.utils.serialization import (load_result, save_result,
                                        save_transfer_matrix)
@@ -118,11 +121,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-budget", dest="memory_budget", type=int)
     parser.add_argument("--replay-batch-size", dest="replay_batch_size", type=int)
     parser.add_argument("--noise-neighbors", dest="noise_neighbors", type=int)
-    parser.add_argument("--selection", choices=["random", "kmeans", "min-var",
-                                                "distant", "high-entropy"])
-    parser.add_argument("--replay-loss", dest="replay_loss", choices=["css", "dis", "rpl"])
+    parser.add_argument("--selection", choices=list(STRATEGIES))
+    parser.add_argument("--replay-loss", dest="replay_loss", choices=list(REPLAY_LOSSES))
     parser.add_argument("--replay-sampling", dest="replay_sampling",
-                        choices=["uniform", "similarity"])
+                        choices=list(SAMPLING_POLICIES))
     parser.add_argument("--objective", choices=["simsiam", "barlow", "byol", "vae"])
     parser.add_argument("--probe", choices=["knn", "linear", "ridge"],
                         help="evaluation probe fitted per accuracy-matrix "
@@ -297,8 +299,9 @@ def _command_report(args: argparse.Namespace) -> int:
 def _command_list(_args: argparse.Namespace) -> int:
     print("benchmarks:", ", ".join(sorted(IMAGE_PRESETS)) + ", tabular")
     print("methods:   ", ", ".join(METHODS + ["multitask"]))
-    print("selection: ", "random, kmeans, min-var, distant, high-entropy")
-    print("replay:    ", "css, dis, rpl (x uniform/similarity sampling)")
+    print("selection: ", ", ".join(STRATEGIES))
+    print("replay:    ", ", ".join(REPLAY_LOSSES),
+          f"(x {'/'.join(SAMPLING_POLICIES)} sampling)")
     print("objectives:", "simsiam, barlow, byol, vae")
     print("probes:    ", "knn, linear, ridge")
     print("scenarios: ", ", ".join(_scenario_names()))

@@ -24,6 +24,9 @@ from repro.ssl.base import CSSLObjective
 from repro.ssl.distill import DistillationHead
 from repro.tensor.tensor import Tensor, no_grad
 
+#: Weight of the ``L_dis`` term in Eq. 9 (its 1/2 is the two-view average).
+DISTILL_WEIGHT = 1.0
+
 
 class CaSSLe(ContinualMethod):
     """Distillation-only forgetting prevention (Fini et al. 2022)."""
@@ -61,7 +64,7 @@ class CaSSLe(ContinualMethod):
         if self.old_objective is None:
             return loss
         distill = (self._distill(view1, z1) + self._distill(view2, z2)) * 0.5
-        return loss + self.config.distill_weight * distill
+        return loss + DISTILL_WEIGHT * distill
 
     def state_dict(self) -> dict:
         state = super().state_dict()

@@ -12,6 +12,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.replay.losses import REPLAY_LOSSES
+from repro.replay.noise import NOISE_MODES
+from repro.replay.sampling import SAMPLING_POLICIES
+from repro.selection import STRATEGIES
 from repro.ssl.barlow import BarlowTwins
 from repro.ssl.base import CSSLObjective
 from repro.ssl.byol import BYOL
@@ -32,15 +36,18 @@ class ContinualConfig:
     backbone, representation_dim, objective:
         Model: backbone name (see :func:`repro.ssl.encoder.build_backbone`),
         representation width ``d`` (paper: 2048 image / 128 tabular), and
-        CSSL objective (``"simsiam"`` or ``"barlow"``, Table VI).
+        CSSL objective (``"simsiam"``, ``"barlow"`` or ``"byol"``, Table
+        VI; ``"vae"`` builds the pre-CSSL VAE objective instead).
     memory_budget:
         Total stored samples ``s`` across all increments (paper: 256–960).
     replay_batch_size:
         Stored samples replayed per training step (Fig. 10's knob).
     selection:
-        Table V strategy name (``"high-entropy"`` is EDSR's).
+        Table V strategy name (``"high-entropy"`` is EDSR's;
+        :data:`repro.selection.STRATEGIES`).
     replay_loss:
-        Table IV loss name: ``"css"``, ``"dis"``, or ``"rpl"`` (EDSR's).
+        Table IV loss name: ``"css"``, ``"dis"``, or ``"rpl"`` (EDSR's;
+        :data:`repro.replay.losses.REPLAY_LOSSES`).
     noise_neighbors:
         ``k`` for the noise scale ``r(x)`` — the paper's only
         hyper-parameter (Fig. 6; paper uses 10 or 100).
@@ -52,16 +59,10 @@ class ContinualConfig:
         ``"uniform"`` (paper default) or ``"similarity"`` — the Sec. IV-F
         extension that replays stored samples most similar to the current
         new-data batch.
-    distill_weight, replay_weight:
-        Coefficients of the ``L_dis`` and ``L_rpl`` terms in the final
-        objective of Sec. III-C (both 1/2 in the paper; the 1/2 on
-        ``L_dis`` is applied by averaging the two views).
-    si_lambda, der_alpha, lump_alpha, minvar_groups:
-        Baseline hyper-parameters (SI regularization strength, DER
-        distillation weight, LUMP mixup Beta parameter, Min-Var cluster
-        count).
-    augment_padding, tabular_corruption:
-        Augmentation strengths for image / tabular pipelines.
+    replay_weight:
+        Coefficient of the ``L_rpl`` term in the final objective of
+        Sec. III-C (1/2 in the paper).  The ``L_dis`` weight is
+        :data:`repro.continual.cassle.DISTILL_WEIGHT`.
     knn_k:
         Probe neighbourhood for evaluation (Sec. IV-A5's KNN classifier).
     probe:
@@ -122,16 +123,8 @@ class ContinualConfig:
     noise_mode: str = "vector"
     replay_sampling: str = "uniform"
 
-    distill_weight: float = 1.0
     replay_weight: float = 0.5
 
-    si_lambda: float = 1.0
-    der_alpha: float = 0.5
-    lump_alpha: float = 1.0
-    minvar_groups: int = 2
-
-    augment_padding: int = 1
-    tabular_corruption: float = 0.3
     knn_k: int = 20
     probe: str = "knn"
 
@@ -173,19 +166,21 @@ class ContinualConfig:
             raise ValueError("domain_shift must be >= 0")
         if self.long_cycles < 1:
             raise ValueError("long_cycles must be >= 1")
-        # Late import: repro.eval.protocol transitively builds on the nn
-        # stack, which imports this module's package.
+        # Late imports: repro.eval.protocol transitively builds on the nn
+        # stack, which imports this module's package, and the scenario
+        # registry sits above this package in the layering.
         from repro.eval.protocol import PROBE_REGISTRY
-        if self.probe not in PROBE_REGISTRY:
-            raise ValueError(f"unknown probe {self.probe!r}; registered: "
-                             f"{', '.join(sorted(PROBE_REGISTRY))}")
-        # Same late-import pattern for the scenario registry, which sits
-        # above this package in the layering.
         from repro.scenarios.registry import SCENARIO_REGISTRY
-        if self.scenario not in SCENARIO_REGISTRY:
-            raise ValueError(f"unknown scenario {self.scenario!r}; "
-                             f"registered: "
-                             f"{', '.join(SCENARIO_REGISTRY)}")
+        for name, table in (("selection", STRATEGIES),
+                            ("replay_loss", REPLAY_LOSSES),
+                            ("replay_sampling", SAMPLING_POLICIES),
+                            ("noise_mode", NOISE_MODES),
+                            ("probe", PROBE_REGISTRY),
+                            ("scenario", SCENARIO_REGISTRY)):
+            value = getattr(self, name)
+            if value not in table:
+                raise ValueError(f"unknown {name} {value!r}; registered: "
+                                 f"{', '.join(table)}")
 
     def with_overrides(self, **kwargs) -> "ContinualConfig":
         """Functional update — configs are frozen."""

@@ -23,6 +23,9 @@ from repro.ssl.base import CSSLObjective
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor, no_grad
 
+#: Weight ``alpha`` of the MSE distillation term.
+DER_ALPHA = 0.5
+
 
 class DER(ContinualMethod):
     """Dark Experience Replay adapted to the unsupervised setting."""
@@ -48,7 +51,7 @@ class DER(ContinualMethod):
         targets = self.buffer.all_targets()[idx]
         current = self.objective.encoder.features(samples)
         replay = ops.mse(current, Tensor(targets))
-        return loss + self.config.der_alpha * replay
+        return loss + DER_ALPHA * replay
 
     def state_dict(self) -> dict:
         state = super().state_dict()

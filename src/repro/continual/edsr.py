@@ -31,9 +31,13 @@ from repro.memory.buffer import MemoryBuffer, MemoryRecord
 from repro.replay.losses import make_replay
 from repro.replay.noise import noise_scales
 from repro.replay.sampling import batch_similarities, make_sampling
-from repro.selection.base import SelectionContext, make_strategy
+from repro.selection import SelectionContext, make_strategy
 from repro.ssl.base import CSSLObjective
 from repro.tensor.tensor import Tensor
+
+#: Min-Var's cluster count (the paper uses the class count, which an
+#: unsupervised run does not know).
+MINVAR_GROUPS = 2
 
 
 class EDSR(CaSSLe):
@@ -132,7 +136,7 @@ class EDSR(CaSSLe):
             budget=quota,
             rng=self.rng,
             view_variances=view_variances,
-            n_groups=self.config.minvar_groups,
+            n_groups=MINVAR_GROUPS,
         )
         chosen = self.strategy.select(context)
         scales = noise_scales(representations[chosen], representations,

@@ -21,6 +21,9 @@ from repro.memory.buffer import MemoryBuffer, MemoryRecord
 from repro.ssl.base import CSSLObjective
 from repro.tensor.tensor import Tensor
 
+#: Mixup Beta parameter ``alpha``.
+LUMP_ALPHA = 1.0
+
 
 class LUMP(ContinualMethod):
     """Mixup replay of a random memory (Madaan et al. 2022)."""
@@ -43,8 +46,7 @@ class LUMP(ContinualMethod):
         n = len(view1)
         memory = self.buffer.all_samples()
         partners = self.rng.choice(len(memory), size=n, replace=len(memory) < n)
-        alpha = self.config.lump_alpha
-        omega = self.rng.beta(alpha, alpha, size=n).astype(view1.dtype)
+        omega = self.rng.beta(LUMP_ALPHA, LUMP_ALPHA, size=n).astype(view1.dtype)
         shape = (n,) + (1,) * (view1.ndim - 1)
         omega = omega.reshape(shape)
         # Memory partners get the same augmentation pipeline as new data.

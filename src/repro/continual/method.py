@@ -109,8 +109,9 @@ class ContinualMethod:
         arguments) qualify.  Overriding methods typically sample replay
         batches, draw per-step noise, or snapshot old-model outputs — all
         things a recorded tape would freeze.  A second line of defence
-        (Dropout, the VAE sampler, BYOL's momentum update poisoning the
-        active capture) catches unsafe *objectives* under a safe method.
+        (the VAE sampler, BYOL's momentum update and eval-mode BatchNorm
+        poisoning the active capture) catches unsafe *objectives* under a
+        safe method.
         """
         return type(self).batch_loss is ContinualMethod.batch_loss
 

@@ -40,10 +40,10 @@ def run_multitask(sequence: TaskSequence, config: ContinualConfig,
     rng = np.random.default_rng(seed)
     merged = sequence.merged_train
     objective = build_objective(config, merged.x.shape[1:], rng)
-    augment = _build_augment(config, merged.x)
+    augment = _build_augment(merged.x)
     optimizer = _build_optimizer(config, objective.parameters())
     schedule = _build_schedule(config, optimizer)
-    loader = DataLoader(merged, config.batch_size, shuffle=True, rng=rng)
+    loader = DataLoader(merged, config.batch_size, rng=rng)
 
     start = time.perf_counter()
     objective.train()

@@ -23,6 +23,9 @@ from repro.data.splits import Task
 from repro.ssl.base import CSSLObjective
 from repro.tensor.tensor import Tensor
 
+#: Regularization strength ``lambda`` of the SI penalty.
+SI_LAMBDA = 1.0
+
 
 class SynapticIntelligence(ContinualMethod):
     """Path-integral importance regularization (Zenke et al. 2017)."""
@@ -58,7 +61,7 @@ class SynapticIntelligence(ContinualMethod):
                 drift = p - Tensor(anchor)
                 penalty = penalty + (Tensor(omega) * drift * drift).sum()
         if isinstance(penalty, Tensor):
-            loss = loss + self.config.si_lambda * penalty
+            loss = loss + SI_LAMBDA * penalty
         return loss
 
     def before_step(self) -> None:

@@ -86,12 +86,12 @@ def _build_schedule(config: ContinualConfig, optimizer):
     raise ValueError(f"unknown schedule {config.schedule!r}")
 
 
-def _build_augment(config: ContinualConfig, train_x: np.ndarray) -> TwoViewAugment:
+def _build_augment(train_x: np.ndarray) -> TwoViewAugment:
     """Image pipeline for NCHW data, SCARF corruption for tabular rows."""
     if train_x.ndim == 4:
-        return TwoViewAugment(simsiam_image_pipeline(padding=config.augment_padding))
+        return TwoViewAugment(simsiam_image_pipeline())
     if train_x.ndim == 2:
-        return TwoViewAugment(tabular_pipeline(train_x, config.tabular_corruption))
+        return TwoViewAugment(tabular_pipeline(train_x))
     raise ValueError(f"unsupported data shape {train_x.shape}")
 
 
@@ -229,15 +229,12 @@ class ContinualTrainer:
     guardrails:
         A :class:`GuardrailPolicy` enabling divergence detection and
         recovery.  ``None`` (default) trains unguarded, exactly as before.
-    keep_checkpoints:
-        Retain only the newest N checkpoints (``None`` keeps all).
     """
 
     def __init__(self, method: ContinualMethod, config: ContinualConfig,
                  rng: np.random.Generator, verbose: bool = False,
                  checkpoint_dir: str | pathlib.Path | None = None,
-                 guardrails: GuardrailPolicy | None = None,
-                 keep_checkpoints: int | None = None):
+                 guardrails: GuardrailPolicy | None = None):
         self.method = method
         self.config = config
         self.rng = rng
@@ -252,7 +249,7 @@ class ContinualTrainer:
         self.checkpoints = None
         log_path = None
         if checkpoint_dir is not None:
-            self.checkpoints = CheckpointManager(checkpoint_dir, keep=keep_checkpoints)
+            self.checkpoints = CheckpointManager(checkpoint_dir)
             log_path = self.checkpoints.directory / "events.jsonl"
         self.log = RunLog(log_path)
 
@@ -450,7 +447,7 @@ class ContinualTrainer:
         config = self.config
         method = self.method
         policy = self.guardrails
-        method.augment = _build_augment(config, task.train.x)
+        method.augment = _build_augment(task.train.x)
 
         # Fresh tape per task: the trainable parameter set (heads, frozen
         # backbones) can change at task boundaries, and a stale tape would
@@ -483,8 +480,7 @@ class ContinualTrainer:
             # state, so iteration order can never drift with how much RNG the
             # steps in between consumed.
             loader_seed = int(self.rng.integers(2 ** 63))
-            loader = DataLoader(task.train, config.batch_size, shuffle=True,
-                                seed=loader_seed)
+            loader = DataLoader(task.train, config.batch_size, seed=loader_seed)
             method.objective.train()
 
             if self._train_task_epochs(loader, schedule, optimizer, task_index):

@@ -13,15 +13,14 @@ from repro.utils.rng import fallback_rng
 class DataLoader:
     """Iterates an :class:`ArrayDataset` in shuffled mini-batches.
 
+    Every pass is shuffled, and the final short batch is kept.
+
     Parameters
     ----------
     dataset:
         Source dataset.
     batch_size:
-        Mini-batch size; the final short batch is kept unless
-        ``drop_last`` is set.
-    shuffle:
-        Reshuffle at the start of each iteration.
+        Mini-batch size.
     rng:
         Explicit generator — loaders never touch global numpy state.
         Stateful: each iteration consumes a draw, so the order depends on
@@ -34,17 +33,14 @@ class DataLoader:
         drift with unrelated RNG consumption.
     """
 
-    def __init__(self, dataset: ArrayDataset, batch_size: int, shuffle: bool = True,
-                 drop_last: bool = False, rng: np.random.Generator | None = None,
-                 seed: int | None = None):
+    def __init__(self, dataset: ArrayDataset, batch_size: int,
+                 rng: np.random.Generator | None = None, seed: int | None = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if seed is not None and seed < 0:
             raise ValueError("seed must be a non-negative integer")
         self.dataset = dataset
         self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
         self.rng = rng or fallback_rng()
         self.seed = seed
         self._epoch = 0
@@ -59,22 +55,16 @@ class DataLoader:
         self._epoch = int(epoch)
 
     def _order(self, n: int) -> np.ndarray:
-        if not self.shuffle:
-            return np.arange(n)
         if self.seed is not None:
             return np.random.default_rng((self.seed, self._epoch)).permutation(n)
         return self.rng.permutation(n)
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self._order(n)
-        stop = n - n % self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
+        for start in range(0, n, self.batch_size):
             idx = order[start:start + self.batch_size]
             yield self.dataset.x[idx], self.dataset.y[idx]

@@ -11,10 +11,8 @@ from repro.nn.container import Sequential
 from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
-from repro.nn.groupnorm import LayerNorm, GroupNorm
-from repro.nn.pool import MaxPool2d, AvgPool2d, GlobalAvgPool2d
-from repro.nn.activation import ReLU, Tanh, Sigmoid, LeakyReLU, Identity
-from repro.nn.dropout import Dropout
+from repro.nn.pool import MaxPool2d, GlobalAvgPool2d
+from repro.nn.activation import ReLU
 from repro.nn.mlp import MLP
 from repro.nn.convnet import TinyConvNet
 from repro.nn.resnet import ResNet, BasicBlock, resnet18, tiny_resnet
@@ -28,17 +26,9 @@ __all__ = [
     "Conv2d",
     "BatchNorm1d",
     "BatchNorm2d",
-    "LayerNorm",
-    "GroupNorm",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "LeakyReLU",
-    "Identity",
-    "Dropout",
     "MLP",
     "TinyConvNet",
     "ResNet",

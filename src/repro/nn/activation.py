@@ -1,4 +1,4 @@
-"""Activation layers (thin module wrappers around :mod:`repro.tensor.ops`)."""
+"""The ReLU layer (a thin module wrapper around :func:`repro.tensor.ops.relu`)."""
 
 from __future__ import annotations
 
@@ -10,27 +10,3 @@ from repro.tensor.tensor import Tensor
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu(x)
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.leaky_relu(x, self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.tanh(x)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.sigmoid(x)
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x

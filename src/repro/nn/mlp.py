@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.nn.activation import ReLU
 from repro.nn.container import Sequential
-from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.nn.norm import BatchNorm1d
@@ -34,21 +33,16 @@ class MLP(Module):
     final_activation:
         Apply ReLU after the last layer too (backbones want this off for the
         output representation, projector heads sometimes want it on).
-    dropout:
-        Dropout probability after each hidden activation (0 disables).
     rng:
         Generator for weight init.
     """
 
     def __init__(self, dims: Sequence[int], batch_norm: bool = True,
-                 final_activation: bool = False, dropout: float = 0.0,
-                 norm: str = "batch",
+                 final_activation: bool = False,
                  rng: np.random.Generator | None = None):
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
-        if norm not in ("batch", "layer"):
-            raise ValueError(f"unknown norm {norm!r}; use 'batch' or 'layer'")
         rng = rng or fallback_rng()
         self.dims = list(dims)
         layers: list[Module] = []
@@ -57,14 +51,8 @@ class MLP(Module):
             is_last = i == len(dims) - 2
             if not is_last or final_activation:
                 if batch_norm:
-                    if norm == "batch":
-                        layers.append(BatchNorm1d(dims[i + 1]))
-                    else:
-                        from repro.nn.groupnorm import LayerNorm
-                        layers.append(LayerNorm(dims[i + 1]))
+                    layers.append(BatchNorm1d(dims[i + 1]))
                 layers.append(ReLU())
-                if dropout > 0.0:
-                    layers.append(Dropout(dropout, rng=np.random.default_rng(rng.integers(2**31))))
         self.net = Sequential(*layers)
         self.output_dim = dims[-1]
 

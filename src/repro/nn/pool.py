@@ -9,12 +9,6 @@ from repro.tensor.engine import Context, Op, apply, register
 from repro.tensor.tensor import Tensor
 
 
-def _check_tiling(layer: str, kernel: int, shape: tuple[int, ...]) -> None:
-    h, w = shape[2:]
-    if h % kernel or w % kernel:
-        raise ValueError(f"{layer}({kernel}) needs H, W divisible by {kernel}, got {(h, w)}")
-
-
 @register
 class MaxPool2dOp(Op):
     """Non-overlapping max pooling (kernel == stride).
@@ -28,7 +22,10 @@ class MaxPool2dOp(Op):
 
     @staticmethod
     def forward(ctx: Context, x, *, kernel: int):
-        _check_tiling("MaxPool2d", kernel, x.shape)
+        h, w = x.shape[2:]
+        if h % kernel or w % kernel:
+            raise ValueError(f"MaxPool2d({kernel}) needs H, W divisible by "
+                             f"{kernel}, got {(h, w)}")
         slices = [x[:, :, i::kernel, j::kernel]
                   for i in range(kernel) for j in range(kernel)]
         out = slices[0].copy()
@@ -59,31 +56,6 @@ class MaxPool2dOp(Op):
         return (gx,)
 
 
-@register
-class AvgPool2dOp(Op):
-    """Non-overlapping average pooling."""
-
-    name = "avgpool2d"
-
-    @staticmethod
-    def forward(ctx: Context, x, *, kernel: int):
-        n, c, h, w = x.shape
-        _check_tiling("AvgPool2d", kernel, x.shape)
-        oh, ow = h // kernel, w // kernel
-        ctx.geometry = (n, c, oh, kernel, ow)
-        ctx.shape = (n, c, h, w)
-        windows = x.reshape(n, c, oh, kernel, ow, kernel)
-        return windows.mean(axis=(3, 5))
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        n, c, oh, kernel, ow = ctx.geometry
-        scale = 1.0 / (kernel * kernel)
-        g_exp = np.broadcast_to(grad[:, :, :, None, :, None] * scale,
-                                (n, c, oh, kernel, ow, kernel))
-        return (g_exp.reshape(ctx.shape),)
-
-
 class MaxPool2d(Module):
     """Non-overlapping max pooling (kernel == stride), the common CNN case."""
 
@@ -93,17 +65,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return apply("maxpool2d", x, kernel=self.kernel_size)
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling."""
-
-    def __init__(self, kernel_size: int):
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return apply("avgpool2d", x, kernel=self.kernel_size)
 
 
 class GlobalAvgPool2d(Module):

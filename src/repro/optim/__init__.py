@@ -3,6 +3,6 @@
 from repro.optim.base import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.schedule import ConstantLR, StepLR, CosineLR
+from repro.optim.schedule import ConstantLR, CosineLR
 
-__all__ = ["Optimizer", "SGD", "Adam", "ConstantLR", "StepLR", "CosineLR"]
+__all__ = ["Optimizer", "SGD", "Adam", "ConstantLR", "CosineLR"]

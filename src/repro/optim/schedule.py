@@ -30,18 +30,6 @@ class ConstantLR(_Schedule):
         return self.base_lr
 
 
-class StepLR(_Schedule):
-    """Multiply the rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
 class CosineLR(_Schedule):
     """Cosine annealing to ``min_lr`` over ``total_epochs`` (SimSiam default)."""
 

@@ -103,10 +103,13 @@ class NoisyDistillReplay(DistillReplay):
         return head.loss(objective.representation(view), target)
 
 
+#: Table IV column name -> replay loss class (``ContinualConfig.replay_loss``).
+REPLAY_LOSSES = {"css": CSSReplay, "dis": DistillReplay, "rpl": NoisyDistillReplay}
+
+
 def make_replay(name: str) -> ReplayLoss:
     """Factory mapping Table IV column names to replay losses."""
-    losses = {"css": CSSReplay, "dis": DistillReplay, "rpl": NoisyDistillReplay}
     try:
-        return losses[name]()
+        return REPLAY_LOSSES[name]()
     except KeyError as exc:
-        raise KeyError(f"unknown replay loss {name!r}; available: {sorted(losses)}") from exc
+        raise KeyError(f"unknown replay loss {name!r}; available: {sorted(REPLAY_LOSSES)}") from exc

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The shapes ``r(x)`` can take (``ContinualConfig.noise_mode``).
+NOISE_MODES = ("vector", "scalar")
+
 
 def knn_indices(queries: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
     """Indices (len(queries), k) of each query's k nearest pool rows (L2).
@@ -57,7 +60,7 @@ def noise_scales(selected: np.ndarray, pool: np.ndarray, k: int,
         plain distillation — exactly the Fig. 6 ``0 neighbours == L_dis``
         statement.
     """
-    if mode not in ("vector", "scalar"):
+    if mode not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}")
     selected = np.asarray(selected, dtype=np.float64)
     pool = np.asarray(pool, dtype=np.float64)

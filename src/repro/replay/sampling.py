@@ -89,10 +89,13 @@ def batch_similarities(memory_reps: np.ndarray, batch_reps: np.ndarray) -> np.nd
     return sims.mean(axis=1)
 
 
+#: Policy name -> sampling class (``ContinualConfig.replay_sampling``).
+SAMPLING_POLICIES = {"uniform": UniformSampling, "similarity": SimilaritySampling}
+
+
 def make_sampling(name: str) -> ReplaySampling:
     """Factory: ``"uniform"`` (paper default) or ``"similarity"`` (Sec. IV-F)."""
-    policies = {"uniform": UniformSampling, "similarity": SimilaritySampling}
     try:
-        return policies[name]()
+        return SAMPLING_POLICIES[name]()
     except KeyError as exc:
-        raise KeyError(f"unknown replay sampling {name!r}; available: {sorted(policies)}") from exc
+        raise KeyError(f"unknown replay sampling {name!r}; available: {sorted(SAMPLING_POLICIES)}") from exc

@@ -199,18 +199,12 @@ class CheckpointManager:
     Parameters
     ----------
     directory:
-        Run directory; created if missing.
-    keep:
-        Retain only the newest ``keep`` checkpoints after each save
-        (``None`` keeps everything).
+        Run directory; created if missing.  Every checkpoint is kept.
     """
 
-    def __init__(self, directory: str | pathlib.Path, keep: int | None = None):
-        if keep is not None and keep < 1:
-            raise ValueError("keep must be >= 1 (or None to keep all)")
+    def __init__(self, directory: str | pathlib.Path):
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
         self.sweep_orphans()
 
     def sweep_orphans(self) -> list[str]:
@@ -263,53 +257,7 @@ class CheckpointManager:
         atomic_write_bytes(manifest_path,
                            json.dumps(manifest, indent=1).encode("utf-8"),
                            site="ckpt.manifest")
-        self._prune()
         return manifest_path
-
-    def _pair_is_valid(self, manifest_path: pathlib.Path) -> bool:
-        """Cheap pair validity: manifest parses and its npz file exists.
-
-        (Checksums are the loader's job; pruning only needs to know which
-        checkpoints could possibly restore, so that retention counts
-        *valid* checkpoints and a run of torn pairs can't evict the last
-        good one.)
-        """
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return False
-        if not isinstance(manifest, dict):
-            return False
-        arrays_file = manifest.get("arrays_file")
-        return (isinstance(arrays_file, str)
-                and (self.directory / arrays_file).exists())
-
-    def _prune(self) -> None:
-        """Retain the newest ``keep`` *valid* checkpoints.
-
-        Invalid pairs (manifest without npz, torn manifest) never count
-        toward ``keep`` and are removed along with anything older than
-        the retained set; orphan npz files below the newest retained
-        index (residue of a crash between the two writes) go too.
-        """
-        if self.keep is None:
-            return
-        manifests = self.manifest_paths()
-        valid = [path for path in manifests if self._pair_is_valid(path)]
-        kept = set(valid[-self.keep:])
-        for stale in manifests:
-            if stale in kept:
-                continue
-            stale.unlink(missing_ok=True)
-            stale.with_suffix(".npz").unlink(missing_ok=True)
-        if kept:
-            newest_kept = max(int(_MANIFEST_RE.match(p.name).group(1))
-                              for p in kept)
-            kept_arrays = {p.with_suffix(".npz").name for p in kept}
-            for npz in self.directory.glob("ckpt-*.npz"):
-                index = int(npz.stem.split("-")[1])
-                if npz.name not in kept_arrays and index < newest_kept:
-                    npz.unlink(missing_ok=True)
 
     # -- read -----------------------------------------------------------
     def _load_manifest(self, manifest_path: pathlib.Path) -> tuple[int, dict]:

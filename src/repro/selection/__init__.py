@@ -18,7 +18,7 @@ entropy estimator itself, used both by the selection objective and by the
 tests validating the paper's Sec. III-A claims.
 """
 
-from repro.selection.base import SelectionContext, SelectionStrategy, make_strategy
+from repro.selection.base import SelectionContext, SelectionStrategy
 from repro.selection.random_selection import RandomSelection
 from repro.selection.entropy import HighEntropySelection
 from repro.selection.kmeans import KMeansSelection, kmeans, kmeans_plus_plus_seeds
@@ -26,7 +26,26 @@ from repro.selection.distant import DistantSelection
 from repro.selection.minvar import MinVarianceSelection
 from repro.selection.coding_length import coding_length_entropy, covariance_trace
 
+#: Table V row name -> strategy class (``ContinualConfig.selection``).
+STRATEGIES = {
+    "random": RandomSelection,
+    "kmeans": KMeansSelection,
+    "min-var": MinVarianceSelection,
+    "distant": DistantSelection,
+    "high-entropy": HighEntropySelection,
+}
+
+
+def make_strategy(name: str) -> SelectionStrategy:
+    """Factory mapping Table V row names to strategy instances."""
+    try:
+        return STRATEGIES[name]()
+    except KeyError as exc:
+        raise KeyError(f"unknown selection strategy {name!r}; available: {sorted(STRATEGIES)}") from exc
+
+
 __all__ = [
+    "STRATEGIES",
     "SelectionContext",
     "SelectionStrategy",
     "make_strategy",

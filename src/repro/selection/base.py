@@ -55,24 +55,3 @@ class SelectionStrategy:
 
     def _clip_budget(self, context: SelectionContext) -> int:
         return min(context.budget, len(context.representations))
-
-
-def make_strategy(name: str) -> SelectionStrategy:
-    """Factory mapping Table V row names to strategy instances."""
-    from repro.selection.distant import DistantSelection
-    from repro.selection.entropy import HighEntropySelection
-    from repro.selection.kmeans import KMeansSelection
-    from repro.selection.minvar import MinVarianceSelection
-    from repro.selection.random_selection import RandomSelection
-
-    strategies = {
-        "random": RandomSelection,
-        "kmeans": KMeansSelection,
-        "min-var": MinVarianceSelection,
-        "distant": DistantSelection,
-        "high-entropy": HighEntropySelection,
-    }
-    try:
-        return strategies[name]()
-    except KeyError as exc:
-        raise KeyError(f"unknown selection strategy {name!r}; available: {sorted(strategies)}") from exc

@@ -101,6 +101,10 @@ class _LatentMeanEncoder(Module):
         mu, _logvar = self.vae.encode(x)
         return mu
 
+    def features(self, x) -> Tensor:
+        """The VAE encoder's hidden layer: the backbone output DER distils."""
+        return self.vae.encoder(x if isinstance(x, Tensor) else Tensor(x))
+
 
 class VAEObjective(CSSLObjective):
     """The VAE wrapped in the CSSL-objective interface.

@@ -37,18 +37,11 @@ from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled, tensor
 from repro.tensor.tape import Tape, TapedFunction, capture
 from repro.tensor import ops
 from repro.tensor.ops import (
-    concatenate,
-    stack,
-    where,
-    maximum,
-    minimum,
     exp,
     log,
     sqrt,
-    tanh,
     sigmoid,
     relu,
-    softmax,
     log_softmax,
     l2_normalize,
 )
@@ -73,18 +66,11 @@ __all__ = [
     "registered_ops",
     "set_fusion",
     "ops",
-    "concatenate",
-    "stack",
-    "where",
-    "maximum",
-    "minimum",
     "exp",
     "log",
     "sqrt",
-    "tanh",
     "sigmoid",
     "relu",
-    "softmax",
     "log_softmax",
     "l2_normalize",
     "numerical_gradient",

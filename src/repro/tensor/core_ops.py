@@ -215,42 +215,6 @@ class GetItemOp(Op):
         return (full,)
 
 
-@register
-class ConcatOp(Op):
-    name = "concat"
-
-    @staticmethod
-    def forward(ctx: Context, *arrays, axis: int = 0):
-        ctx.axis = axis
-        ctx.offsets = np.cumsum([0] + [a.shape[axis] for a in arrays])
-        return np.concatenate(arrays, axis=axis)
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        axis, offsets = ctx.axis, ctx.offsets
-        slicer = [slice(None)] * grad.ndim
-        grads = []
-        for i in range(len(offsets) - 1):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(grad[tuple(slicer)])
-        return tuple(grads)
-
-
-@register
-class StackOp(Op):
-    name = "stack"
-
-    @staticmethod
-    def forward(ctx: Context, *arrays, axis: int = 0):
-        ctx.axis = axis
-        ctx.count = len(arrays)
-        return np.stack(arrays, axis=axis)
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        return tuple(np.take(grad, i, axis=ctx.axis) for i in range(ctx.count))
-
-
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
@@ -298,37 +262,6 @@ class MaxOp(Op):
         mask /= mask.sum(axis=axis, keepdims=True)
         g_expanded = grad if keepdims else np.expand_dims(grad, axis)
         return (mask * g_expanded,)
-
-
-@register
-class AbsOp(Op):
-    name = "abs"
-
-    @staticmethod
-    def forward(ctx: Context, a):
-        ctx.save(a)
-        return np.abs(a)
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        (a,) = ctx.saved
-        return (grad * np.sign(a),)
-
-
-@register
-class TraceOp(Op):
-    name = "trace"
-
-    @staticmethod
-    def forward(ctx: Context, a):
-        ctx.shape = a.shape
-        ctx.dtype = a.dtype
-        return np.asarray(np.trace(a), dtype=a.dtype)
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        n, m = ctx.shape
-        return (np.eye(n, m, dtype=ctx.dtype) * grad,)
 
 
 # ----------------------------------------------------------------------
@@ -382,22 +315,6 @@ class SqrtOp(Op):
 
 
 @register
-class TanhOp(Op):
-    name = "tanh"
-
-    @staticmethod
-    def forward(ctx: Context, a):
-        out = np.tanh(a)
-        ctx.save(out)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        (out,) = ctx.saved
-        return (grad * (1.0 - out * out),)
-
-
-@register
 class SigmoidOp(Op):
     name = "sigmoid"
 
@@ -425,61 +342,6 @@ class ReluOp(Op):
     @staticmethod
     def backward(ctx: Context, grad):
         return (grad * ctx.mask,)
-
-
-@register
-class LeakyReluOp(Op):
-    name = "leaky_relu"
-
-    @staticmethod
-    def forward(ctx: Context, a, *, negative_slope: float = 0.01):
-        ctx.slope = np.where(a > 0, 1.0, negative_slope).astype(a.dtype)
-        return np.where(a > 0, a, negative_slope * a)
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        return (grad * ctx.slope,)
-
-
-@register
-class MaximumOp(Op):
-    name = "maximum"
-
-    @staticmethod
-    def forward(ctx: Context, a, b):
-        ctx.shapes = (a.shape, b.shape)
-        ctx.a_wins = (a >= b).astype(a.dtype)
-        return np.maximum(a, b)
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        sa, sb = ctx.shapes
-        ga = (_unbroadcast(grad * ctx.a_wins, sa)
-              if ctx.needs_input_grad[0] else None)
-        gb = (_unbroadcast(grad * (1.0 - ctx.a_wins), sb)
-              if ctx.needs_input_grad[1] else None)
-        return ga, gb
-
-
-@register
-class WhereOp(Op):
-    name = "where"
-
-    @staticmethod
-    def forward(ctx: Context, a, b, *, condition):
-        ctx.condition = np.asarray(condition)
-        ctx.shapes = (a.shape, b.shape)
-        return np.where(ctx.condition, a, b)
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        cond = ctx.condition
-        sa, sb = ctx.shapes
-        ga = (_unbroadcast(np.where(cond, grad, 0.0), sa)
-              if ctx.needs_input_grad[0] else None)
-        gb = (_unbroadcast(np.where(cond, 0.0, grad), sb)
-              if ctx.needs_input_grad[1] else None)
-        return ga, gb
 
 
 # ----------------------------------------------------------------------

@@ -208,9 +208,9 @@ def _bind_tensor_class(cls) -> None:
 
 
 # The active tape capture (set by repro.tensor.tape.capture); apply_ctx
-# reports every dispatch to it, and layers with per-step randomness
-# (Dropout, the VAE sampler) poison it via mark_unsafe so a recorded
-# program with baked-in random constants is never replayed.
+# reports every dispatch to it, and code with per-step randomness (the
+# VAE sampler) poisons it via mark_unsafe so a recorded program with
+# baked-in random constants is never replayed.
 _ACTIVE_CAPTURE = None
 
 

@@ -1,10 +1,9 @@
 """Functional operations on :class:`~repro.tensor.tensor.Tensor`.
 
-These are free functions (rather than methods) either because they take
-multiple tensors (``concatenate``, ``stack``, ``where``) or because they are
-composite conveniences used widely across the library (``softmax``,
-``l2_normalize``).  Each dispatches a registered op through the engine's
-``apply`` choke point; the fusable ones (``l2_normalize``,
+These are the pointwise nonlinearities and the composite conveniences
+used across the library (``log_softmax``, ``l2_normalize``, ``mse``).
+Each dispatches registered ops through the engine's ``apply`` choke
+point; the fusable ones (``l2_normalize``,
 ``cosine_similarity``, ``normalized_mse``, ``linear``, ``linear_relu``,
 ``batch_norm_train``, ``batch_norm_eval``) consult
 :func:`~repro.tensor.engine.fusion_enabled` and fall back to the unfused
@@ -13,8 +12,6 @@ parity tests can pin the two paths against each other.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from repro.tensor import engine
 from repro.tensor.engine import apply as _apply
@@ -33,47 +30,12 @@ def sqrt(x: Tensor) -> Tensor:
     return _apply("sqrt", x)
 
 
-def tanh(x: Tensor) -> Tensor:
-    return _apply("tanh", x)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     return _apply("sigmoid", x)
 
 
 def relu(x: Tensor) -> Tensor:
     return _apply("relu", x)
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    return _apply("leaky_relu", x, negative_slope=negative_slope)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    return _apply("maximum", a, b)
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    return -maximum(-a, -b)
-
-
-def where(condition, a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable select; ``condition`` is a plain boolean array."""
-    return _apply("where", a, b, condition=condition)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    return _apply("concat", *tensors, axis=axis)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    return _apply("stack", *tensors, axis=axis)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exps = exp(shifted)
-    return exps / exps.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

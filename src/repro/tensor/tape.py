@@ -34,7 +34,7 @@ Leaf binding rules (what makes replay safe):
 - arrays passed to :func:`capture` as ``inputs`` are *input leaves*, bound
   by array identity at capture and positionally at replay;
 - every other leaf is a *constant*, kept by reference.  This is why any
-  source of per-step randomness (Dropout masks, the VAE sampler) and any
+  source of per-step randomness (the VAE sampler) and any
   non-op side effect (BYOL's momentum update) must poison the active
   capture via :meth:`Tape.mark_unsafe` — a program with baked-in per-step
   constants must never be replayed.

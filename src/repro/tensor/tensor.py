@@ -367,15 +367,6 @@ class Tensor:
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
 
-    def abs(self) -> "Tensor":
-        return _apply("abs", self)
-
-    def trace(self) -> "Tensor":
-        """Trace of the trailing 2-D matrix (used by the Barlow loss)."""
-        if self.ndim != 2:
-            raise ValueError("trace() expects a 2-D tensor")
-        return _apply("trace", self)
-
 
 engine._bind_tensor_class(Tensor)
 

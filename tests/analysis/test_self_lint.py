@@ -5,7 +5,8 @@ gate extends coverage to the whole repository — including the test tree
 and the deliberately-violating dataflow fixtures — through the
 no-new-violations ratchet: everything pre-existing is pinned in
 ``lint-baseline.json``; anything new fails here, inside the tier-1 pytest
-run, with no extra CI plumbing.
+run, with no extra CI plumbing.  So does a pinned entry that no longer
+occurs: the baseline holds exactly the findings that remain.
 """
 
 import json
@@ -42,4 +43,7 @@ def test_cli_gate_with_baseline():
             "lint-baseline.json`")
     assert result.returncode == 0, report + hint
     assert "lint: clean" in result.stdout, report
+    assert "no longer occurs" not in result.stdout, (
+        report + "\nstale baseline entries — re-pin with `repro lint src "
+        "tests --update-baseline --baseline lint-baseline.json`")
     assert "gradcheck coverage:" in result.stdout, report

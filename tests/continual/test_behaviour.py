@@ -20,7 +20,7 @@ from repro.tensor.tensor import no_grad
 def scenario(tiny_sequence, rng):
     config = ContinualConfig(epochs=2, representation_dim=16, batch_size=16)
     objective = build_objective(config, tiny_sequence[0].train.x.shape[1:], rng)
-    augment = _build_augment(config, tiny_sequence[0].train.x)
+    augment = _build_augment(tiny_sequence[0].train.x)
     return config, objective, augment
 
 

@@ -15,7 +15,7 @@ class TestLin:
     def test_stores_kmeans_memory(self, tiny_sequence, fast_config, rng):
         objective = build_objective(fast_config, tiny_sequence[0].train.x.shape[1:], rng)
         method = LinContinual(objective, fast_config, rng)
-        method.augment = _build_augment(fast_config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         assert len(method.buffer) == method.buffer.per_task_quota
@@ -24,7 +24,7 @@ class TestLin:
                                                                  fast_config, rng):
         objective = build_objective(fast_config, tiny_sequence[0].train.x.shape[1:], rng)
         method = LinContinual(objective, fast_config, rng)
-        method.augment = _build_augment(fast_config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         method.begin_task(tiny_sequence[1], 1, 3)
@@ -49,7 +49,7 @@ class TestPFR:
         """PFR's alignment must not touch SimSiam's predictor parameters."""
         objective = build_objective(fast_config, tiny_sequence[0].train.x.shape[1:], rng)
         method = PFR(objective, fast_config, rng)
-        method.augment = _build_augment(fast_config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[1], 1, 3)
         x = tiny_sequence[1].train.x[:6]
         loss = method._distill(x, objective.representation(x))
@@ -71,7 +71,7 @@ class TestSimilarityReplayInEDSR:
         config = fast_config.with_overrides(replay_sampling="similarity")
         objective = build_objective(config, tiny_sequence[0].train.x.shape[1:], rng)
         method = EDSR(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         assert method._memory_old_reps is None  # nothing stored yet
         method.end_task(tiny_sequence[0], 0)
@@ -83,7 +83,7 @@ class TestSimilarityReplayInEDSR:
         from repro.continual import EDSR
         objective = build_objective(fast_config, tiny_sequence[0].train.x.shape[1:], rng)
         method = EDSR(objective, fast_config, rng)
-        method.augment = _build_augment(fast_config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         method.begin_task(tiny_sequence[1], 1, 3)

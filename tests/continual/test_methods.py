@@ -48,7 +48,7 @@ class TestBatchLossContracts:
     def test_first_task_loss_is_finite_and_backpropable(self, name, setup, tiny_sequence):
         objective, config, rng = setup
         method = make_method(name, objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, len(tiny_sequence))
         x = tiny_sequence[0].train.x[:8]
         v1, v2 = method.augment(x, rng)
@@ -96,7 +96,7 @@ class TestCaSSLe:
     def test_distillation_increases_loss_magnitude(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = CaSSLe(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         x = tiny_sequence[0].train.x[:8]
         v1, v2 = method.augment(x, rng)
         method.begin_task(tiny_sequence[0], 0, 3)
@@ -110,7 +110,7 @@ class TestEDSR:
     def test_memory_filled_after_end_task(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = EDSR(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         assert len(method.buffer) == method.buffer.per_task_quota
@@ -133,7 +133,7 @@ class TestEDSR:
     def test_replay_term_included_after_first_task(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = EDSR(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         method.begin_task(tiny_sequence[1], 1, 3)
@@ -142,7 +142,7 @@ class TestEDSR:
     def test_no_replay_on_first_task(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = EDSR(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         assert method._replay_loss() is None
 
@@ -150,7 +150,7 @@ class TestEDSR:
         config = fast_config.with_overrides(replay_batch_size=0)
         objective = build_objective(config, tiny_sequence[0].train.x.shape[1:], rng)
         method = EDSR(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         method.begin_task(tiny_sequence[1], 1, 3)
@@ -160,7 +160,7 @@ class TestEDSR:
         config = fast_config.with_overrides(selection="min-var")
         objective = build_objective(config, tiny_sequence[0].train.x.shape[1:], rng)
         method = EDSR(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)  # must not raise
         assert len(method.buffer) > 0
@@ -170,7 +170,7 @@ class TestLUMP:
     def test_mixup_shapes_and_memory(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = LUMP(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         assert len(method.buffer) == method.buffer.per_task_quota
@@ -183,7 +183,7 @@ class TestLUMP:
     def test_random_selection_stores_task_samples(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = LUMP(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         stored = method.buffer.records[0].samples
@@ -219,7 +219,7 @@ class TestDER:
     def test_replay_term_after_first_task(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = DER(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         method.begin_task(tiny_sequence[1], 1, 3)
@@ -241,7 +241,7 @@ class TestSI:
     def test_penalty_only_after_first_task(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = SynapticIntelligence(objective, config, rng)
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         x = tiny_sequence[0].train.x[:8]
         v1, v2 = method.augment(x, rng)
         method.begin_task(tiny_sequence[0], 0, 3)

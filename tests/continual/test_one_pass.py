@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.continual import build_objective, make_method
+from repro.continual.cassle import DISTILL_WEIGHT
 from repro.continual.edsr import EDSR
 from repro.continual.trainer import _build_augment
 from repro.nn.norm import _BatchNorm
@@ -35,7 +36,7 @@ def method_at_task_one(name, objective_name, fast_config, tiny_sequence):
     objective = build_objective(config, tiny_sequence[0].train.x.shape[1:],
                                 rng)
     method = make_method(name, objective, config, rng)
-    method.augment = _build_augment(config, tiny_sequence[0].train.x)
+    method.augment = _build_augment(tiny_sequence[0].train.x)
     method.begin_task(tiny_sequence[0], 0, len(tiny_sequence))
     method.end_task(tiny_sequence[0], 0)
     method.begin_task(tiny_sequence[1], 1, len(tiny_sequence))
@@ -56,7 +57,7 @@ def double_encode_loss(method, view1, view2, raw):
     loss = objective.css_loss(view1, view2)
     distill = (method._distill(view1, objective.representation(view1))
                + method._distill(view2, objective.representation(view2))) * 0.5
-    loss = loss + method.config.distill_weight * distill
+    loss = loss + DISTILL_WEIGHT * distill
     if isinstance(method, EDSR):
         loss = loss + method.config.replay_weight * method._replay_loss(raw)
     return loss

@@ -74,13 +74,12 @@ class TestBuilders:
             _build_schedule(ContinualConfig(schedule="warmup"), opt)
 
     def test_augment_dispatch(self):
-        config = ContinualConfig()
         images = np.zeros((4, 3, 8, 8), dtype=np.float32)
         rows = np.zeros((4, 7), dtype=np.float32)
-        assert _build_augment(config, images) is not None
-        assert _build_augment(config, rows) is not None
+        assert _build_augment(images) is not None
+        assert _build_augment(rows) is not None
         with pytest.raises(ValueError):
-            _build_augment(config, np.zeros((4, 3, 8)))
+            _build_augment(np.zeros((4, 3, 8)))
 
 
 class TestTrainerRun:

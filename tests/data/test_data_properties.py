@@ -40,7 +40,7 @@ def test_synthetic_tabular_always_valid(size, n_features, positive_rate, seed):
 @given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 100))
 def test_loader_partitions_dataset_exactly(n, batch_size, seed):
     ds = ArrayDataset(np.arange(n)[:, None].astype(np.float32), np.zeros(n))
-    loader = DataLoader(ds, batch_size, shuffle=True, rng=np.random.default_rng(seed))
+    loader = DataLoader(ds, batch_size, rng=np.random.default_rng(seed))
     seen = np.concatenate([x[:, 0] for x, _y in loader])
     np.testing.assert_array_equal(np.sort(seen), np.arange(n))
     assert len(loader) == (n + batch_size - 1) // batch_size

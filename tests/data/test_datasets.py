@@ -48,22 +48,16 @@ class TestDataLoader:
     def _dataset(self, n=25):
         return ArrayDataset(np.arange(n)[:, None].astype(np.float32), np.zeros(n))
 
-    def test_batch_count_with_and_without_drop_last(self):
-        ds = self._dataset(25)
-        assert len(DataLoader(ds, 10, rng=np.random.default_rng(0))) == 3
-        assert len(DataLoader(ds, 10, drop_last=True, rng=np.random.default_rng(0))) == 2
+    def test_batch_count_keeps_short_batch(self):
+        loader = DataLoader(self._dataset(25), 10, rng=np.random.default_rng(0))
+        assert len(loader) == 3
+        assert [len(x) for x, _y in loader] == [10, 10, 5]
 
     def test_covers_all_samples_once(self):
         ds = self._dataset(25)
-        loader = DataLoader(ds, 10, shuffle=True, rng=np.random.default_rng(0))
+        loader = DataLoader(ds, 10, rng=np.random.default_rng(0))
         seen = np.concatenate([x[:, 0] for x, _y in loader])
         np.testing.assert_array_equal(np.sort(seen), np.arange(25))
-
-    def test_no_shuffle_is_ordered(self):
-        ds = self._dataset(6)
-        loader = DataLoader(ds, 3, shuffle=False, rng=np.random.default_rng(0))
-        first, _ = next(iter(loader))
-        np.testing.assert_array_equal(first[:, 0], [0, 1, 2])
 
     def test_seeded_shuffle_reproducible(self):
         ds = self._dataset(20)
@@ -138,11 +132,6 @@ class TestEpochSeededShuffle:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             DataLoader(self._dataset(), 7, seed=-1)
-
-    def test_no_shuffle_ignores_seed(self):
-        ds = self._dataset(10)
-        loader = DataLoader(ds, 10, shuffle=False, seed=42)
-        np.testing.assert_array_equal(self._order(loader), np.arange(10))
 
 
 class TestSyntheticImages:

@@ -128,11 +128,11 @@ class TestMidScheduleResume:
             lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
             lambda o: CosineLR(o, total_epochs=10))
 
-    def test_adam_under_step_schedule(self):
-        from repro.optim import StepLR
+    def test_adam_under_cosine_schedule(self):
+        from repro.optim import CosineLR
         self._assert_identical(
             lambda ps: Adam(ps, lr=0.01, weight_decay=1e-4),
-            lambda o: StepLR(o, step_size=3, gamma=0.5))
+            lambda o: CosineLR(o, total_epochs=6))
 
     def test_adam_step_counters_survive_roundtrip(self):
         params = self._fresh_params()

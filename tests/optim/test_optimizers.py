@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, MLP, Parameter
-from repro.optim import SGD, Adam, ConstantLR, CosineLR, StepLR
+from repro.optim import SGD, Adam, ConstantLR, CosineLR
 from repro.optim.base import Optimizer
 from repro.tensor import Tensor
 
@@ -107,13 +107,6 @@ class TestSchedules:
         schedule = ConstantLR(opt)
         assert schedule.step(0) == 0.5
         assert schedule.step(100) == 0.5
-
-    def test_step_decay(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        schedule = StepLR(opt, step_size=10, gamma=0.1)
-        assert schedule.step(0) == pytest.approx(1.0)
-        assert schedule.step(10) == pytest.approx(0.1)
-        assert schedule.step(25) == pytest.approx(0.01)
 
     def test_cosine_endpoints(self):
         opt = SGD([Parameter(np.zeros(1))], lr=1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.augment.base import Identity
+from repro.augment.base import Compose
 from repro.replay import (
     CSSReplay,
     DistillReplay,
@@ -13,6 +13,8 @@ from repro.replay import (
     noise_scales,
 )
 from repro.ssl import DistillationHead, Encoder, SimSiam, build_backbone
+
+NO_AUGMENT = Compose([])
 
 
 class TestKNNIndices:
@@ -117,19 +119,19 @@ class TestReplayLosses:
     def test_css_replay_runs_without_old_model(self, replay_setup, rng):
         objective, _old, _head, batch = replay_setup
         loss = CSSReplay().loss(batch, objective=objective, old_objective=None,
-                                head=None, augment=Identity(), noise=None, rng=rng)
+                                head=None, augment=NO_AUGMENT, noise=None, rng=rng)
         assert np.isfinite(loss.item())
 
     def test_dis_replay_requires_old_model(self, replay_setup, rng):
         objective, _old, head, batch = replay_setup
         with pytest.raises(ValueError):
             DistillReplay().loss(batch, objective=objective, old_objective=None,
-                                 head=head, augment=Identity(), noise=None, rng=rng)
+                                 head=head, augment=NO_AUGMENT, noise=None, rng=rng)
 
     def test_dis_replay_backward_flows(self, replay_setup, rng):
         objective, old, head, batch = replay_setup
         loss = DistillReplay().loss(batch, objective=objective, old_objective=old,
-                                    head=head, augment=Identity(), noise=None, rng=rng)
+                                    head=head, augment=NO_AUGMENT, noise=None, rng=rng)
         loss.backward()
         assert all(p.grad is not None for p in objective.encoder.parameters())
 
@@ -137,7 +139,7 @@ class TestReplayLosses:
         objective, old, head, batch = replay_setup
         with pytest.raises(ValueError):
             NoisyDistillReplay().loss(batch, objective=objective, old_objective=old,
-                                      head=head, augment=Identity(), noise=None, rng=rng)
+                                      head=head, augment=NO_AUGMENT, noise=None, rng=rng)
 
     def test_rpl_zero_noise_equals_dis(self, replay_setup):
         """Fig. 6: 0 neighbours (zero scales) makes L_rpl == L_dis."""
@@ -145,10 +147,10 @@ class TestReplayLosses:
         objective.eval()
         zero_noise = np.zeros((len(batch), 16), dtype=np.float32)
         rpl = NoisyDistillReplay().loss(batch, objective=objective, old_objective=old,
-                                        head=head, augment=Identity(), noise=zero_noise,
+                                        head=head, augment=NO_AUGMENT, noise=zero_noise,
                                         rng=np.random.default_rng(0))
         dis = DistillReplay().loss(batch, objective=objective, old_objective=old,
-                                   head=head, augment=Identity(), noise=None,
+                                   head=head, augment=NO_AUGMENT, noise=None,
                                    rng=np.random.default_rng(0))
         assert rpl.item() == pytest.approx(dis.item(), rel=1e-5)
 
@@ -157,7 +159,7 @@ class TestReplayLosses:
         for noise in (np.full(len(batch), 0.1, dtype=np.float32),
                       np.full((len(batch), 16), 0.1, dtype=np.float32)):
             loss = NoisyDistillReplay().loss(batch, objective=objective, old_objective=old,
-                                             head=head, augment=Identity(), noise=noise, rng=rng)
+                                             head=head, augment=NO_AUGMENT, noise=noise, rng=rng)
             assert np.isfinite(loss.item())
 
     def test_old_model_unchanged_by_replay_training(self, replay_setup, rng):
@@ -168,7 +170,7 @@ class TestReplayLosses:
         for _ in range(3):
             opt.zero_grad()
             loss = DistillReplay().loss(batch, objective=objective, old_objective=old,
-                                        head=head, augment=Identity(), noise=None, rng=rng)
+                                        head=head, augment=NO_AUGMENT, noise=None, rng=rng)
             loss.backward()
             opt.step()
         for key, value in old.state_dict().items():

@@ -94,7 +94,7 @@ class TestGenerativeReplay:
         objective = build_objective(config, tiny_sequence[0].train.x.shape[1:], rng)
         method = make_method("curl", objective, config, rng)
         from repro.continual.trainer import _build_augment
-        method.augment = _build_augment(config, tiny_sequence[0].train.x)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
         method.begin_task(tiny_sequence[0], 0, 3)
         assert method.old_objective is None
         method.begin_task(tiny_sequence[1], 1, 3)

@@ -17,7 +17,7 @@ class TestRegistry:
                          "relu", "exp", "log", "reshape", "getitem",
                          "linear", "linear_relu", "l2normalize", "cosine_rows",
                          "normalized_mse", "batch_norm", "conv2d",
-                         "maxpool2d", "avgpool2d"):
+                         "maxpool2d"):
             assert expected in names, expected
 
     def test_get_op_unknown_name_raises_with_known_ops(self):

@@ -18,9 +18,8 @@ class TestValues:
     def test_sqrt(self):
         np.testing.assert_allclose(ops.sqrt(Tensor([4.0, 9.0])).numpy(), [2.0, 3.0])
 
-    def test_tanh_sigmoid_range(self):
+    def test_sigmoid_range(self):
         x = Tensor(RNG.normal(size=100) * 5)
-        assert np.all(np.abs(ops.tanh(x).numpy()) <= 1.0)
         s = ops.sigmoid(x).numpy()
         assert np.all((s > 0) & (s < 1))
 
@@ -28,41 +27,24 @@ class TestValues:
         out = ops.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_allclose(out.numpy(), [0.0, 0.0, 2.0])
 
-    def test_leaky_relu(self):
-        out = ops.leaky_relu(Tensor([-10.0, 10.0]), negative_slope=0.1)
-        np.testing.assert_allclose(out.numpy(), [-1.0, 10.0])
-
-    def test_maximum_minimum(self):
-        a, b = Tensor([1.0, 5.0]), Tensor([3.0, 2.0])
-        np.testing.assert_allclose(ops.maximum(a, b).numpy(), [3.0, 5.0])
-        np.testing.assert_allclose(ops.minimum(a, b).numpy(), [1.0, 2.0])
-
-    def test_where(self):
-        out = ops.where(np.array([True, False]), Tensor([1.0, 1.0]), Tensor([2.0, 2.0]))
-        np.testing.assert_allclose(out.numpy(), [1.0, 2.0])
-
-    def test_concatenate_stack(self):
-        a, b = Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3)))
-        assert ops.concatenate([a, b], axis=0).shape == (4, 3)
-        assert ops.concatenate([a, b], axis=1).shape == (2, 6)
-        assert ops.stack([a, b], axis=0).shape == (2, 2, 3)
-
     def test_softmax_rows_sum_to_one(self):
+        # The softmax as the linear probe computes it: exp(log_softmax).
         x = Tensor(RNG.normal(size=(5, 7)))
-        rows = ops.softmax(x, axis=1).numpy().sum(axis=1)
+        rows = np.exp(ops.log_softmax(x, axis=1).numpy()).sum(axis=1)
         np.testing.assert_allclose(rows, np.ones(5), rtol=1e-5)
 
     def test_log_softmax_consistency(self):
-        x = Tensor(RNG.normal(size=(3, 4)))
+        x = RNG.normal(size=(3, 4))
+        exps = np.exp(x)
         np.testing.assert_allclose(
-            ops.log_softmax(x, axis=1).numpy(),
-            np.log(ops.softmax(x, axis=1).numpy()),
+            ops.log_softmax(Tensor(x), axis=1).numpy(),
+            np.log(exps / exps.sum(axis=1, keepdims=True)),
             rtol=1e-5,
         )
 
     def test_softmax_extreme_values_stable(self):
         x = Tensor(np.array([[1000.0, 1000.0], [-1000.0, 1000.0]]))
-        out = ops.softmax(x, axis=1).numpy()
+        out = np.exp(ops.log_softmax(x, axis=1).numpy())
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out[0], [0.5, 0.5], atol=1e-6)
 
@@ -92,14 +74,11 @@ class TestGradients:
 
     @pytest.mark.parametrize("fn", [
         ops.exp,
-        ops.tanh,
         ops.sigmoid,
         ops.relu,
-        lambda t: ops.leaky_relu(t, 0.2),
-        lambda t: ops.softmax(t, axis=1),
         lambda t: ops.log_softmax(t, axis=1),
         lambda t: ops.l2_normalize(t, axis=1),
-    ], ids=["exp", "tanh", "sigmoid", "relu", "leaky_relu", "softmax", "log_softmax", "l2norm"])
+    ], ids=["exp", "sigmoid", "relu", "log_softmax", "l2norm"])
     def test_unary(self, fn):
         x = RNG.normal(size=(3, 4)) + 0.1  # avoid relu kinks at 0
         check_gradients(fn, [x])
@@ -108,24 +87,6 @@ class TestGradients:
         x = RNG.uniform(0.5, 2.0, size=(3, 4))
         check_gradients(ops.log, [x])
         check_gradients(ops.sqrt, [x])
-
-    def test_maximum_grad(self):
-        a = RNG.normal(size=(3, 4))
-        b = RNG.normal(size=(3, 4))
-        check_gradients(ops.maximum, [a, b])
-
-    def test_where_grad(self):
-        cond = RNG.uniform(size=(3, 4)) > 0.5
-        check_gradients(lambda a, b: ops.where(cond, a, b),
-                        [RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))])
-
-    def test_concat_grad(self):
-        check_gradients(lambda a, b: ops.concatenate([a, b], axis=1),
-                        [RNG.normal(size=(2, 3)), RNG.normal(size=(2, 2))])
-
-    def test_stack_grad(self):
-        check_gradients(lambda a, b: ops.stack([a, b], axis=1),
-                        [RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3))])
 
     def test_cosine_similarity_grad(self):
         check_gradients(lambda a, b: ops.cosine_similarity(a, b),

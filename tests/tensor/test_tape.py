@@ -18,6 +18,7 @@ from repro.nn.norm import BatchNorm1d, BatchNorm2d
 from repro.optim import SGD
 from repro.ssl.byol import BYOL
 from repro.ssl.encoder import Encoder, build_backbone
+from repro.ssl.vae import VAEObjective
 from repro.tensor import Tape, TapedFunction, Tensor, capture, engine, no_fusion, ops
 from repro.tensor.anomaly import detect_anomaly
 
@@ -36,13 +37,17 @@ def _square_sum_loss(model):
     return fn
 
 
-def _dropout_mlp_step():
-    """An MLP whose Dropout masks poison the first capture."""
-    model = MLP([4, 6, 3], batch_norm=False, dropout=0.5,
-                rng=np.random.default_rng(0))
-    model.train()
+def _vae_step():
+    """A VAE, whose reparameterization noise poisons the first capture."""
+    objective = VAEObjective(4, 3, hidden_dim=6, rng=np.random.default_rng(0))
+
+    def fn(x):
+        loss = objective.css_loss(x, x)
+        loss.backward()
+        return loss
+
     batches = [(_x((8, 4), seed=i),) for i in range(4)]
-    return model, _square_sum_loss(model), batches
+    return objective, fn, batches
 
 
 def _byol_step():
@@ -153,19 +158,7 @@ class TestValidity:
 
 
 class TestPoisoning:
-    def test_dropout_poisons_capture(self):
-        from repro.nn.dropout import Dropout
-
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        layer.train()
-        with capture() as tape:
-            layer(Tensor(_x((4, 4))))
-        assert tape.unsafe
-        assert "Dropout" in tape.unsafe_reason
-
     def test_vae_reparameterization_poisons_capture(self):
-        from repro.ssl.vae import VAEObjective
-
         objective = VAEObjective(6, 4, rng=np.random.default_rng(0))
         x = _x((4, 6))
         with capture([x]) as tape:
@@ -492,9 +485,9 @@ class TestTapedFunction:
         assert step.stats["replays"] == 1
 
     @pytest.mark.parametrize("build, reason", [
-        (_dropout_mlp_step, "Dropout"),
+        (_vae_step, "reparameterization"),
         (_byol_step, "momentum"),
-    ], ids=["dropout-mlp", "byol"])
+    ], ids=["vae", "byol"])
     def test_unsafe_step_disables_permanently(self, build, reason):
         """A poisoned step runs eagerly from then on, bit-for-bit equal to a
         never-taped run over the same optimizer steps."""

@@ -214,17 +214,3 @@ class TestReductions:
         x = Tensor([2.0, 2.0], requires_grad=True)
         x.max().backward()
         np.testing.assert_allclose(x.grad, [0.5, 0.5])
-
-    def test_abs(self):
-        x = Tensor([-2.0, 3.0], requires_grad=True)
-        x.abs().sum().backward()
-        np.testing.assert_allclose(x.grad, [-1.0, 1.0])
-
-    def test_trace(self):
-        x = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2), requires_grad=True)
-        x.trace().backward()
-        np.testing.assert_allclose(x.grad, np.eye(2))
-
-    def test_trace_requires_2d(self):
-        with pytest.raises(ValueError):
-            Tensor(np.zeros(3)).trace()
