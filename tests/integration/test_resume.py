@@ -3,15 +3,15 @@ fault-tolerance layer).
 
 A run checkpointed after task ``k`` and resumed in a fresh process must
 produce a bit-for-bit identical accuracy matrix and final weights compared
-to the uninterrupted run — for EDSR (replay buffer + noise scales + old
-representations) and DER (replay buffer + stored targets), and on the
-task-free and blurry streams.  The checkpoint is the run's one history:
-resume restores the transfer matrix from it, so a lost or corrupt
-``transfer-matrix.json`` changes nothing.  Resuming under another method
-or stream is refused, and a failed checkpoint or transfer-matrix write is
-logged while the run goes on.  An injected NaN loss must trigger the
-guardrail recovery ladder: skip for transient poisons, restore + LR
-backoff + abort for persistent ones.
+to the uninterrupted run — for every CLI method (memory buffers with
+their stored targets and noise scales, frozen old models, distillation
+heads, SI's importance accumulators), and on the task-free and blurry
+streams.  The checkpoint is the run's one history: resume restores the
+transfer matrix from it, so a lost or corrupt ``transfer-matrix.json``
+changes nothing.  Resuming under another method or stream is refused, and
+a failed checkpoint or transfer-matrix write is logged while the run goes
+on.  An injected NaN loss must trigger the guardrail recovery ladder: skip
+for transient poisons, restore + LR backoff + abort for persistent ones.
 """
 
 import errno
@@ -20,6 +20,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import METHODS
 from repro.continual import (ContinualTrainer, build_objective, make_method,
                              run_method)
 from repro.continual import trainer as trainer_module
@@ -40,29 +41,35 @@ def fresh_trainer(name, config, sequence, **kwargs):
     return ContinualTrainer(method, config, rng, verbose=False, **kwargs)
 
 
+def method_config(name, config):
+    """CURL replays from a VAE decoder, so it runs under the VAE objective."""
+    return config.with_overrides(objective="vae") if name == "curl" else config
+
+
 def assert_same_weights(a, b):
     for (name, pa), (_n, pb) in zip(a.objective.named_parameters(),
                                     b.objective.named_parameters()):
         np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
 
 
-@pytest.mark.parametrize("name", ["edsr", "der"])
+@pytest.mark.parametrize("name", METHODS)
 class TestKillAndResume:
     def test_resume_is_bit_for_bit(self, name, fast_config, tiny_sequence,
                                    tmp_path):
-        baseline = fresh_trainer(name, fast_config, tiny_sequence)
+        config = method_config(name, fast_config)
+        baseline = fresh_trainer(name, config, tiny_sequence)
         expected = baseline.run(tiny_sequence)
 
         # Checkpointed run, then a simulated crash: the newest checkpoint
         # (written after the final task) is lost.
-        crashed = fresh_trainer(name, fast_config, tiny_sequence,
+        crashed = fresh_trainer(name, config, tiny_sequence,
                                 checkpoint_dir=tmp_path)
         crashed.run(tiny_sequence)
         last = len(tiny_sequence) - 1
         (tmp_path / f"ckpt-{last:05d}.json").unlink()
         (tmp_path / f"ckpt-{last:05d}.npz").unlink()
 
-        resumed = fresh_trainer(name, fast_config, tiny_sequence,
+        resumed = fresh_trainer(name, config, tiny_sequence,
                                 checkpoint_dir=tmp_path)
         result = resumed.run(tiny_sequence, resume=True)
 
@@ -74,17 +81,18 @@ class TestKillAndResume:
 
     def test_corrupt_newest_checkpoint_falls_back(self, name, fast_config,
                                                   tiny_sequence, tmp_path):
-        baseline = fresh_trainer(name, fast_config, tiny_sequence)
+        config = method_config(name, fast_config)
+        baseline = fresh_trainer(name, config, tiny_sequence)
         expected = baseline.run(tiny_sequence)
 
-        crashed = fresh_trainer(name, fast_config, tiny_sequence,
+        crashed = fresh_trainer(name, config, tiny_sequence,
                                 checkpoint_dir=tmp_path)
         crashed.run(tiny_sequence)
         last = len(tiny_sequence) - 1
         # Torn write: manifest exists but is garbage.
         (tmp_path / f"ckpt-{last:05d}.json").write_text("{torn", encoding="utf-8")
 
-        resumed = fresh_trainer(name, fast_config, tiny_sequence,
+        resumed = fresh_trainer(name, config, tiny_sequence,
                                 checkpoint_dir=tmp_path)
         result = resumed.run(tiny_sequence, resume=True)
 
@@ -95,10 +103,11 @@ class TestKillAndResume:
 
     def test_resume_of_complete_run_reruns_nothing(self, name, fast_config,
                                                    tiny_sequence, tmp_path):
-        first = fresh_trainer(name, fast_config, tiny_sequence,
+        config = method_config(name, fast_config)
+        first = fresh_trainer(name, config, tiny_sequence,
                               checkpoint_dir=tmp_path)
         expected = first.run(tiny_sequence)
-        resumed = fresh_trainer(name, fast_config, tiny_sequence,
+        resumed = fresh_trainer(name, config, tiny_sequence,
                                 checkpoint_dir=tmp_path)
         result = resumed.run(tiny_sequence, resume=True)
         np.testing.assert_array_equal(result.accuracy_matrix,
