@@ -50,7 +50,10 @@ class GenerativeReplay(ContinualMethod):
         loss = self.objective.css_loss(view1, view2)
         if self.old_objective is None or self.config.replay_batch_size == 0:
             return loss
-        generated = self.old_objective.generate(self.config.replay_batch_size)
+        # The run generator draws the latents: a checkpoint records its
+        # state, while the old model's deep-copied one would be lost.
+        generated = self.old_objective.vae.sample(self.config.replay_batch_size,
+                                                  self.rng)
         replay = self.objective.vae.elbo_loss(Tensor(generated), self.rng,
                                               self.objective.kl_weight)
         return loss + self.replay_weight * replay

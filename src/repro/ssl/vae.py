@@ -11,8 +11,8 @@ continual trainer, KNN evaluation, and method zoo all work unchanged.
   VAE evaluation representation);
 - ``css_loss(x1, x2)`` is the ELBO of the first augmented view (VAEs take a
   single view; the second is ignored);
-- ``generate(n)`` decodes latent samples — the primitive generative-replay
-  methods (CURL-style) build on.
+- ``VAE.sample(n, rng)`` decodes prior samples — the primitive
+  generative-replay methods (CURL-style) build on.
 """
 
 from __future__ import annotations
@@ -138,6 +138,3 @@ class VAEObjective(CSSLObjective):
     def align(self, current: Tensor, target: np.ndarray) -> Tensor:
         """Plain cosine alignment (lets distillation methods run on VAEs)."""
         return -(ops.cosine_similarity(current, Tensor(target))).mean()
-
-    def generate(self, n: int) -> np.ndarray:
-        return self.vae.sample(n, self._rng)

@@ -236,41 +236,57 @@ class TestLongSequenceKillAndResume:
         assert "resume" in kinds
 
 
+def assert_stream_resume_is_bit_for_bit(name, scenario, config, sequence,
+                                        directory):
+    """Lose the last two checkpoints of a ``scenario`` run of ``name``;
+    the resumed run must equal the uninterrupted one bit for bit."""
+    config = method_config(name, config).with_overrides(epochs=1,
+                                                        scenario=scenario)
+    stream = build_stream(scenario, sequence, config)
+    n_segments = len(stream)
+
+    baseline = fresh_trainer(name, config, sequence)
+    expected = baseline.run(stream)
+
+    crashed = fresh_trainer(name, config, sequence, checkpoint_dir=directory)
+    crashed.run(stream)
+    for lost in (n_segments - 1, n_segments - 2):
+        (directory / f"ckpt-{lost:05d}.json").unlink()
+        (directory / f"ckpt-{lost:05d}.npz").unlink()
+
+    resumed = fresh_trainer(name, config, sequence, checkpoint_dir=directory)
+    result = resumed.run(stream, resume=True)
+
+    np.testing.assert_array_equal(result.accuracy_matrix,
+                                  expected.accuracy_matrix)
+    np.testing.assert_array_equal(resumed.transfer_matrix.online,
+                                  baseline.transfer_matrix.online)
+    np.testing.assert_array_equal(resumed.transfer_matrix.final,
+                                  baseline.transfer_matrix.final)
+    assert_same_weights(resumed.method, baseline.method)
+    resume = next(e for e in resumed.log.events if e["kind"] == "resume")
+    assert resume["task_index"] == n_segments - 2
+
+
 @pytest.mark.parametrize("scenario", ["task_free", "blurry"])
 class TestStreamKillAndResume:
     """Kill-and-resume on the non-sharp streams: the task-free drift
     controller's state rides in the checkpoint, and the blurry stream is
-    rebuilt from its config on resume."""
+    rebuilt from its config on resume.  Every method that keeps a memory
+    or an old model is covered: a drift boundary lands mid-stream, so the
+    checkpoint must carry whatever the method drew at it."""
 
     def test_resume_is_bit_for_bit(self, scenario, fast_config,
                                    tiny_sequence, tmp_path):
-        config = fast_config.with_overrides(epochs=1, scenario=scenario)
-        stream = build_stream(scenario, tiny_sequence, config)
-        n_segments = len(stream)
+        assert_stream_resume_is_bit_for_bit("edsr", scenario, fast_config,
+                                            tiny_sequence, tmp_path)
 
-        baseline = fresh_trainer("edsr", config, tiny_sequence)
-        expected = baseline.run(stream)
-
-        crashed = fresh_trainer("edsr", config, tiny_sequence,
-                                checkpoint_dir=tmp_path)
-        crashed.run(stream)
-        for lost in (n_segments - 1, n_segments - 2):
-            (tmp_path / f"ckpt-{lost:05d}.json").unlink()
-            (tmp_path / f"ckpt-{lost:05d}.npz").unlink()
-
-        resumed = fresh_trainer("edsr", config, tiny_sequence,
-                                checkpoint_dir=tmp_path)
-        result = resumed.run(stream, resume=True)
-
-        np.testing.assert_array_equal(result.accuracy_matrix,
-                                      expected.accuracy_matrix)
-        np.testing.assert_array_equal(resumed.transfer_matrix.online,
-                                      baseline.transfer_matrix.online)
-        np.testing.assert_array_equal(resumed.transfer_matrix.final,
-                                      baseline.transfer_matrix.final)
-        assert_same_weights(resumed.method, baseline.method)
-        resume = next(e for e in resumed.log.events if e["kind"] == "resume")
-        assert resume["task_index"] == n_segments - 2
+    @pytest.mark.parametrize("name", ["lump", "der", "cassle", "lin", "pfr",
+                                      "curl"])
+    def test_memory_and_old_model_methods_resume_bit_for_bit(
+            self, name, scenario, fast_config, tiny_sequence, tmp_path):
+        assert_stream_resume_is_bit_for_bit(name, scenario, fast_config,
+                                            tiny_sequence, tmp_path)
 
 
 #: Config overrides per stream; ``classic`` is the default

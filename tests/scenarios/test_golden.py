@@ -32,7 +32,10 @@ when the run state gained the transfer matrix: the only new checksums are
 and EDSR pin moved once, when ``L_css`` and ``L_dis`` began to share one
 live-encoder pass per view (so the encoder's BatchNorm running statistics
 move once per view, not twice); every finetune pin, under all three
-objectives, held.
+objectives, held.  The CURL pin moved once, when its generated replay
+batch began to draw its latents from the run generator (which every
+checkpoint records) instead of the old model's deep-copied one (which
+none did, so a task-free resume diverged).
 """
 
 import hashlib
@@ -92,9 +95,9 @@ MATRIX_GOLDEN = {
         "b8d37597a5265cf816142b536799d8a12fc61657c59017a78edd3cec5f258898",
         "365fba590a278f95415a3e26114a13658794e353ddf81573158577604b93be2b"),
     ("class_incremental", "curl"): (
-        "0188ae633a344cff6c3e1e19d4aee381282c1f963cc09d7478371f26ea6f96cb",
-        "94cb5f0c2ca5a6d6cf59c3a852ade69a6dde08f0df8ccf452a82b21cab207f82",
-        "5110da669b1cad2eca3462769b293989d347ee517ed3bd10eee3f051c420739e"),
+        "c59430cdefb6c8e1f670b16e5dc89fc5bf434e909c04a3327bf970c5c65c7363",
+        "11fc4e8037b398f1261cc5f728a6ec23a6bd28e649727fdf2fea8c92789ced31",
+        "67a1b226a3f068c06b7022642ed227d31f2de270918de645b9c30d57a81ba1e9"),
     ("task_free", "finetune"): (
         "3be6bf8074873ed5c52e200c32c9054806538ad7a5ecb1ccf550b4f875013f50",
         "13049932f7eb6777d840cdbf6d440c83c3de9f5ac8b9549f3a41fc772211f1f9",
