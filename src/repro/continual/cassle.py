@@ -32,19 +32,17 @@ class CaSSLe(ContinualMethod):
     """Distillation-only forgetting prevention (Fini et al. 2022)."""
 
     name = "cassle"
+    uses_old_model = True
 
     def __init__(self, objective: CSSLObjective, config: ContinualConfig,
                  rng: np.random.Generator):
         super().__init__(objective, config, rng)
-        self.old_objective: CSSLObjective | None = None
         self.head: DistillationHead | None = None
 
     def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
-        if task_index == 0:
-            return
-        self.old_objective = self.objective.copy()
-        self.old_objective.eval()
-        self.head = DistillationHead(self.objective, rng=self.rng)
+        super().begin_task(task, task_index, n_tasks)
+        if task_index > 0:
+            self.head = DistillationHead(self.objective, rng=self.rng)
 
     def trainable_parameters(self) -> list[Parameter]:
         params = self.objective.parameters()
@@ -68,21 +66,11 @@ class CaSSLe(ContinualMethod):
 
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["old_objective"] = (None if self.old_objective is None
-                                  else self.old_objective.state_dict())
         state["head"] = None if self.head is None else self.head.state_dict()
         return state
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
-        if state["old_objective"] is None:
-            self.old_objective = None
-        else:
-            # Clone the live objective for structure, then overwrite with the
-            # frozen weights the snapshot recorded.
-            self.old_objective = self.objective.copy()
-            self.old_objective.load_state_dict(state["old_objective"])
-            self.old_objective.eval()
         if state["head"] is None:
             self.head = None
         else:

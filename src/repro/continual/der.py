@@ -13,13 +13,9 @@ projector's representation space — one reason it trails the UCL methods.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.continual.config import ContinualConfig
 from repro.continual.method import ContinualMethod
 from repro.data.splits import Task
-from repro.memory.buffer import MemoryBuffer, MemoryRecord
-from repro.ssl.base import CSSLObjective
+from repro.replay.sampling import UniformSampling
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -33,35 +29,17 @@ class DER(ContinualMethod):
     name = "der"
     uses_memory = True
 
-    def __init__(self, objective: CSSLObjective, config: ContinualConfig,
-                 rng: np.random.Generator):
-        super().__init__(objective, config, rng)
-        self.buffer: MemoryBuffer | None = None
-
-    def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
-        if self.buffer is None:
-            self.buffer = MemoryBuffer(self.config.memory_budget, n_tasks)
-
     def batch_loss(self, view1, view2, raw) -> Tensor:
         loss = self.objective.css_loss(view1, view2)
         if self.buffer is None or self.buffer.is_empty:
             return loss
-        idx = self.buffer.sample_batch(self.config.replay_batch_size, self.rng)
+        idx = UniformSampling().sample(len(self.buffer),
+                                       self.config.replay_batch_size, self.rng)
         samples = self.buffer.all_samples()[idx]
         targets = self.buffer.all_targets()[idx]
         current = self.objective.encoder.features(samples)
         replay = ops.mse(current, Tensor(targets))
         return loss + DER_ALPHA * replay
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["buffer"] = None if self.buffer is None else self.buffer.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.buffer = (None if state["buffer"] is None
-                       else MemoryBuffer.from_state_dict(state["buffer"]))
 
     def end_task(self, task: Task, task_index: int) -> None:
         quota = self.buffer.per_task_quota
@@ -69,13 +47,12 @@ class DER(ContinualMethod):
             return
         chosen = self.rng.choice(len(task.train), size=min(quota, len(task.train)),
                                  replace=False)
-        samples = task.train.x[chosen]
         was_training = self.objective.training
         self.objective.eval()
         try:
             with no_grad():
-                targets = self.objective.encoder.features(samples).numpy().copy()
+                targets = self.objective.encoder.features(
+                    task.train.x[chosen]).numpy().copy()
         finally:
             self.objective.train(was_training)
-        self.buffer.add(MemoryRecord(task_id=task_index, samples=samples.copy(),
-                                     targets=targets, labels=task.train.y[chosen].copy()))
+        self.remember(task, task_index, chosen, targets=targets)

@@ -27,7 +27,6 @@ from repro.continual.cassle import CaSSLe
 from repro.continual.config import ContinualConfig
 from repro.data.splits import Task
 from repro.eval.protocol import extract_representations
-from repro.memory.buffer import MemoryBuffer, MemoryRecord
 from repro.replay.losses import make_replay
 from repro.replay.noise import noise_scales
 from repro.replay.sampling import batch_similarities, make_sampling
@@ -49,10 +48,9 @@ class EDSR(CaSSLe):
     def __init__(self, objective: CSSLObjective, config: ContinualConfig,
                  rng: np.random.Generator):
         super().__init__(objective, config, rng)
-        self.buffer: MemoryBuffer | None = None
         # Stateless policy objects, rebuilt from config at construction;
         # nothing in them drifts during training, so the checkpoint skips
-        # them.  The buffer itself is covered by state_dict.
+        # them.
         self.strategy = make_strategy(config.selection)  # repro-lint: disable=SER002
         self.replay = make_replay(config.replay_loss)  # repro-lint: disable=SER002
         self.sampling = make_sampling(config.replay_sampling)  # repro-lint: disable=SER002
@@ -60,8 +58,6 @@ class EDSR(CaSSLe):
 
     def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
         super().begin_task(task, task_index, n_tasks)
-        if self.buffer is None:
-            self.buffer = MemoryBuffer(self.config.memory_budget, n_tasks)
         # Cache the frozen old model's view of the memory once per increment
         # (used by similarity-based replay sampling, the Sec. IV-F extension).
         self._memory_old_reps = None
@@ -111,15 +107,12 @@ class EDSR(CaSSLe):
 
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["buffer"] = None if self.buffer is None else self.buffer.state_dict()
         state["memory_old_reps"] = (None if self._memory_old_reps is None
                                     else self._memory_old_reps.copy())
         return state
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
-        self.buffer = (None if state["buffer"] is None
-                       else MemoryBuffer.from_state_dict(state["buffer"]))
         reps = state["memory_old_reps"]
         self._memory_old_reps = None if reps is None else np.asarray(reps)
 
@@ -141,9 +134,4 @@ class EDSR(CaSSLe):
         chosen = self.strategy.select(context)
         scales = noise_scales(representations[chosen], representations,
                               self.config.noise_neighbors, mode=self.config.noise_mode)
-        self.buffer.add(MemoryRecord(
-            task_id=task_index,
-            samples=task.train.x[chosen].copy(),
-            noise_scales=scales,
-            labels=task.train.y[chosen].copy(),
-        ))
+        self.remember(task, task_index, chosen, noise_scales=scales)

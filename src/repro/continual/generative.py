@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.continual.config import ContinualConfig
 from repro.continual.method import ContinualMethod
-from repro.data.splits import Task
 from repro.ssl.vae import VAEObjective
 from repro.tensor.tensor import Tensor
 
@@ -28,6 +27,7 @@ class GenerativeReplay(ContinualMethod):
     """Generative (pseudo-)replay from the previous increment's decoder."""
 
     name = "curl"
+    uses_old_model = True
 
     def __init__(self, objective: VAEObjective, config: ContinualConfig,
                  rng: np.random.Generator, replay_weight: float | None = None):
@@ -38,13 +38,6 @@ class GenerativeReplay(ContinualMethod):
         # Immutable hyperparameter derived from the constructor arguments;
         # the caller rebuilds the method with the same config before loading.
         self.replay_weight = config.replay_weight if replay_weight is None else replay_weight  # repro-lint: disable=SER002
-        self.old_objective: VAEObjective | None = None
-
-    def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
-        self.old_objective = None
-        if task_index > 0:
-            self.old_objective = self.objective.copy()
-            self.old_objective.eval()
 
     def batch_loss(self, view1, view2, raw) -> Tensor:
         loss = self.objective.css_loss(view1, view2)
@@ -57,18 +50,3 @@ class GenerativeReplay(ContinualMethod):
         replay = self.objective.vae.elbo_loss(Tensor(generated), self.rng,
                                               self.objective.kl_weight)
         return loss + self.replay_weight * replay
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["old_objective"] = (None if self.old_objective is None
-                                  else self.old_objective.state_dict())
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        if state["old_objective"] is None:
-            self.old_objective = None
-        else:
-            self.old_objective = self.objective.copy()
-            self.old_objective.load_state_dict(state["old_objective"])
-            self.old_objective.eval()

@@ -12,13 +12,8 @@ a sample share the same ``omega`` and memory partner, as in the original.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.continual.config import ContinualConfig
 from repro.continual.method import ContinualMethod
 from repro.data.splits import Task
-from repro.memory.buffer import MemoryBuffer, MemoryRecord
-from repro.ssl.base import CSSLObjective
 from repro.tensor.tensor import Tensor
 
 #: Mixup Beta parameter ``alpha``.
@@ -30,15 +25,6 @@ class LUMP(ContinualMethod):
 
     name = "lump"
     uses_memory = True
-
-    def __init__(self, objective: CSSLObjective, config: ContinualConfig,
-                 rng: np.random.Generator):
-        super().__init__(objective, config, rng)
-        self.buffer: MemoryBuffer | None = None
-
-    def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
-        if self.buffer is None:
-            self.buffer = MemoryBuffer(self.config.memory_budget, n_tasks)
 
     def batch_loss(self, view1, view2, raw) -> Tensor:
         if self.buffer is None or self.buffer.is_empty:
@@ -56,22 +42,10 @@ class LUMP(ContinualMethod):
         mixed2 = omega * view2 + (1.0 - omega) * mem2
         return self.objective.css_loss(mixed1, mixed2)
 
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["buffer"] = None if self.buffer is None else self.buffer.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.buffer = (None if state["buffer"] is None
-                       else MemoryBuffer.from_state_dict(state["buffer"]))
-
     def end_task(self, task: Task, task_index: int) -> None:
         quota = self.buffer.per_task_quota
         if quota == 0:
             return
         chosen = self.rng.choice(len(task.train), size=min(quota, len(task.train)),
                                  replace=False)
-        self.buffer.add(MemoryRecord(task_id=task_index,
-                                     samples=task.train.x[chosen].copy(),
-                                     labels=task.train.y[chosen].copy()))
+        self.remember(task, task_index, chosen)

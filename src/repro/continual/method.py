@@ -3,16 +3,24 @@
 A method wraps the live CSSL objective and contributes:
 
 - per-increment setup/teardown (:meth:`begin_task` / :meth:`end_task`) —
-  snapshotting the old model, building distillation heads, selecting memory;
+  building distillation heads, selecting memory;
 - the per-batch training loss (:meth:`batch_loss`), which the trainer
   back-propagates;
 - optional optimizer-step hooks (:meth:`before_step` / :meth:`after_step`)
   used by SI's path-integral importance tracking;
 - full run-state serialization (:meth:`state_dict` / :meth:`load_state_dict`)
   so a checkpointed run resumes bit-for-bit: subclasses extend the base
-  snapshot with their frozen old models, memory buffers, importance
-  accumulators, and any other state the training trajectory depends on.
-  Values must be JSON/ndarray-serializable (lint rule SER001).
+  snapshot with their distillation heads, importance accumulators, and any
+  other state the training trajectory depends on.  Values must be
+  JSON/ndarray-serializable (lint rule SER001).
+
+The base class owns the two things replay and distillation methods keep
+across increments, so a subclass only declares them: ``uses_memory`` gives
+it the episodic memory ``self.buffer`` (Sec. III-A's ``{M_i}``), filled
+through :meth:`ContinualMethod.remember`, and ``uses_old_model`` gives it
+``self.old_objective``, the frozen previous model that ``L_dis`` and
+``L_rpl`` distil from.  The base builds, snapshots, checkpoints and
+restores both.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 from repro.augment.base import TwoViewAugment
 from repro.continual.config import ContinualConfig
 from repro.data.splits import Task
+from repro.memory.buffer import MemoryBuffer, MemoryRecord
 from repro.nn.module import Parameter
 from repro.ssl.base import CSSLObjective
 from repro.tensor.tensor import Tensor
@@ -53,16 +62,27 @@ class BoundaryEvent:
 
 
 class ContinualMethod:
-    """Base class; the default behaviour is plain finetuning."""
+    """Base class; the default behaviour is plain finetuning.
+
+    ``uses_memory``: the first boundary builds ``self.buffer``, a
+    :class:`~repro.memory.buffer.MemoryBuffer` of ``config.memory_budget``
+    split evenly over that boundary's ``n_tasks``.  ``uses_old_model``:
+    every boundary after the first replaces ``self.old_objective`` with an
+    eval-mode copy of the live objective (``None`` while the first
+    increment trains).  Both ride in :meth:`state_dict`.
+    """
 
     name = "base"
     uses_memory = False
+    uses_old_model = False
 
     def __init__(self, objective: CSSLObjective, config: ContinualConfig,
                  rng: np.random.Generator):
         self.objective = objective
         self.config = config
         self.rng = rng
+        self.buffer: MemoryBuffer | None = None
+        self.old_objective: CSSLObjective | None = None
         # Set by the trainer per increment; transient by design.
         self.augment: TwoViewAugment | None = None  # repro-lint: disable=SER002
 
@@ -70,10 +90,38 @@ class ContinualMethod:
     # Lifecycle
     # ------------------------------------------------------------------
     def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
-        """Called before training on increment ``task_index`` starts."""
+        """Called before training on increment ``task_index`` starts.
+
+        Builds the memory and snapshots the old model (see the class
+        docstring); an override calls ``super().begin_task`` first.
+        """
+        if self.uses_memory and self.buffer is None:
+            self.buffer = MemoryBuffer(self.config.memory_budget, n_tasks)
+        if self.uses_old_model and task_index > 0:
+            self.old_objective = self._frozen_copy()
 
     def end_task(self, task: Task, task_index: int) -> None:
         """Called after training on increment ``task_index`` finishes."""
+
+    def remember(self, task: Task, index: int, chosen: np.ndarray,
+                 **extras: np.ndarray) -> None:
+        """Store the training samples ``chosen`` of ``task`` as record ``index``.
+
+        ``extras`` are per-sample :class:`MemoryRecord` fields aligned with
+        ``chosen`` (``noise_scales``, ``targets``).
+        """
+        self.buffer.add(MemoryRecord(task_id=index,
+                                     samples=task.train.x[chosen].copy(),
+                                     labels=task.train.y[chosen].copy(),
+                                     **extras))
+
+    def _frozen_copy(self, state: dict | None = None) -> CSSLObjective:
+        """An eval-mode copy of the live objective, loaded with ``state``."""
+        old = self.objective.copy()
+        if state is not None:
+            old.load_state_dict(state)
+        old.eval()
+        return old
 
     def on_boundary(self, event: BoundaryEvent) -> None:
         """Dispatch a stream boundary event to the lifecycle hooks.
@@ -135,18 +183,35 @@ class ContinualMethod:
         Leaves must be ndarrays, plain scalars, strings, ``None``, or
         lists/dicts thereof — the checkpoint layer flattens them into an
         ``.npz`` + JSON manifest (see :mod:`repro.runtime.checkpoint`).
-        Subclasses call ``super().state_dict()`` and extend the mapping.
+        The base writes ``objective``, then ``old_objective`` when
+        ``uses_old_model`` and ``buffer`` when ``uses_memory`` (each
+        ``None`` until it exists).  Subclasses call ``super().state_dict()``
+        and extend the mapping.
         """
-        return {"objective": self.objective.state_dict()}
+        state = {"objective": self.objective.state_dict()}
+        if self.uses_old_model:
+            state["old_objective"] = (None if self.old_objective is None
+                                      else self.old_objective.state_dict())
+        if self.uses_memory:
+            state["buffer"] = (None if self.buffer is None
+                               else self.buffer.state_dict())
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output onto a freshly built method.
 
         The method (and its objective) must have been constructed with the
         same config/architecture; loading rebinds parameter values and
-        rebuilds any auxiliary models in place.
+        rebuilds any auxiliary models in place (the old model as a copy of
+        the restored live objective, overwritten with its frozen weights).
         """
         self.objective.load_state_dict(state["objective"])
+        if self.uses_old_model:
+            old = state["old_objective"]
+            self.old_objective = None if old is None else self._frozen_copy(old)
+        if self.uses_memory:
+            self.buffer = (None if state["buffer"] is None
+                           else MemoryBuffer.from_state_dict(state["buffer"]))
 
 
 def make_method(name: str, objective: CSSLObjective, config: ContinualConfig,

@@ -47,6 +47,7 @@ class SynapticIntelligence(ContinualMethod):
         self._task_index = 0
 
     def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
+        super().begin_task(task, task_index, n_tasks)
         self._task_index = task_index
         self._task_start = [p.data.copy() for p in self._params]
         self._omega = [np.zeros_like(p.data) for p in self._params]

@@ -134,11 +134,3 @@ class MemoryBuffer:
         for record_state in state["records"]:
             buffer.add(MemoryRecord.from_state_dict(record_state))
         return buffer
-
-    def sample_batch(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        """Indices of a replay batch drawn uniformly from the whole memory."""
-        n = len(self)
-        if n == 0:
-            raise ValueError("cannot sample from empty memory")
-        size = min(batch_size, n)
-        return rng.choice(n, size=size, replace=False)

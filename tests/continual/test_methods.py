@@ -15,6 +15,7 @@ from repro.continual import (
     build_objective,
     make_method,
 )
+from repro.cli import METHODS
 from repro.continual.trainer import _build_augment
 from repro.data.dataset import ArrayDataset
 from repro.data.splits import Task
@@ -266,3 +267,112 @@ class TestSI:
         params[0].data = params[0].data - 0.01  # simulated optimizer step
         method.after_step()
         assert np.abs(method._omega[0]).sum() > 0
+
+
+#: What each CLI method declares it keeps across increments.
+KEEPS = {"finetune": (False, False), "si": (False, False),
+         "der": (True, False), "lump": (True, False),
+         "cassle": (False, True), "pfr": (False, True),
+         "edsr": (True, True), "lin": (True, True), "curl": (False, True)}
+
+
+class TestBaseOwnsMemoryAndOldModel:
+    """``ContinualMethod`` builds, snapshots, checkpoints and restores the
+    memory and the old model of every method that declares them."""
+
+    @staticmethod
+    def build(name, config, sequence, seed=0):
+        if name == "curl":
+            config = config.with_overrides(objective="vae")
+        rng = np.random.default_rng(seed)
+        objective = build_objective(config, sequence[0].train.x.shape[1:], rng)
+        return make_method(name, objective, config, rng)
+
+    def test_every_cli_method_is_listed(self):
+        assert sorted(KEEPS) == sorted(METHODS)
+
+    @pytest.mark.parametrize("name", sorted(KEEPS))
+    def test_boundaries_build_exactly_what_is_declared(self, name, fast_config,
+                                                       tiny_sequence):
+        uses_memory, uses_old_model = KEEPS[name]
+        method = self.build(name, fast_config, tiny_sequence)
+        assert (method.uses_memory, method.uses_old_model) == KEEPS[name]
+        method.begin_task(tiny_sequence[0], 0, 3)
+        assert (method.buffer is not None) == uses_memory
+        assert method.old_objective is None
+        method.begin_task(tiny_sequence[1], 1, 3)
+        assert (method.old_objective is not None) == uses_old_model
+        if uses_old_model:
+            assert method.old_objective is not method.objective
+            assert not method.old_objective.training
+        expected = {"objective"}
+        expected |= {"old_objective"} if uses_old_model else set()
+        expected |= {"buffer"} if uses_memory else set()
+        assert expected <= set(method.state_dict())
+        absent = {"old_objective", "buffer"} - expected
+        assert not absent & set(method.state_dict())
+
+    def test_first_boundary_fixes_the_budget_split(self, fast_config,
+                                                   tiny_sequence):
+        method = self.build("lump", fast_config, tiny_sequence)
+        method.begin_task(tiny_sequence[0], 0, 3)
+        buffer = method.buffer
+        method.begin_task(tiny_sequence[1], 1, 6)
+        assert method.buffer is buffer
+        assert buffer.n_tasks == 3
+        assert buffer.total_budget == fast_config.memory_budget
+
+    def test_each_later_boundary_takes_a_fresh_snapshot(self, fast_config,
+                                                        tiny_sequence):
+        method = self.build("cassle", fast_config, tiny_sequence)
+        method.begin_task(tiny_sequence[1], 1, 3)
+        first = method.old_objective
+        moved = self.build("cassle", fast_config, tiny_sequence, seed=1)
+        method.objective.load_state_dict(moved.objective.state_dict())
+        method.begin_task(tiny_sequence[2], 2, 3)
+        assert method.old_objective is not first
+        for key, value in moved.objective.state_dict().items():
+            np.testing.assert_array_equal(
+                method.old_objective.state_dict()[key], value, err_msg=key)
+        assert not np.array_equal(first.parameters()[0].data,
+                                  method.old_objective.parameters()[0].data)
+
+    def test_remember_stores_copies_labels_and_extras(self, fast_config,
+                                                      tiny_sequence):
+        method = self.build("edsr", fast_config, tiny_sequence)
+        task = tiny_sequence[0]
+        method.begin_task(task, 0, 3)
+        chosen = np.array([5, 1, 3])
+        scales = np.full((3, 4), 0.5)
+        method.remember(task, 0, chosen, noise_scales=scales)
+        record = method.buffer.records[0]
+        assert record.task_id == 0
+        np.testing.assert_array_equal(record.samples, task.train.x[chosen])
+        np.testing.assert_array_equal(record.labels, task.train.y[chosen])
+        assert record.noise_scales is scales
+        assert record.targets is None
+        assert not np.shares_memory(record.samples, task.train.x)
+
+    @pytest.mark.parametrize("name", ["edsr", "lin", "der", "curl"])
+    def test_state_round_trip_restores_memory_and_old_model(
+            self, name, fast_config, tiny_sequence):
+        method = self.build(name, fast_config, tiny_sequence)
+        method.augment = _build_augment(tiny_sequence[0].train.x)
+        method.begin_task(tiny_sequence[0], 0, 3)
+        method.end_task(tiny_sequence[0], 0)
+        method.begin_task(tiny_sequence[1], 1, 3)
+        state = method.state_dict()
+
+        restored = self.build(name, fast_config, tiny_sequence, seed=1)
+        restored.load_state_dict(state)
+        if method.uses_memory:
+            original, loaded = method.buffer.state_dict(), restored.buffer.state_dict()
+            assert len(loaded["records"]) == len(original["records"]) == 1
+            for key, value in original["records"][0].items():
+                np.testing.assert_array_equal(loaded["records"][0][key], value)
+        if method.uses_old_model:
+            assert restored.old_objective is not restored.objective
+            assert not restored.old_objective.training
+            for key, value in method.old_objective.state_dict().items():
+                np.testing.assert_array_equal(
+                    restored.old_objective.state_dict()[key], value)

@@ -12,7 +12,11 @@ classic loop's.  EDSR's pins after task 0 moved when ``L_css`` and
 began to hold the run's transfer matrix, stream identity and controller
 state (checkpoint schema 2); every array checksum of the older manifests
 is unchanged, and the only new arrays are ``state/transfer/online`` and
-``state/transfer/final``.
+``state/transfer/final``.  EDSR's ``ckpt-00001.npz`` and ``ckpt-00002.npz``
+pins moved once more when ``ContinualMethod`` took over the memory and the
+old model: the base writes ``old_objective`` and ``buffer`` before CaSSLe
+adds ``head``, so the archive members changed order while every array, and
+every manifest's ``checksums`` map, stayed the same.
 """
 
 import hashlib
@@ -54,11 +58,11 @@ ARTIFACTS = {
         "ckpt-00000.json":
             "2cc4ed8b5c5caf6419bb7ff3e85296dc094a82a4d1228751fa3b67e9776d4074",
         "ckpt-00001.npz":
-            "bd7990c8714755c83bc43f8eabd3fdcabc8a739eecb696d77cf8f9bd40999f75",
+            "be8fea4f7ff21af8720c70f866588ac64769c45e67816c54a3472ca7f44663c4",
         "ckpt-00001.json":
             "756f17066caf5720f434740c557a0bbb4e6604a9286dcf43abddf83c955f1b2c",
         "ckpt-00002.npz":
-            "bcb8052b5783e8646b32beab3f983c4728776db6fa4c2b43b6d0b5cdf667ddcd",
+            "8fc0e7a9df1caadbbbb94ce1c2591b60c2de8fbea215c333ff0600ec3daf1581",
         "ckpt-00002.json":
             "2a86aa6298c293d4c822cc287085f4f1a08a0e0ebd46d6d83aad6bd950647a73",
         "transfer-matrix.json":
