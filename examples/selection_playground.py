@@ -15,9 +15,10 @@ import numpy as np
 
 from repro import ContinualConfig, load_image_benchmark
 from repro.continual import build_objective
-from repro.continual.trainer import ContinualTrainer, _build_augment, _build_optimizer, _build_schedule
+from repro.continual.trainer import ContinualTrainer, _build_augment, _build_optimizer
 from repro.data.loader import DataLoader
 from repro.eval.protocol import extract_representations
+from repro.optim import CosineLR
 from repro.replay import noise_scales
 from repro.selection import SelectionContext, coding_length_entropy, make_strategy
 from repro.utils import format_table
@@ -30,7 +31,7 @@ def train_one_increment(config, task, rng):
     objective = build_objective(config, task.train.x.shape[1:], rng)
     augment = _build_augment(task.train.x)
     optimizer = _build_optimizer(config, objective.parameters())
-    schedule = _build_schedule(config, optimizer)
+    schedule = CosineLR(optimizer, total_epochs=config.epochs)
     loader = DataLoader(task.train, config.batch_size, rng=rng)
     for epoch in range(config.epochs):
         schedule.step(epoch)

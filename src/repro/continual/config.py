@@ -30,9 +30,11 @@ class ContinualConfig:
 
     Attributes
     ----------
-    epochs, batch_size, lr, momentum, weight_decay, optimizer, schedule:
+    epochs, batch_size, lr, weight_decay, optimizer:
         Optimization (paper: SGD for images, Adam for tabular, 150–1000
-        epochs depending on the dataset; CI scale uses a handful).
+        epochs depending on the dataset; CI scale uses a handful).  SGD
+        keeps its own momentum of 0.9, and every run anneals the rate
+        with :class:`~repro.optim.CosineLR` over ``epochs``.
     backbone, representation_dim, objective:
         Model: backbone name (see :func:`repro.ssl.encoder.build_backbone`),
         representation width ``d`` (paper: 2048 image / 128 tabular), and
@@ -59,10 +61,6 @@ class ContinualConfig:
         ``"uniform"`` (paper default) or ``"similarity"`` — the Sec. IV-F
         extension that replays stored samples most similar to the current
         new-data batch.
-    replay_weight:
-        Coefficient of the ``L_rpl`` term in the final objective of
-        Sec. III-C (1/2 in the paper).  The ``L_dis`` weight is
-        :data:`repro.continual.cassle.DISTILL_WEIGHT`.
     knn_k:
         Probe neighbourhood for evaluation (Sec. IV-A5's KNN classifier).
     probe:
@@ -106,10 +104,8 @@ class ContinualConfig:
     epochs: int = 6
     batch_size: int = 32
     lr: float = 0.05
-    momentum: float = 0.9
     weight_decay: float = 5e-4
     optimizer: str = "sgd"
-    schedule: str = "cosine"
 
     backbone: str = "tiny-conv"
     representation_dim: int = 32
@@ -122,8 +118,6 @@ class ContinualConfig:
     noise_neighbors: int = 30
     noise_mode: str = "vector"
     replay_sampling: str = "uniform"
-
-    replay_weight: float = 0.5
 
     knn_k: int = 20
     probe: str = "knn"

@@ -38,6 +38,11 @@ from repro.tensor.tensor import Tensor
 #: unsupervised run does not know).
 MINVAR_GROUPS = 2
 
+#: Coefficient of the ``L_rpl`` term in the final objective of Sec. III-C
+#: (1/2 in the paper).  The ``L_dis`` weight is
+#: :data:`repro.continual.cassle.DISTILL_WEIGHT`.
+REPLAY_WEIGHT = 0.5
+
 
 class EDSR(CaSSLe):
     """The paper's method: entropy-based selection + noise-enhanced replay."""
@@ -94,7 +99,7 @@ class EDSR(CaSSLe):
         loss = super().batch_loss(view1, view2, raw)  # L_css + distillation on new data
         replay = self._replay_loss(raw)
         if replay is not None:
-            loss = loss + self.config.replay_weight * replay
+            loss = loss + REPLAY_WEIGHT * replay
         return loss
 
     def _view_variances(self, x: np.ndarray, n_views: int = 4) -> np.ndarray:

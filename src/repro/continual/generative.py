@@ -22,6 +22,9 @@ from repro.continual.method import ContinualMethod
 from repro.ssl.vae import VAEObjective
 from repro.tensor.tensor import Tensor
 
+#: Weight ``w`` of the generated batch's ELBO.
+REPLAY_WEIGHT = 0.5
+
 
 class GenerativeReplay(ContinualMethod):
     """Generative (pseudo-)replay from the previous increment's decoder."""
@@ -30,14 +33,11 @@ class GenerativeReplay(ContinualMethod):
     uses_old_model = True
 
     def __init__(self, objective: VAEObjective, config: ContinualConfig,
-                 rng: np.random.Generator, replay_weight: float | None = None):
+                 rng: np.random.Generator):
         if not isinstance(objective, VAEObjective):
             raise TypeError("GenerativeReplay requires a VAEObjective "
                             "(ContinualConfig(objective='vae'))")
         super().__init__(objective, config, rng)
-        # Immutable hyperparameter derived from the constructor arguments;
-        # the caller rebuilds the method with the same config before loading.
-        self.replay_weight = config.replay_weight if replay_weight is None else replay_weight  # repro-lint: disable=SER002
 
     def batch_loss(self, view1, view2, raw) -> Tensor:
         loss = self.objective.css_loss(view1, view2)
@@ -49,4 +49,4 @@ class GenerativeReplay(ContinualMethod):
                                                   self.rng)
         replay = self.objective.vae.elbo_loss(Tensor(generated), self.rng,
                                               self.objective.kl_weight)
-        return loss + self.replay_weight * replay
+        return loss + REPLAY_WEIGHT * replay

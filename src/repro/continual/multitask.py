@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.continual.config import ContinualConfig, build_objective
-from repro.continual.trainer import _build_augment, _build_optimizer, _build_schedule
+from repro.continual.trainer import _build_augment, _build_optimizer
 from repro.data.loader import DataLoader
 from repro.data.splits import TaskSequence
 from repro.eval.protocol import evaluate_tasks
+from repro.optim import CosineLR
 
 
 @dataclass
@@ -42,7 +43,7 @@ def run_multitask(sequence: TaskSequence, config: ContinualConfig,
     objective = build_objective(config, merged.x.shape[1:], rng)
     augment = _build_augment(merged.x)
     optimizer = _build_optimizer(config, objective.parameters())
-    schedule = _build_schedule(config, optimizer)
+    schedule = CosineLR(optimizer, total_epochs=config.epochs)
     loader = DataLoader(merged, config.batch_size, rng=rng)
 
     start = time.perf_counter()

@@ -55,7 +55,7 @@ from repro.data.splits import Task, TaskSequence
 from repro.eval.metrics import ContinualResult
 from repro.eval.protocol import evaluate_task, evaluate_tasks
 from repro.eval.transfer import TransferMatrix
-from repro.optim import SGD, Adam, ConstantLR, CosineLR
+from repro.optim import SGD, Adam, CosineLR
 from repro.runtime.checkpoint import CheckpointError, CheckpointManager
 from repro.runtime.guardrail import (GuardrailPolicy, GuardrailViolation,
                                      RunLog, TrainingDiverged,
@@ -71,19 +71,10 @@ from repro.utils.serialization import save_transfer_matrix
 
 def _build_optimizer(config: ContinualConfig, parameters):
     if config.optimizer == "sgd":
-        return SGD(parameters, lr=config.lr, momentum=config.momentum,
-                   weight_decay=config.weight_decay)
+        return SGD(parameters, lr=config.lr, weight_decay=config.weight_decay)
     if config.optimizer == "adam":
         return Adam(parameters, lr=config.lr, weight_decay=config.weight_decay)
     raise ValueError(f"unknown optimizer {config.optimizer!r}")
-
-
-def _build_schedule(config: ContinualConfig, optimizer):
-    if config.schedule == "cosine":
-        return CosineLR(optimizer, total_epochs=config.epochs)
-    if config.schedule == "constant":
-        return ConstantLR(optimizer)
-    raise ValueError(f"unknown schedule {config.schedule!r}")
 
 
 def _build_augment(train_x: np.ndarray) -> TwoViewAugment:
@@ -474,7 +465,7 @@ class ContinualTrainer:
             optimizer = _build_optimizer(config, method.trainable_parameters())
             if restores:
                 optimizer.lr *= policy.lr_backoff ** restores
-            schedule = _build_schedule(config, optimizer)
+            schedule = CosineLR(optimizer, total_epochs=config.epochs)
             # One draw keys every epoch's shuffle: the order becomes a pure
             # function of (seed, epoch) instead of the trainer RNG's rolling
             # state, so iteration order can never drift with how much RNG the

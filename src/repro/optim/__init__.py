@@ -1,8 +1,8 @@
-"""Gradient-descent optimizers and learning-rate schedules."""
+"""Gradient-descent optimizers and the learning-rate schedule."""
 
 from repro.optim.base import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.schedule import ConstantLR, CosineLR
+from repro.optim.schedule import CosineLR
 
-__all__ = ["Optimizer", "SGD", "Adam", "ConstantLR", "CosineLR"]
+__all__ = ["Optimizer", "SGD", "Adam", "CosineLR"]

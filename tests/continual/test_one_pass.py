@@ -14,7 +14,7 @@ import pytest
 
 from repro.continual import build_objective, make_method
 from repro.continual.cassle import DISTILL_WEIGHT
-from repro.continual.edsr import EDSR
+from repro.continual.edsr import EDSR, REPLAY_WEIGHT
 from repro.continual.trainer import _build_augment
 from repro.nn.norm import _BatchNorm
 
@@ -59,7 +59,7 @@ def double_encode_loss(method, view1, view2, raw):
                + method._distill(view2, objective.representation(view2))) * 0.5
     loss = loss + DISTILL_WEIGHT * distill
     if isinstance(method, EDSR):
-        loss = loss + method.config.replay_weight * method._replay_loss(raw)
+        loss = loss + REPLAY_WEIGHT * method._replay_loss(raw)
     return loss
 
 

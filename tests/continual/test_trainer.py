@@ -11,9 +11,9 @@ from repro.continual import (
     run_method,
     run_multitask,
 )
-from repro.continual.trainer import _build_augment, _build_optimizer, _build_schedule
+from repro.continual.trainer import _build_augment, _build_optimizer
 from repro.data import load_tabular_benchmark
-from repro.optim import Adam, ConstantLR, CosineLR, SGD
+from repro.optim import Adam, SGD
 from repro.ssl import BarlowTwins, SimSiam
 
 
@@ -64,14 +64,6 @@ class TestBuilders:
         assert isinstance(_build_optimizer(ContinualConfig(optimizer="adam"), params), Adam)
         with pytest.raises(ValueError):
             _build_optimizer(ContinualConfig(optimizer="lbfgs"), params)
-
-    def test_schedule_selection(self, rng):
-        from repro.nn import Linear
-        opt = SGD(Linear(2, 2, rng=rng).parameters(), lr=0.1)
-        assert isinstance(_build_schedule(ContinualConfig(schedule="cosine"), opt), CosineLR)
-        assert isinstance(_build_schedule(ContinualConfig(schedule="constant"), opt), ConstantLR)
-        with pytest.raises(ValueError):
-            _build_schedule(ContinualConfig(schedule="warmup"), opt)
 
     def test_augment_dispatch(self):
         images = np.zeros((4, 3, 8, 8), dtype=np.float32)

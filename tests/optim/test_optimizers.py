@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, MLP, Parameter
-from repro.optim import SGD, Adam, ConstantLR, CosineLR
+from repro.optim import SGD, Adam, CosineLR
 from repro.optim.base import Optimizer
 from repro.tensor import Tensor
 
@@ -102,12 +102,6 @@ class TestAdam:
 
 
 class TestSchedules:
-    def test_constant(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=0.5)
-        schedule = ConstantLR(opt)
-        assert schedule.step(0) == 0.5
-        assert schedule.step(100) == 0.5
-
     def test_cosine_endpoints(self):
         opt = SGD([Parameter(np.zeros(1))], lr=1.0)
         schedule = CosineLR(opt, total_epochs=10, min_lr=0.0)
