@@ -38,8 +38,11 @@ import numpy as np
 
 from repro import analysis
 from repro.continual import ContinualConfig, run_method, run_multitask
+from repro.continual.config import OBJECTIVES
+from repro.continual.registry import METHODS as METHOD_CLASSES
 from repro.data import load_image_benchmark, load_tabular_benchmark
 from repro.data.registry import IMAGE_PRESETS
+from repro.eval.protocol import PROBE_REGISTRY
 from repro.replay.losses import REPLAY_LOSSES
 from repro.replay.sampling import SAMPLING_POLICIES
 from repro.selection import STRATEGIES
@@ -47,7 +50,7 @@ from repro.utils import format_table
 from repro.utils.serialization import (load_result, save_result,
                                        save_transfer_matrix)
 
-METHODS = ["finetune", "si", "der", "lump", "cassle", "edsr", "lin", "pfr", "curl"]
+METHODS = list(METHOD_CLASSES)
 
 
 def _scenario_names() -> list[str]:
@@ -125,8 +128,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replay-loss", dest="replay_loss", choices=list(REPLAY_LOSSES))
     parser.add_argument("--replay-sampling", dest="replay_sampling",
                         choices=list(SAMPLING_POLICIES))
-    parser.add_argument("--objective", choices=["simsiam", "barlow", "byol", "vae"])
-    parser.add_argument("--probe", choices=["knn", "linear", "ridge"],
+    parser.add_argument("--objective", choices=list(OBJECTIVES))
+    parser.add_argument("--probe", choices=list(PROBE_REGISTRY),
                         help="evaluation probe fitted per accuracy-matrix "
                              "cell: knn (paper default), linear (SGD softmax "
                              "head), or ridge (closed-form streaming probe)")
@@ -302,8 +305,8 @@ def _command_list(_args: argparse.Namespace) -> int:
     print("selection: ", ", ".join(STRATEGIES))
     print("replay:    ", ", ".join(REPLAY_LOSSES),
           f"(x {'/'.join(SAMPLING_POLICIES)} sampling)")
-    print("objectives:", "simsiam, barlow, byol, vae")
-    print("probes:    ", "knn, linear, ridge")
+    print("objectives:", ", ".join(OBJECTIVES))
+    print("probes:    ", ", ".join(PROBE_REGISTRY))
     print("scenarios: ", ", ".join(_scenario_names()))
     return 0
 

@@ -7,8 +7,7 @@ interface and are driven by :class:`~repro.continual.trainer.ContinualTrainer`.
 """
 
 from repro.continual.config import ContinualConfig, build_objective
-from repro.continual.method import (BoundaryEvent, ContinualMethod,
-                                    make_method)
+from repro.continual.method import BoundaryEvent, ContinualMethod
 from repro.continual.finetune import Finetune
 from repro.continual.si import SynapticIntelligence
 from repro.continual.der import DER
@@ -18,6 +17,7 @@ from repro.continual.edsr import EDSR
 from repro.continual.lin import LinContinual
 from repro.continual.pfr import PFR
 from repro.continual.generative import GenerativeReplay
+from repro.continual.registry import make_method
 from repro.continual.multitask import run_multitask, MultitaskResult
 from repro.continual.trainer import ContinualTrainer, run_method
 

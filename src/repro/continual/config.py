@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.optim import OPTIMIZERS
 from repro.replay.losses import REPLAY_LOSSES
 from repro.replay.noise import NOISE_MODES
 from repro.replay.sampling import SAMPLING_POLICIES
@@ -19,9 +20,15 @@ from repro.selection import STRATEGIES
 from repro.ssl.barlow import BarlowTwins
 from repro.ssl.base import CSSLObjective
 from repro.ssl.byol import BYOL
-from repro.ssl.encoder import Encoder, build_backbone
+from repro.ssl.encoder import BACKBONES, Encoder, build_backbone
 from repro.ssl.simsiam import SimSiam
 from repro.ssl.vae import VAEObjective
+
+#: Objective name -> class (``ContinualConfig.objective``, Table VI).  The
+#: CSSL objectives wrap an :class:`Encoder`; ``"vae"`` is built on the
+#: flattened input instead (see :func:`build_objective`).
+OBJECTIVES = {"simsiam": SimSiam, "barlow": BarlowTwins, "byol": BYOL,
+              "vae": VAEObjective}
 
 
 @dataclass(frozen=True)
@@ -32,14 +39,16 @@ class ContinualConfig:
     ----------
     epochs, batch_size, lr, weight_decay, optimizer:
         Optimization (paper: SGD for images, Adam for tabular, 150–1000
-        epochs depending on the dataset; CI scale uses a handful).  SGD
+        epochs depending on the dataset; CI scale uses a handful;
+        optimizer names: :data:`repro.optim.OPTIMIZERS`).  SGD
         keeps its own momentum of 0.9, and every run anneals the rate
         with :class:`~repro.optim.CosineLR` over ``epochs``.
     backbone, representation_dim, objective:
-        Model: backbone name (see :func:`repro.ssl.encoder.build_backbone`),
+        Model: backbone name (:data:`repro.ssl.encoder.BACKBONES`),
         representation width ``d`` (paper: 2048 image / 128 tabular), and
-        CSSL objective (``"simsiam"``, ``"barlow"`` or ``"byol"``, Table
-        VI; ``"vae"`` builds the pre-CSSL VAE objective instead).
+        CSSL objective (:data:`OBJECTIVES`: ``"simsiam"``, ``"barlow"`` or
+        ``"byol"``, Table VI; ``"vae"`` builds the pre-CSSL VAE objective
+        instead).
     memory_budget:
         Total stored samples ``s`` across all increments (paper: 256–960).
     replay_batch_size:
@@ -165,7 +174,10 @@ class ContinualConfig:
         # registry sits above this package in the layering.
         from repro.eval.protocol import PROBE_REGISTRY
         from repro.scenarios.registry import SCENARIO_REGISTRY
-        for name, table in (("selection", STRATEGIES),
+        for name, table in (("objective", OBJECTIVES),
+                            ("optimizer", OPTIMIZERS),
+                            ("backbone", BACKBONES),
+                            ("selection", STRATEGIES),
                             ("replay_loss", REPLAY_LOSSES),
                             ("replay_sampling", SAMPLING_POLICIES),
                             ("noise_mode", NOISE_MODES),
@@ -206,10 +218,4 @@ def build_objective(config: ContinualConfig, sample_shape: tuple[int, ...],
         raise ValueError(f"unsupported sample shape {sample_shape}")
 
     encoder = Encoder(backbone, config.representation_dim, rng=rng)
-    if config.objective == "simsiam":
-        return SimSiam(encoder, rng=rng)
-    if config.objective == "barlow":
-        return BarlowTwins(encoder, rng=rng)
-    if config.objective == "byol":
-        return BYOL(encoder, rng=rng)
-    raise ValueError(f"unknown objective {config.objective!r}")
+    return OBJECTIVES[config.objective](encoder, rng=rng)

@@ -1,4 +1,4 @@
-"""The interface every continual method implements, plus the method factory.
+"""The interface every continual method implements.
 
 A method wraps the live CSSL objective and contributes:
 
@@ -213,33 +213,3 @@ class ContinualMethod:
             self.buffer = (None if state["buffer"] is None
                            else MemoryBuffer.from_state_dict(state["buffer"]))
 
-
-def make_method(name: str, objective: CSSLObjective, config: ContinualConfig,
-                rng: np.random.Generator) -> ContinualMethod:
-    """Factory mapping Table III row names to method instances."""
-    from repro.continual.cassle import CaSSLe
-    from repro.continual.der import DER
-    from repro.continual.edsr import EDSR
-    from repro.continual.finetune import Finetune
-    from repro.continual.generative import GenerativeReplay
-    from repro.continual.lin import LinContinual
-    from repro.continual.lump import LUMP
-    from repro.continual.pfr import PFR
-    from repro.continual.si import SynapticIntelligence
-
-    methods = {
-        "finetune": Finetune,
-        "si": SynapticIntelligence,
-        "der": DER,
-        "lump": LUMP,
-        "cassle": CaSSLe,
-        "edsr": EDSR,
-        "lin": LinContinual,
-        "pfr": PFR,
-        "curl": GenerativeReplay,
-    }
-    try:
-        cls = methods[name]
-    except KeyError as exc:
-        raise KeyError(f"unknown method {name!r}; available: {sorted(methods)}") from exc
-    return cls(objective, config, rng)

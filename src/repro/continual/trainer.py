@@ -47,15 +47,15 @@ from repro.augment.base import TwoViewAugment
 from repro.augment.image import simsiam_image_pipeline
 from repro.augment.tabular import tabular_pipeline
 from repro.continual.config import ContinualConfig, build_objective
-from repro.continual.method import (BoundaryEvent, ContinualMethod,
-                                    make_method)
+from repro.continual.method import BoundaryEvent, ContinualMethod
+from repro.continual.registry import make_method
 from repro.data.dataset import ArrayDataset
 from repro.data.loader import DataLoader
 from repro.data.splits import Task, TaskSequence
 from repro.eval.metrics import ContinualResult
 from repro.eval.protocol import evaluate_task, evaluate_tasks
 from repro.eval.transfer import TransferMatrix
-from repro.optim import SGD, Adam, CosineLR
+from repro.optim import OPTIMIZERS, CosineLR
 from repro.runtime.checkpoint import CheckpointError, CheckpointManager
 from repro.runtime.guardrail import (GuardrailPolicy, GuardrailViolation,
                                      RunLog, TrainingDiverged,
@@ -70,11 +70,8 @@ from repro.utils.serialization import save_transfer_matrix
 
 
 def _build_optimizer(config: ContinualConfig, parameters):
-    if config.optimizer == "sgd":
-        return SGD(parameters, lr=config.lr, weight_decay=config.weight_decay)
-    if config.optimizer == "adam":
-        return Adam(parameters, lr=config.lr, weight_decay=config.weight_decay)
-    raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    return OPTIMIZERS[config.optimizer](parameters, lr=config.lr,
+                                        weight_decay=config.weight_decay)
 
 
 def _build_augment(train_x: np.ndarray) -> TwoViewAugment:

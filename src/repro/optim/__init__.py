@@ -5,4 +5,9 @@ from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
 from repro.optim.schedule import CosineLR
 
-__all__ = ["Optimizer", "SGD", "Adam", "CosineLR"]
+#: Optimizer name -> class (``ContinualConfig.optimizer``).  The trainer
+#: sets only ``lr`` and ``weight_decay``; the rest keep the class defaults
+#: (SGD's momentum is 0.9).
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
+
+__all__ = ["Optimizer", "SGD", "Adam", "CosineLR", "OPTIMIZERS"]

@@ -17,6 +17,22 @@ from repro.tensor.tensor import Tensor
 from repro.utils.rng import fallback_rng
 
 
+#: Backbone name -> builder, called with ``rng`` and the shape keywords of
+#: :func:`build_backbone` (``ContinualConfig.backbone`` is checked here).
+BACKBONES = {
+    "tiny-conv": lambda rng, in_channels, image_size, **_: TinyConvNet(
+        in_channels=in_channels, image_size=image_size, rng=rng),
+    "tiny-resnet": lambda rng, in_channels, **_: tiny_resnet(
+        in_channels=in_channels, rng=rng),
+    "resnet18": lambda rng, in_channels, **_: resnet18(
+        in_channels=in_channels, rng=rng),
+    # 7 layers total as in the paper's tabular encoder.
+    "mlp": lambda rng, input_dim, hidden_dim, **_: MLP(
+        [input_dim] + [hidden_dim] * 6, batch_norm=True,
+        final_activation=False, rng=rng),
+}
+
+
 def build_backbone(kind: str, rng: np.random.Generator, *, in_channels: int = 3,
                    image_size: int = 8, input_dim: int = 16,
                    hidden_dim: int = 64) -> Module:
@@ -29,17 +45,10 @@ def build_backbone(kind: str, rng: np.random.Generator, *, in_channels: int = 3,
         ``"resnet18"`` (the paper's image backbone), or ``"mlp"``
         (tabular; a 7-layer MLP as in Sec. IV-A5).
     """
-    if kind == "tiny-conv":
-        return TinyConvNet(in_channels=in_channels, image_size=image_size, rng=rng)
-    if kind == "tiny-resnet":
-        return tiny_resnet(in_channels=in_channels, rng=rng)
-    if kind == "resnet18":
-        return resnet18(in_channels=in_channels, rng=rng)
-    if kind == "mlp":
-        # 7 layers total as in the paper's tabular encoder.
-        dims = [input_dim] + [hidden_dim] * 6
-        return MLP(dims, batch_norm=True, final_activation=False, rng=rng)
-    raise ValueError(f"unknown backbone kind {kind!r}")
+    if kind not in BACKBONES:
+        raise ValueError(f"unknown backbone kind {kind!r}")
+    return BACKBONES[kind](rng, in_channels=in_channels, image_size=image_size,
+                           input_dim=input_dim, hidden_dim=hidden_dim)
 
 
 class Encoder(Module):

@@ -3,14 +3,18 @@
 import pytest
 
 from repro.continual import ContinualConfig
+from repro.continual.config import OBJECTIVES
+from repro.optim import OPTIMIZERS
 from repro.replay.losses import REPLAY_LOSSES
 from repro.replay.noise import NOISE_MODES
 from repro.replay.sampling import SAMPLING_POLICIES
 from repro.selection import STRATEGIES
+from repro.ssl.encoder import BACKBONES
 
 COMPONENT_TABLES = {"selection": STRATEGIES, "replay_loss": REPLAY_LOSSES,
                     "replay_sampling": SAMPLING_POLICIES,
-                    "noise_mode": NOISE_MODES}
+                    "noise_mode": NOISE_MODES, "objective": OBJECTIVES,
+                    "optimizer": OPTIMIZERS, "backbone": BACKBONES}
 
 
 class TestValidation:
