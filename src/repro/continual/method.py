@@ -49,16 +49,13 @@ class BoundaryEvent:
     finished virtual task); ``index`` is the task index methods should
     attribute state to (the *virtual* index in task-free streams, which
     can lag the segment index).  ``n_tasks`` is an upper bound on the
-    total task count (``"begin"`` only, 0 on ``"end"``), and ``kind``
-    records what produced the event: ``"sharp"`` for an explicit stream
-    boundary, ``"drift"`` for one the drift heuristic inferred.
+    total task count (``"begin"`` only, 0 on ``"end"``).
     """
 
     phase: str
     task: Task
     index: int
     n_tasks: int = 0
-    kind: str = "sharp"
 
 
 class ContinualMethod:
@@ -128,11 +125,9 @@ class ContinualMethod:
 
         The single entry point the trainer's boundary controllers drive:
         sharp streams emit one begin/end pair per segment, task-free
-        streams emit them per drift-detected *virtual* task.  The default
-        routes to :meth:`begin_task` / :meth:`end_task`, so every
-        existing method works under every scenario unchanged; a method
-        wanting drift-specific behaviour overrides this and keys on
-        ``event.kind``.
+        streams emit them per drift-detected *virtual* task.  It routes
+        to :meth:`begin_task` / :meth:`end_task`, so every method works
+        under every scenario unchanged.
         """
         if event.phase == "begin":
             self.begin_task(event.task, event.index, event.n_tasks)

@@ -156,15 +156,14 @@ class TaskFreeBoundaryController:
         if self.virtual_index < 0:
             self.virtual_index = 0
             self.open_segments = [task_index]
-            method.on_boundary(BoundaryEvent("begin", task, 0, n_tasks,
-                                             kind="drift"))
+            method.on_boundary(BoundaryEvent("begin", task, 0, n_tasks))
         elif drifted:
             method.on_boundary(BoundaryEvent("end", self._merged_task(),
-                                             self.virtual_index, kind="drift"))
+                                             self.virtual_index))
             self.virtual_index += 1
             self.open_segments = [task_index]
             method.on_boundary(BoundaryEvent("begin", task, self.virtual_index,
-                                             n_tasks, kind="drift"))
+                                             n_tasks))
         else:
             self.open_segments.append(task_index)
 
@@ -172,7 +171,7 @@ class TaskFreeBoundaryController:
                     task_index: int, is_last: bool) -> None:
         if is_last:
             method.on_boundary(BoundaryEvent("end", self._merged_task(),
-                                             self.virtual_index, kind="drift"))
+                                             self.virtual_index))
 
     def _merged_task(self) -> Task:
         """The finished virtual task: its open segments merged into one."""
