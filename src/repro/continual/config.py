@@ -40,9 +40,9 @@ class ContinualConfig:
     epochs, batch_size, lr, weight_decay, optimizer:
         Optimization (paper: SGD for images, Adam for tabular, 150–1000
         epochs depending on the dataset; CI scale uses a handful;
-        optimizer names: :data:`repro.optim.OPTIMIZERS`).  SGD
-        keeps its own momentum of 0.9, and every run anneals the rate
-        with :class:`~repro.optim.CosineLR` over ``epochs``.
+        optimizer names: :data:`repro.optim.OPTIMIZERS`).  SGD keeps its
+        own momentum of 0.9, and every run anneals the rate with
+        :class:`~repro.optim.CosineLR` over ``epochs``.
     backbone, representation_dim, objective:
         Model: backbone name (:data:`repro.ssl.encoder.BACKBONES`),
         representation width ``d`` (paper: 2048 image / 128 tabular), and

@@ -14,13 +14,10 @@ A method wraps the live CSSL objective and contributes:
   other state the training trajectory depends on.  Values must be
   JSON/ndarray-serializable (lint rule SER001).
 
-The base class owns the two things replay and distillation methods keep
-across increments, so a subclass only declares them: ``uses_memory`` gives
-it the episodic memory ``self.buffer`` (Sec. III-A's ``{M_i}``), filled
-through :meth:`ContinualMethod.remember`, and ``uses_old_model`` gives it
-``self.old_objective``, the frozen previous model that ``L_dis`` and
-``L_rpl`` distil from.  The base builds, snapshots, checkpoints and
-restores both.
+The base class owns what replay and distillation methods keep across
+increments, the episodic memory (Sec. III-A's ``{M_i}``) and the frozen
+old model ``L_dis``/``L_rpl`` distil from, so a subclass only declares them
+(see :class:`ContinualMethod`).
 """
 
 from __future__ import annotations

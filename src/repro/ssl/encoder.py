@@ -18,7 +18,7 @@ from repro.utils.rng import fallback_rng
 
 
 #: Backbone name -> builder, called with ``rng`` and the shape keywords of
-#: :func:`build_backbone` (``ContinualConfig.backbone`` is checked here).
+#: :func:`build_backbone`; ``ContinualConfig.backbone`` must name one.
 BACKBONES = {
     "tiny-conv": lambda rng, in_channels, image_size, **_: TinyConvNet(
         in_channels=in_channels, image_size=image_size, rng=rng),
