@@ -29,7 +29,7 @@ class EDSRLite(ContinualMethod):
 
     name = "edsr-lite"
     uses_memory = True      # self.buffer, filled through self.remember
-    uses_old_model = True   # self.old_objective, frozen at each boundary
+    uses_old_model = True   # self.old_objective, frozen at each later boundary
 
     def batch_loss(self, view1, view2, raw):
         loss = self.objective.css_loss(view1, view2)

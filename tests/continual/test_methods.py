@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cli import METHODS
 from repro.continual import (
     CaSSLe,
     ContinualConfig,
@@ -15,7 +16,6 @@ from repro.continual import (
     build_objective,
     make_method,
 )
-from repro.cli import METHODS
 from repro.continual.trainer import _build_augment
 from repro.data.dataset import ArrayDataset
 from repro.data.splits import Task
