@@ -361,6 +361,10 @@ class TestBaseOwnsMemoryAndOldModel:
         method.begin_task(tiny_sequence[0], 0, 3)
         method.end_task(tiny_sequence[0], 0)
         method.begin_task(tiny_sequence[1], 1, 3)
+        # Training moves the live model away from the snapshot; the restored
+        # old model must be the snapshot, not a copy of the live model.
+        moved = self.build(name, fast_config, tiny_sequence, seed=2)
+        method.objective.load_state_dict(moved.objective.state_dict())
         state = method.state_dict()
 
         restored = self.build(name, fast_config, tiny_sequence, seed=1)
