@@ -65,6 +65,35 @@ class TestCommands:
         assert "Acc =" in capsys.readouterr().out
 
 
+class TestNameTables:
+    """The component names the CLI offers, pinned byte for byte."""
+
+    LIST_OUTPUT = (
+        "benchmarks: cifar10-like, cifar100-like, domainnet-like, "
+        "tiny-imagenet-like, tabular\n"
+        "methods:    finetune, si, der, lump, cassle, edsr, lin, pfr, curl, "
+        "multitask\n"
+        "selection:  random, kmeans, min-var, distant, high-entropy\n"
+        "replay:     css, dis, rpl (x uniform/similarity sampling)\n"
+        "objectives: simsiam, barlow, byol, vae\n"
+        "probes:     knn, linear, ridge\n"
+        "scenarios:  class_incremental, task_free, blurry, domain_incremental, "
+        "long_sequence\n")
+
+    def test_list_output(self, capsys):
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == self.LIST_OUTPUT
+
+    def test_run_help_choices(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        assert "--probe {knn,linear,ridge}" in lines
+        assert ("--scenario {class_incremental,task_free,blurry,"
+                "domain_incremental,long_sequence}") in lines
+
+
 class TestScenarioFlags:
     def test_run_parses_scenario_flags(self):
         args = build_parser().parse_args([
