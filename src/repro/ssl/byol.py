@@ -52,6 +52,20 @@ class BYOL(CSSLObjective):
             return
         super().__setattr__(name, value)
 
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """The online state plus the EMA target's, under ``target.``."""
+        state = super().state_dict()
+        for name, value in self._target.state_dict().items():
+            state["target." + name] = value
+        return state
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        online = {k: v for k, v in state.items() if not k.startswith("target.")}
+        super().load_state_dict(online)
+        self._target.load_state_dict(
+            {k[len("target."):]: v for k, v in state.items()
+             if k.startswith("target.")})
+
     def momentum_update(self) -> None:
         """``theta_target <- tau * theta_target + (1 - tau) * theta_online``."""
         cap = engine.active_capture()
