@@ -35,7 +35,9 @@ move once per view, not twice); every finetune pin, under all three
 objectives, held.  The CURL pin moved once, when its generated replay
 batch began to draw its latents from the run generator (which every
 checkpoint records) instead of the old model's deep-copied one (which
-none did, so a task-free resume diverged).
+none did, so a task-free resume diverged).  The three BYOL manifest pins
+moved once, when BYOL's checkpoints began to carry its EMA target (a
+resume had rebuilt it from the initial encoder); their matrix pins held.
 """
 
 import hashlib
@@ -177,13 +179,13 @@ OBJECTIVE_GOLDEN = {
         "d821d0df0a092572b48e46817102a94d6aab7303c730ca6640479e4603e4c485"),
     ("byol", "finetune"): (
         "940e1f589b672c085c3c6649e1a07e21a1cca76719de0ab870c08c1bb056de0a",
-        "47ce90b061cd258a19244cb2f71c1d133722066856b89ec0a28e70e5e5a92037"),
+        "7ff07d3cdaafcb0c33270a2f4917903e5b050613dbd8057633441946e50970f7"),
     ("byol", "cassle"): (
         "b965aa8fb820203f12bba650c1ba9cd0a046007e0509c574c38c54234cc7d895",
-        "251cf144f4f178b5080e79cd05dea15b5c8485439207d6f35696934e96be35fc"),
+        "0eccec88e7d706c58d3d244e9ffecff09a58f2d87a7ea58c020657e012fd1f53"),
     ("byol", "edsr"): (
         "607edf9d137f258813527c1ee07d5444ab37cad0bac962120ea1e79e97e94b01",
-        "3e59697290e698c08e96ee5b3ee0a53ef603b11aeb1aaeda700368a91c5b6591"),
+        "073ec2bf8e1a46c72364d4bcaae39a8cc368014d7deb77b4e494c6828d229eb5"),
 }
 
 #: probe -> sha256 of ``run_multitask``'s float64 per-task accuracies
