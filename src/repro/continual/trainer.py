@@ -57,10 +57,10 @@ from repro.eval.protocol import evaluate_task, evaluate_tasks
 from repro.eval.transfer import TransferMatrix
 from repro.optim import OPTIMIZERS, CosineLR
 from repro.runtime.checkpoint import CheckpointError, CheckpointManager
-from repro.runtime.guardrail import (GuardrailPolicy, GuardrailViolation,
-                                     RunLog, TrainingDiverged,
-                                     build_failure_report, clip_detail,
-                                     global_grad_norm)
+from repro.runtime.guardrail import (MAX_LOSS, GuardrailPolicy,
+                                     GuardrailViolation, RunLog,
+                                     TrainingDiverged, build_failure_report,
+                                     clip_detail, global_grad_norm)
 from repro.scenarios.drift import DriftDetector
 from repro.scenarios.streams import ScenarioStream, class_incremental_stream
 from repro.tensor.anomaly import AnomalyError, detect_anomaly
@@ -547,20 +547,12 @@ class ContinualTrainer:
             return None
 
         try:
-            if policy.anomaly_mode:
-                # Anomaly mode inspects every eager dispatch, so this path
-                # never tapes (a capture under anomaly marks itself unsafe).
-                with detect_anomaly():
-                    loss = method.batch_loss(view1, view2, x_batch)
-                    self._check_loss(loss, policy)
-                    loss.backward()
-            else:
-                # The taped step runs forward and backward as one unit, so
-                # the loss screen moves after backward; a violation still
-                # skips the batch and zero_grad discards the gradients, so
-                # the resulting state is identical.
-                loss = self._loss_backward(view1, view2, x_batch)
-                self._check_loss(loss, policy)
+            # Anomaly mode inspects every eager dispatch, so a guarded step
+            # never tapes (a capture under anomaly marks itself unsafe).
+            with detect_anomaly():
+                loss = method.batch_loss(view1, view2, x_batch)
+                self._check_loss(loss)
+                loss.backward()
         except AnomalyError as exc:
             optimizer.zero_grad()
             return self._skip_event("anomaly", exc, task_index, epoch, batch_index)
@@ -585,14 +577,14 @@ class ContinualTrainer:
         return None
 
     @staticmethod
-    def _check_loss(loss, policy: GuardrailPolicy) -> None:
+    def _check_loss(loss) -> None:
         value = float(loss.data)
         if not np.isfinite(value):
             raise GuardrailViolation("nonfinite-loss", f"batch loss is {value}")
-        if policy.max_loss is not None and abs(value) > policy.max_loss:
+        if abs(value) > MAX_LOSS:
             raise GuardrailViolation(
                 "loss-explosion",
-                f"batch loss {value:.3e} exceeds {policy.max_loss:.3e}")
+                f"batch loss {value:.3e} exceeds {MAX_LOSS:.3e}")
 
     def _skip_event(self, kind: str, detail, task_index: int, epoch: int,
                     batch_index: int) -> dict:

@@ -2,7 +2,8 @@
 
 A :class:`GuardrailPolicy` describes what counts as divergence (non-finite
 or exploding loss, exploding gradient norm, an :class:`AnomalyError` from
-the autograd sanitizer) and how the trainer escalates when it happens:
+the autograd sanitizer, under which every guarded batch runs) and how the
+trainer escalates when it happens:
 
 1. **skip batch** — discard the poisoned gradients and move on;
 2. **restore + LR backoff** — after ``max_skips_per_task`` skips in one
@@ -31,6 +32,9 @@ from repro.runtime.checkpoint import atomic_write_bytes
 #: Longest ``detail`` string kept in events (anomaly stacks can be huge).
 _DETAIL_LIMIT = 600
 
+#: Absolute batch loss treated as an explosion.
+MAX_LOSS = 1e6
+
 
 @dataclass(frozen=True)
 class GuardrailPolicy:
@@ -38,14 +42,8 @@ class GuardrailPolicy:
 
     Attributes
     ----------
-    max_loss:
-        Absolute loss value treated as an explosion (``None`` disables).
     max_grad_norm:
         Global gradient-norm threshold (``None`` disables).
-    anomaly_mode:
-        Run every batch under :func:`repro.tensor.detect_anomaly`, catching
-        NaN/Inf the moment a primitive produces one (more precise, slightly
-        slower) instead of only at the loss/grad checks.
     max_skips_per_task:
         Skipped batches tolerated within one task before escalating to a
         restore.
@@ -56,16 +54,12 @@ class GuardrailPolicy:
         Restores tolerated within one task before aborting the run.
     """
 
-    max_loss: float | None = 1e6
     max_grad_norm: float | None = 1e3
-    anomaly_mode: bool = True
     max_skips_per_task: int = 3
     lr_backoff: float = 0.5
     max_restores_per_task: int = 2
 
     def __post_init__(self):
-        if self.max_loss is not None and self.max_loss <= 0:
-            raise ValueError("max_loss must be positive (or None)")
         if self.max_grad_norm is not None and self.max_grad_norm <= 0:
             raise ValueError("max_grad_norm must be positive (or None)")
         if self.max_skips_per_task < 0:

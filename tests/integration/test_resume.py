@@ -654,15 +654,6 @@ class TestGuardrailRecovery:
         assert kinds.count("anomaly") == 2
         assert "restore" not in kinds and "abort" not in kinds
 
-    def test_nan_caught_without_anomaly_mode(self, fast_config, tiny_sequence):
-        policy = GuardrailPolicy(anomaly_mode=False, max_skips_per_task=3)
-        trainer = poisoned_trainer(fast_config, tiny_sequence,
-                                   poison={1}, policy=policy)
-        result = trainer.run(tiny_sequence)
-        assert result.complete
-        kinds = [e["kind"] for e in trainer.log.events]
-        assert "nonfinite-loss" in kinds
-
     def test_persistent_nan_restores_then_aborts(self, fast_config,
                                                  tiny_sequence, tmp_path):
         policy = GuardrailPolicy(max_skips_per_task=1, max_restores_per_task=1,

@@ -18,14 +18,14 @@ from repro.runtime import (
 class TestPolicyValidation:
     def test_defaults_are_valid(self):
         policy = GuardrailPolicy()
-        assert policy.max_loss == 1e6
-        assert policy.anomaly_mode
+        assert policy.max_grad_norm == 1e3
+        assert policy.max_skips_per_task == 3
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_loss": 0.0},
-        {"max_loss": -1.0},
         {"max_grad_norm": 0.0},
+        {"max_grad_norm": -1.0},
         {"max_skips_per_task": -1},
+        {"lr_backoff": -0.5},
         {"lr_backoff": 0.0},
         {"lr_backoff": 1.5},
         {"max_restores_per_task": -1},
@@ -35,13 +35,12 @@ class TestPolicyValidation:
             GuardrailPolicy(**kwargs)
 
     def test_none_disables_thresholds(self):
-        policy = GuardrailPolicy(max_loss=None, max_grad_norm=None)
-        assert policy.max_loss is None
+        policy = GuardrailPolicy(max_grad_norm=None)
         assert policy.max_grad_norm is None
 
     def test_policy_is_frozen(self):
         with pytest.raises(AttributeError):
-            GuardrailPolicy().max_loss = 1.0
+            GuardrailPolicy().max_grad_norm = 1.0
 
 
 class TestGradNorm:
