@@ -90,7 +90,7 @@ class _Coverage:
             covered |= names
             defers = defers or sup
         # Key lists held in class attributes the pair iterates
-        # (``_hyper_keys = ("lr",)`` + ``for key in self._hyper_keys``):
+        # (``_keys = ("lr",)`` + ``for key in self._keys``):
         # string constants in a referenced class-level assignment count.
         for node in cls.node.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):

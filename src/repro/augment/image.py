@@ -161,10 +161,10 @@ class GaussianBlur(Augmentation):
         return out
 
 
-def simsiam_image_pipeline(padding: int = 1) -> Compose:
+def simsiam_image_pipeline() -> Compose:
     """The paper's image op set: crop, flip, color jitter, grayscale, blur."""
     return Compose([
-        RandomCrop(padding=padding),
+        RandomCrop(),
         RandomHorizontalFlip(),
         ColorJitter(),
         RandomGrayscale(),

@@ -45,18 +45,13 @@ from repro.data.registry import IMAGE_PRESETS
 from repro.eval.protocol import PROBE_REGISTRY
 from repro.replay.losses import REPLAY_LOSSES
 from repro.replay.sampling import SAMPLING_POLICIES
+from repro.scenarios import SCENARIO_REGISTRY
 from repro.selection import STRATEGIES
 from repro.utils import format_table
 from repro.utils.serialization import (load_result, save_result,
                                        save_transfer_matrix)
 
 METHODS = list(METHOD_CLASSES)
-
-
-def _scenario_names() -> list[str]:
-    from repro.scenarios import scenario_names
-
-    return scenario_names()
 
 
 def _load_benchmark(name: str, scale: str, n_tasks: int | None):
@@ -144,7 +139,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     """Stream-shape flags; only ``run`` takes them."""
-    parser.add_argument("--scenario", choices=_scenario_names(),
+    parser.add_argument("--scenario", choices=list(SCENARIO_REGISTRY),
                         help="stream shape from the scenario registry; also "
                              "prints the transfer summary and writes the "
                              "transfer matrix (default: class_incremental, "
@@ -307,7 +302,7 @@ def _command_list(_args: argparse.Namespace) -> int:
           f"(x {'/'.join(SAMPLING_POLICIES)} sampling)")
     print("objectives:", ", ".join(OBJECTIVES))
     print("probes:    ", ", ".join(PROBE_REGISTRY))
-    print("scenarios: ", ", ".join(_scenario_names()))
+    print("scenarios: ", ", ".join(SCENARIO_REGISTRY))
     return 0
 
 

@@ -34,10 +34,6 @@ from repro.selection import SelectionContext, make_strategy
 from repro.ssl.base import CSSLObjective
 from repro.tensor.tensor import Tensor
 
-#: Min-Var's cluster count (the paper uses the class count, which an
-#: unsupervised run does not know).
-MINVAR_GROUPS = 2
-
 #: Coefficient of the ``L_rpl`` term in the final objective of Sec. III-C
 #: (1/2 in the paper).  The ``L_dis`` weight is
 #: :data:`repro.continual.cassle.DISTILL_WEIGHT`.
@@ -134,7 +130,6 @@ class EDSR(CaSSLe):
             budget=quota,
             rng=self.rng,
             view_variances=view_variances,
-            n_groups=MINVAR_GROUPS,
         )
         chosen = self.strategy.select(context)
         scales = noise_scales(representations[chosen], representations,

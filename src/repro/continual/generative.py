@@ -47,6 +47,5 @@ class GenerativeReplay(ContinualMethod):
         # state, while the old model's deep-copied one would be lost.
         generated = self.old_objective.vae.sample(self.config.replay_batch_size,
                                                   self.rng)
-        replay = self.objective.vae.elbo_loss(Tensor(generated), self.rng,
-                                              self.objective.kl_weight)
+        replay = self.objective.vae.elbo_loss(Tensor(generated), self.rng)
         return loss + REPLAY_WEIGHT * replay

@@ -32,6 +32,9 @@ from repro.ssl.base import CSSLObjective
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor, no_grad
 
+#: Weight ``w`` of the distance-preservation term.
+DISTANCE_WEIGHT = 1.0
+
 
 class LinContinual(ContinualMethod):
     name = "lin"
@@ -39,9 +42,8 @@ class LinContinual(ContinualMethod):
     uses_old_model = True
 
     def __init__(self, objective: CSSLObjective, config: ContinualConfig,
-                 rng: np.random.Generator, distance_weight: float = 1.0):
+                 rng: np.random.Generator):
         super().__init__(objective, config, rng)
-        self.distance_weight = distance_weight
         # Stateless selection policy, rebuilt fresh each construction.
         self._selector = KMeansSelection()  # repro-lint: disable=SER002
 
@@ -64,7 +66,7 @@ class LinContinual(ContinualMethod):
                                    self.objective.representation(raw))
         diff = current - Tensor(target)
         preservation = (diff * diff).mean()
-        return loss + self.distance_weight * preservation
+        return loss + DISTANCE_WEIGHT * preservation
 
     def end_task(self, task: Task, task_index: int) -> None:
         quota = self.buffer.per_task_quota

@@ -26,6 +26,9 @@ from repro.tensor.tensor import Tensor
 #: Regularization strength ``lambda`` of the SI penalty.
 SI_LAMBDA = 1.0
 
+#: Damping ``xi`` in the consolidation denominator.
+XI = 1e-3
+
 
 class SynapticIntelligence(ContinualMethod):
     """Path-integral importance regularization (Zenke et al. 2017)."""
@@ -33,9 +36,8 @@ class SynapticIntelligence(ContinualMethod):
     name = "si"
 
     def __init__(self, objective: CSSLObjective, config: ContinualConfig,
-                 rng: np.random.Generator, xi: float = 1e-3):
+                 rng: np.random.Generator):
         super().__init__(objective, config, rng)
-        self.xi = xi
         # Live references into the objective's parameters (checkpointed by
         # the objective); re-derived here, never serialized.
         self._params = objective.parameters()  # repro-lint: disable=SER002
@@ -81,7 +83,6 @@ class SynapticIntelligence(ContinualMethod):
     def state_dict(self) -> dict:
         state = super().state_dict()
         state.update(
-            xi=self.xi,
             omega=[a.copy() for a in self._omega],
             big_omega=[a.copy() for a in self._big_omega],
             anchor=[a.copy() for a in self._anchor],
@@ -92,7 +93,6 @@ class SynapticIntelligence(ContinualMethod):
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
-        self.xi = float(state["xi"])
         self._omega = [np.asarray(a).copy() for a in state["omega"]]
         self._big_omega = [np.asarray(a).copy() for a in state["big_omega"]]
         self._anchor = [np.asarray(a).copy() for a in state["anchor"]]
@@ -103,5 +103,5 @@ class SynapticIntelligence(ContinualMethod):
     def end_task(self, task: Task, task_index: int) -> None:
         for i, p in enumerate(self._params):
             total_change = p.data - self._task_start[i]
-            self._big_omega[i] += np.maximum(self._omega[i], 0.0) / (total_change ** 2 + self.xi)
+            self._big_omega[i] += np.maximum(self._omega[i], 0.0) / (total_change ** 2 + XI)
         self._anchor = [p.data.copy() for p in self._params]

@@ -8,7 +8,7 @@ feature counts, positive rates).  See DESIGN.md's substitution table for why
 this preserves the behaviours the paper's experiments measure.
 """
 
-from repro.data.dataset import Dataset, ArrayDataset
+from repro.data.dataset import ArrayDataset
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SyntheticImageConfig, make_image_dataset
 from repro.data.tabular import TabularConfig, make_tabular_dataset, TABULAR_PRESETS
@@ -16,7 +16,6 @@ from repro.data.splits import class_incremental_split, TaskSequence, Task
 from repro.data.registry import IMAGE_PRESETS, load_image_benchmark, load_tabular_benchmark
 
 __all__ = [
-    "Dataset",
     "ArrayDataset",
     "DataLoader",
     "SyntheticImageConfig",

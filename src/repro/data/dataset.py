@@ -8,22 +8,12 @@ matching the unsupervised setting of Def. 2 in the paper.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
-class Dataset:
-    """Abstract dataset: indexable collection of (x, y) pairs."""
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __getitem__(self, index):
-        raise NotImplementedError
-
-
-class ArrayDataset(Dataset):
+class ArrayDataset:
     """Dense in-memory dataset.
 
     Parameters
@@ -55,10 +45,6 @@ class ArrayDataset(Dataset):
     @property
     def classes(self) -> np.ndarray:
         return np.unique(self.y)
-
-    def subset(self, indices: Sequence[int], name: str | None = None) -> "ArrayDataset":
-        indices = np.asarray(indices)
-        return ArrayDataset(self.x[indices], self.y[indices], name or self.name)
 
     def filter_classes(self, classes: Sequence[int], name: str | None = None) -> "ArrayDataset":
         mask = np.isin(self.y, np.asarray(classes))

@@ -4,8 +4,7 @@ from repro.eval.knn import KNNClassifier
 from repro.eval.linear_probe import LinearProbe
 from repro.eval.metrics import ContinualResult, forgetting_matrix
 from repro.eval.protocol import (PROBE_REGISTRY, evaluate_tasks,
-                                 extract_representations, make_probe,
-                                 probe_names, register_probe)
+                                 extract_representations, make_probe)
 from repro.eval.ridge import RidgeProbe, RidgeStatistics
 from repro.eval.transfer import TransferMatrix
 
@@ -21,6 +20,4 @@ __all__ = [
     "extract_representations",
     "PROBE_REGISTRY",
     "make_probe",
-    "probe_names",
-    "register_probe",
 ]

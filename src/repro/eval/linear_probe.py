@@ -17,14 +17,19 @@ from repro.tensor import ops
 from repro.tensor.tensor import Tensor
 from repro.utils.rng import fallback_rng
 
+#: Mini-batch size and Adam weight decay of the probe head's training.
+BATCH_SIZE = 64
+WEIGHT_DECAY = 1e-4
+
 
 class LinearProbe:
     """Multinomial logistic regression on frozen representations.
 
     Parameters
     ----------
-    epochs, lr, batch_size, weight_decay:
-        Optimization of the probe head (Adam).
+    epochs, lr:
+        Optimization of the probe head (Adam, mini-batches of
+        :data:`BATCH_SIZE`, weight decay :data:`WEIGHT_DECAY`).
     rng:
         Seed source for init and shuffling.  Consumed **once** at
         construction: a single draw keys an isolated child generator that
@@ -34,12 +39,10 @@ class LinearProbe:
         bit-for-bit identical.
     """
 
-    def __init__(self, epochs: int = 50, lr: float = 1e-2, batch_size: int = 64,
-                 weight_decay: float = 1e-4, rng: np.random.Generator | None = None):
+    def __init__(self, epochs: int = 50, lr: float = 1e-2,
+                 rng: np.random.Generator | None = None):
         self.epochs = epochs
         self.lr = lr
-        self.batch_size = batch_size
-        self.weight_decay = weight_decay
         self._fit_seed = int((rng or fallback_rng()).integers(2 ** 63))
         self._head: Linear | None = None
         self._classes: np.ndarray | None = None
@@ -67,12 +70,12 @@ class LinearProbe:
         rng = fallback_rng(self._fit_seed)
         self._head = Linear(x.shape[1], len(self._classes), rng=rng)
         optimizer = Adam(self._head.parameters(), lr=self.lr,
-                         weight_decay=self.weight_decay)
+                         weight_decay=WEIGHT_DECAY)
         n = len(x)
         for _epoch in range(self.epochs):
             order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = order[start:start + self.batch_size]
+            for start in range(0, n, BATCH_SIZE):
+                idx = order[start:start + BATCH_SIZE]
                 optimizer.zero_grad()
                 logits = self._head(Tensor(x[idx]))
                 log_probs = ops.log_softmax(logits, axis=1)

@@ -28,38 +28,23 @@ from repro.eval.ridge import RidgeProbe
 from repro.ssl.base import CSSLObjective
 from repro.tensor.tensor import no_grad
 
-#: Probe factories by name.  Each factory accepts the protocol keywords
-#: (``knn_k``, ``rng``) and returns an object with ``fit(x, y)`` and
-#: ``accuracy(x, y)``; register new probes with :func:`register_probe`.
-PROBE_REGISTRY: dict[str, Callable[..., object]] = {}
+#: Probe factories by name.  Each factory takes ``knn_k`` and returns an
+#: object with ``fit(x, y)`` and ``accuracy(x, y)``.
+PROBE_REGISTRY: dict[str, Callable[[int], object]] = {
+    "knn": lambda knn_k: KNNClassifier(k=knn_k),
+    "linear": lambda knn_k: LinearProbe(),
+    "ridge": lambda knn_k: RidgeProbe(),
+}
 
 
-def register_probe(name: str, factory: Callable[..., object]) -> None:
-    """Add a probe factory to the registry (names are unique)."""
-    if name in PROBE_REGISTRY:
-        raise ValueError(f"probe {name!r} is already registered")
-    PROBE_REGISTRY[name] = factory
-
-
-register_probe("knn", lambda knn_k=20, rng=None: KNNClassifier(k=knn_k))
-register_probe("linear", lambda knn_k=20, rng=None: LinearProbe(rng=rng))
-register_probe("ridge", lambda knn_k=20, rng=None: RidgeProbe())
-
-
-def probe_names() -> list[str]:
-    """Registered probe names, sorted."""
-    return sorted(PROBE_REGISTRY)
-
-
-def make_probe(name: str, *, knn_k: int = 20,
-               rng: np.random.Generator | None = None):
+def make_probe(name: str, *, knn_k: int = 20):
     """Construct a probe by registry name."""
     try:
         factory = PROBE_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown probe {name!r}; registered: "
-                         f"{', '.join(probe_names())}") from None
-    return factory(knn_k=knn_k, rng=rng)
+                         f"{', '.join(sorted(PROBE_REGISTRY))}") from None
+    return factory(knn_k)
 
 
 def extract_representations(objective: CSSLObjective, x: np.ndarray,

@@ -17,13 +17,16 @@ from repro.nn.module import Module, Parameter
 from repro.tensor.tensor import Tensor
 from repro.tensor import engine, ops
 
+#: Weight of the newest batch in the running-statistics EMA, and the
+#: variance floor inside the square root (torch's defaults).
+MOMENTUM = 0.1
+EPS = 1e-5
+
 
 class _BatchNorm(Module):
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.weight = Parameter(np.ones(num_features, dtype=np.float32))
         self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
@@ -37,7 +40,7 @@ class _BatchNorm(Module):
         replay (which skips this layer's Python code entirely) re-fires the
         same update with the replayed batch statistics.
         """
-        m = self.momentum
+        m = MOMENTUM
         self._set_buffer("running_mean",
                          ((1 - m) * self.running_mean + m * mean.reshape(-1)).astype(np.float32))
         # unbiased variance for the running estimate, as torch does
@@ -52,14 +55,14 @@ class _BatchNorm(Module):
             # stat callback.
             count = math.prod(x.shape[a] for a in axes)
             return ops.batch_norm_train(
-                x, self.weight, self.bias, axes, self.eps, relu=relu,
+                x, self.weight, self.bias, axes, EPS, relu=relu,
                 stat_callback=lambda mean, var: self._update_running_stats(mean, var, count))[0]
         cap = engine.active_capture()
         if cap is not None:
             cap.mark_unsafe("eval-mode BatchNorm reads running stats the "
                             "tape would bake in as constants")
         return ops.batch_norm_eval(x, self.weight, self.bias, self.running_mean,
-                                   self.running_var, axes, self.eps, relu=relu)
+                                   self.running_var, axes, EPS, relu=relu)
 
 
 class BatchNorm1d(_BatchNorm):

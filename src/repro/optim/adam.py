@@ -11,14 +11,14 @@ from repro.nn.module import Parameter
 from repro.optim.base import Optimizer
 
 
-class Adam(Optimizer):
-    _hyper_keys = ("lr", "beta1", "beta2", "eps", "weight_decay")
+#: Moment decay rates and the denominator's epsilon (Kingma & Ba's defaults).
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
 
-    def __init__(self, parameters, lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+
+class Adam(Optimizer):
+    def __init__(self, parameters, lr: float = 1e-3, weight_decay: float = 0.0):
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
 
     def _update(self, param: Parameter, state: dict) -> None:
@@ -31,9 +31,9 @@ class Adam(Optimizer):
         if m is None:
             m = np.zeros_like(param.data)
             v = np.zeros_like(param.data)
-        m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * grad * grad
+        m = BETA1 * m + (1 - BETA1) * grad
+        v = BETA2 * v + (1 - BETA2) * grad * grad
         state.update(step=step, m=m, v=v)
-        m_hat = m / (1 - self.beta1 ** step)
-        v_hat = v / (1 - self.beta2 ** step)
-        param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_hat = m / (1 - BETA1 ** step)
+        v_hat = v / (1 - BETA2 ** step)
+        param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)

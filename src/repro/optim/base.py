@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro.nn.module import Parameter
 
 
@@ -13,15 +11,10 @@ class Optimizer:
     """Holds a parameter list and applies per-parameter updates.
 
     Subclasses implement :meth:`_update` for a single parameter given its
-    gradient; state (momentum buffers etc.) is kept per parameter id.
-    State serialization (:meth:`state_dict` / :meth:`load_state_dict`) keys
-    the per-parameter slots by *position* in the parameter list, so a resumed
-    optimizer over freshly constructed parameters of the same model picks up
-    its momentum/moment buffers exactly where it left off.
+    gradient; state (momentum buffers etc.) is kept per parameter id.  The
+    trainer builds a fresh optimizer for every task and every restore, so
+    this state is never checkpointed.
     """
-
-    #: Scalar attributes included in :meth:`state_dict`; subclasses extend.
-    _hyper_keys: tuple[str, ...] = ("lr",)
 
     def __init__(self, parameters: Iterable[Parameter], lr: float):
         self.parameters = list(parameters)
@@ -53,41 +46,3 @@ class Optimizer:
 
     def _update(self, param: Parameter, state: dict) -> None:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Full optimizer state: hyper-parameters plus per-parameter slots.
-
-        The ``state`` entry is a list aligned with ``self.parameters``;
-        each element maps slot names (``momentum``, ``m``, ``v``, ``step``)
-        to copied arrays/ints, so the snapshot is immune to later steps.
-        """
-        slots = []
-        for p in self.parameters:
-            slot = self._state.get(id(p), {})
-            slots.append({k: v.copy() if isinstance(v, np.ndarray) else v
-                          for k, v in slot.items()})
-        return {
-            "hyper": {key: getattr(self, key) for key in self._hyper_keys},
-            "state": slots,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto this optimizer's parameters."""
-        slots = state["state"]
-        if len(slots) != len(self.parameters):
-            raise ValueError(
-                f"optimizer state holds {len(slots)} parameter slots, "
-                f"this optimizer has {len(self.parameters)} parameters")
-        for key, value in state["hyper"].items():
-            if key not in self._hyper_keys:
-                raise KeyError(f"unknown optimizer hyper-parameter {key!r}")
-            setattr(self, key, value)
-        self._state = {}
-        for p, slot in zip(self.parameters, slots):
-            if slot:
-                self._state[id(p)] = {
-                    k: v.copy() if isinstance(v, np.ndarray) else v
-                    for k, v in slot.items()}

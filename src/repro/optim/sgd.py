@@ -12,8 +12,6 @@ from repro.optim.base import Optimizer
 
 
 class SGD(Optimizer):
-    _hyper_keys = ("lr", "momentum", "weight_decay")
-
     def __init__(self, parameters, lr: float = 0.03, momentum: float = 0.9,
                  weight_decay: float = 0.0):
         super().__init__(parameters, lr)

@@ -15,14 +15,11 @@ from repro.scenarios.streams import (ScenarioStream, StreamSegment,
                                      blurry_stream, class_incremental_stream,
                                      domain_incremental_stream,
                                      long_sequence_stream, task_free_stream)
-from repro.scenarios.registry import (SCENARIO_REGISTRY, ScenarioSpec,
-                                      build_stream, register_scenario,
-                                      scenario_names)
+from repro.scenarios.registry import SCENARIO_REGISTRY, build_stream
 
 __all__ = [
     "DriftDetector",
     "SCENARIO_REGISTRY",
-    "ScenarioSpec",
     "ScenarioStream",
     "StreamSegment",
     "blurry_stream",
@@ -30,7 +27,5 @@ __all__ = [
     "class_incremental_stream",
     "domain_incremental_stream",
     "long_sequence_stream",
-    "register_scenario",
-    "scenario_names",
     "task_free_stream",
 ]

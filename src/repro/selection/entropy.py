@@ -21,13 +21,16 @@ import numpy as np
 
 from repro.selection.base import SelectionContext, SelectionStrategy
 
+#: Squared residual norm at or below which the selected span counts as
+#: covering every remaining sample.
+TOLERANCE = 1e-8
+
 
 class HighEntropySelection(SelectionStrategy):
     name = "high-entropy"
 
-    def __init__(self, center: bool = True, tolerance: float = 1e-8):
+    def __init__(self, center: bool = True):
         self.center = center
-        self.tolerance = tolerance
 
     def select(self, context: SelectionContext) -> np.ndarray:
         budget = self._clip_budget(context)
@@ -45,7 +48,7 @@ class HighEntropySelection(SelectionStrategy):
             norms = np.einsum("ij,ij->i", residual, residual)
             norms[~available] = -1.0
             best = int(np.argmax(norms))
-            if norms[best] <= self.tolerance:
+            if norms[best] <= TOLERANCE:
                 # Selected span covers everything left: restart the sweep on
                 # the remaining samples with a fresh projector.
                 residual = reps.copy()

@@ -11,6 +11,9 @@ import numpy as np
 
 from repro.selection.base import SelectionContext, SelectionStrategy
 
+#: Lloyd iterations before :func:`kmeans` stops without converging.
+MAX_ITERS = 50
+
 
 def kmeans_plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding (Arthur & Vassilvitskii 2007): indices of k seeds."""
@@ -32,13 +35,13 @@ def kmeans_plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator)
     return np.asarray(seeds)
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iters: int = 50) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm. Returns (centroids (k, d), assignments (N,))."""
     points = np.asarray(points, dtype=np.float64)
     centroids = points[kmeans_plus_plus_seeds(points, k, rng)].copy()
     assignments = np.zeros(len(points), dtype=np.int64)
-    for iteration in range(max_iters):
+    for iteration in range(MAX_ITERS):
         # squared distances to all centroids: (N, k)
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignments = d2.argmin(axis=1)

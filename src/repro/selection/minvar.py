@@ -13,13 +13,14 @@ import numpy as np
 from repro.selection.base import SelectionContext, SelectionStrategy
 from repro.selection.kmeans import kmeans
 
+#: Cluster count when the context names none (the paper uses the class
+#: count, which an unsupervised run does not know).
+MINVAR_GROUPS = 2
+
 
 class MinVarianceSelection(SelectionStrategy):
     name = "min-var"
     requires_view_variance = True
-
-    def __init__(self, default_groups: int = 2):
-        self.default_groups = default_groups
 
     def select(self, context: SelectionContext) -> np.ndarray:
         if context.view_variances is None:
@@ -30,7 +31,7 @@ class MinVarianceSelection(SelectionStrategy):
         if len(variances) != len(points):
             raise ValueError("view_variances length mismatch")
 
-        n_groups = min(context.n_groups or self.default_groups, budget, len(points))
+        n_groups = min(context.n_groups or MINVAR_GROUPS, budget, len(points))
         _centroids, assignments = kmeans(points, n_groups, context.rng)
 
         # Budget is split evenly across clusters; leftovers go to the

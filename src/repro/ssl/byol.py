@@ -31,15 +31,15 @@ class BYOL(CSSLObjective):
     """BYOL objective with momentum coefficient ``tau``."""
 
     def __init__(self, encoder: Encoder, tau: float = 0.99,
-                 predictor_hidden: int | None = None,
                  rng: np.random.Generator | None = None):
         super().__init__(encoder)
         if not 0.0 <= tau < 1.0:
             raise ValueError("tau must be in [0, 1)")
         rng = rng or fallback_rng()
         d = encoder.output_dim
-        hidden = predictor_hidden or max(d // 4, 4)
-        self.predictor = MLP([d, hidden, d], batch_norm=True, rng=rng)
+        # Bottleneck predictor, a quarter of the representation width; a
+        # registered submodule, so Module.state_dict walks it.
+        self.predictor = MLP([d, max(d // 4, 4), d], batch_norm=True, rng=rng)  # repro-lint: disable=SER002
         self.tau = tau
         self._target = encoder.copy()
         self._target.eval()

@@ -109,17 +109,16 @@ class _LatentMeanEncoder(Module):
 class VAEObjective(CSSLObjective):
     """The VAE wrapped in the CSSL-objective interface.
 
-    ``kl_weight`` trades reconstruction against posterior regularity
-    (beta-VAE style); the evaluation representation is the posterior mean.
+    Training minimises the plain negative ELBO (KL weight 1); the
+    evaluation representation is the posterior mean.
     """
 
     def __init__(self, input_dim: int, latent_dim: int, hidden_dim: int = 128,
-                 kl_weight: float = 1.0, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         rng = rng or fallback_rng()
         vae = VAE(input_dim, latent_dim, hidden_dim, rng=rng)
         super().__init__(_LatentMeanEncoder(vae))
         self.vae = vae
-        self.kl_weight = kl_weight
         self._rng = rng
 
     def __setattr__(self, name, value):
@@ -133,7 +132,7 @@ class VAEObjective(CSSLObjective):
     def css_loss(self, x1: np.ndarray, x2: np.ndarray,
                  z: tuple[Tensor, Tensor] | None = None) -> Tensor:
         """The ELBO of ``x1``; it reads the raw view, so ``z`` goes unused."""
-        return self.vae.elbo_loss(Tensor(x1), self._rng, self.kl_weight)
+        return self.vae.elbo_loss(Tensor(x1), self._rng)
 
     def align(self, current: Tensor, target: np.ndarray) -> Tensor:
         """Plain cosine alignment (lets distillation methods run on VAEs)."""

@@ -33,7 +33,7 @@ from repro.tensor.engine import (
     registered_ops,
     set_fusion,
 )
-from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled, tensor
+from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
 from repro.tensor.tape import Tape, TapedFunction, capture
 from repro.tensor import ops
 from repro.tensor.ops import (
@@ -49,7 +49,6 @@ from repro.tensor.gradcheck import numerical_gradient, check_gradients
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "is_grad_enabled",
     "Context",

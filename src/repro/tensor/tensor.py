@@ -95,19 +95,6 @@ class Tensor:
         self._version += 1
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        """Zero-filled tensor of ``shape`` in the default dtype."""
-        return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        """One-filled tensor of ``shape`` in the default dtype."""
-        return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
     @property
@@ -142,9 +129,6 @@ class Tensor:
         This is the paper's stop-gradient operator ``sg(.)``.
         """
         return Tensor(self._data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self._data.copy(), requires_grad=False)
 
     def zero_grad(self, set_to_none: bool = True) -> None:
         """Clear the gradient; ``set_to_none=False`` keeps the buffer.
@@ -326,10 +310,6 @@ class Tensor:
             shape = tuple(shape[0])
         return _apply("reshape", self, shape=shape)
 
-    def flatten(self, start_dim: int = 0) -> "Tensor":
-        shape = self.shape[:start_dim] + (-1,)
-        return self.reshape(*shape)
-
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
@@ -357,15 +337,8 @@ class Tensor:
             count = self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        centered = self - self.mean(axis=axis, keepdims=True)
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
-
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         return _apply("max", self, axis=axis, keepdims=keepdims)
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
 
 
 engine._bind_tensor_class(Tensor)
@@ -373,8 +346,3 @@ engine._bind_tensor_class(Tensor)
 # Populate the op registry; core_ops depends only on engine, so this import
 # cannot cycle back here.
 from repro.tensor import core_ops  # noqa: E402,F401
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)

@@ -15,21 +15,15 @@ from __future__ import annotations
 
 import importlib
 
-from repro.utils.rng import (fallback_rng, get_rng_state, set_rng_state,
-                             spawn_rngs, seed_everything)
+from repro.utils.rng import fallback_rng, get_rng_state, set_rng_state
 from repro.utils.tables import format_table, format_series, format_heatmap
 
 __all__ = [
     "fallback_rng",
     "get_rng_state",
     "set_rng_state",
-    "spawn_rngs",
-    "seed_everything",
     "AggregateResult",
     "aggregate_runs",
-    "run_seeds",
-    "save_model",
-    "load_model",
     "save_result",
     "load_result",
     "save_transfer_matrix",
@@ -45,9 +39,6 @@ __all__ = [
 _LAZY_EXPORTS = {
     "AggregateResult": "repro.utils.results",
     "aggregate_runs": "repro.utils.results",
-    "run_seeds": "repro.utils.results",
-    "save_model": "repro.utils.serialization",
-    "load_model": "repro.utils.serialization",
     "save_result": "repro.utils.serialization",
     "load_result": "repro.utils.serialization",
     "save_transfer_matrix": "repro.utils.serialization",

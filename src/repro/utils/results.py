@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,9 +46,3 @@ def aggregate_runs(name: str, results: Sequence[ContinualResult]) -> AggregateRe
         elapsed_mean=float(elapsed.mean()),
     )
 
-
-def run_seeds(run_fn: Callable[[int], ContinualResult], seeds: Sequence[int],
-              name: str | None = None) -> tuple[AggregateResult, list[ContinualResult]]:
-    """Run ``run_fn(seed)`` for each seed and aggregate."""
-    results = [run_fn(seed) for seed in seeds]
-    return aggregate_runs(name or results[0].name, results), results

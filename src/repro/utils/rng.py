@@ -1,8 +1,9 @@
 """Deterministic randomness plumbing.
 
 Every stochastic component in the library takes an explicit
-``numpy.random.Generator``; these helpers fan a root seed out into
-independent streams so adding a component never perturbs another's draws.
+``numpy.random.Generator``; these helpers give components built without
+one a deterministic default, and snapshot and restore a generator's state
+for checkpoints.
 """
 
 from __future__ import annotations
@@ -10,17 +11,6 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """``n`` statistically independent generators from one root seed."""
-    sequence = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(n)]
-
-
-def seed_everything(seed: int) -> np.random.Generator:
-    """Root generator for a run (the library never touches global state)."""
-    return np.random.default_rng(seed)
 
 
 #: Seed used when a component is constructed without an explicit generator.

@@ -1,8 +1,7 @@
-"""Saving and loading models and experiment results.
+"""Saving and loading experiment results.
 
-Model state dicts go to ``.npz`` (pure arrays); continual results and
-transfer matrices go to ``.json`` with the matrices inlined, so
-downstream analysis does not need this library installed.
+Continual results and transfer matrices go to ``.json`` with the matrices
+inlined, so downstream analysis does not need this library installed.
 
 Interrupted runs are first-class: :func:`save_result` records how many rows
 of the accuracy matrix were actually recorded, and :func:`load_result`
@@ -27,45 +26,7 @@ import numpy as np
 
 from repro.eval.metrics import ContinualResult
 from repro.eval.transfer import TransferMatrix
-from repro.nn.module import Module
 from repro.runtime.checkpoint import atomic_write_bytes
-
-
-def _npz_path(path: str | pathlib.Path) -> pathlib.Path:
-    """Normalize a model path to the ``.npz`` file numpy actually writes.
-
-    ``np.savez_compressed`` silently appends ``.npz`` when the given path
-    lacks the suffix; applying the same normalization on both the save and
-    load side keeps the two functions symmetric for any caller-supplied path.
-    """
-    path = pathlib.Path(path)
-    if path.suffix == ".npz":
-        return path
-    return path.with_name(path.name + ".npz")
-
-
-def save_model(module: Module, path: str | pathlib.Path) -> pathlib.Path:
-    """Serialize a module's state dict to a compressed ``.npz`` archive.
-
-    Returns the path actually written (with the ``.npz`` suffix applied).
-    """
-    state = module.state_dict()
-    target = _npz_path(path)
-    # npz keys may not contain '/'; state-dict names never do, but be safe.
-    np.savez_compressed(str(target), **state)
-    return target
-
-
-def load_model(module: Module, path: str | pathlib.Path) -> Module:
-    """Restore a module's parameters and buffers from :func:`save_model`.
-
-    Accepts the same path the caller passed to :func:`save_model`, with or
-    without the ``.npz`` suffix.
-    """
-    with np.load(str(_npz_path(path))) as archive:
-        state = {key: archive[key] for key in archive.files}
-    module.load_state_dict(state)
-    return module
 
 
 def save_result(result: ContinualResult, path: str | pathlib.Path) -> None:
@@ -95,14 +56,6 @@ def save_result(result: ContinualResult, path: str | pathlib.Path) -> None:
                        site="result.save")
 
 
-def _infer_rows_recorded(matrix: list[list[float | None]], n_tasks: int) -> int:
-    """Row count for legacy files that predate the ``rows_recorded`` field."""
-    for i in range(n_tasks):
-        if any(matrix[i][j] is None for j in range(i + 1)):
-            return i
-    return n_tasks
-
-
 def load_result(path: str | pathlib.Path) -> ContinualResult:
     """Rebuild a :class:`ContinualResult` from :func:`save_result` output.
 
@@ -114,16 +67,13 @@ def load_result(path: str | pathlib.Path) -> ContinualResult:
     """
     payload = json.loads(pathlib.Path(path).read_text())
     n_tasks = payload["n_tasks"]
-    # Files from before the probe registry were all KNN-probed.
     result = ContinualResult(n_tasks, name=payload["name"],
-                             probe=payload.get("probe", "knn"))
+                             probe=payload["probe"])
     matrix = payload["accuracy_matrix"]
     if len(matrix) != n_tasks or any(len(row) != n_tasks for row in matrix):
         raise ValueError(f"{path}: accuracy_matrix is not {n_tasks}x{n_tasks} "
                          f"as the header declares")
-    recorded = payload.get("rows_recorded")
-    if recorded is None:
-        recorded = _infer_rows_recorded(matrix, n_tasks)
+    recorded = payload["rows_recorded"]
     if not 0 <= recorded <= n_tasks:
         raise ValueError(f"{path}: rows_recorded {recorded} is outside "
                          f"[0, {n_tasks}]")

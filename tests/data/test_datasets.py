@@ -20,12 +20,6 @@ class TestArrayDataset:
         with pytest.raises(ValueError):
             ArrayDataset(np.zeros((5, 2)), np.zeros(4))
 
-    def test_subset(self):
-        ds = ArrayDataset(np.arange(10)[:, None], np.arange(10))
-        sub = ds.subset([1, 3, 5])
-        assert len(sub) == 3
-        np.testing.assert_array_equal(sub.y, [1, 3, 5])
-
     def test_filter_classes(self):
         ds = ArrayDataset(np.zeros((10, 2)), np.arange(10) % 5)
         filtered = ds.filter_classes([0, 1])

@@ -95,12 +95,19 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
 
     def test_eval_uses_running_stats(self):
-        bn = BatchNorm1d(2, momentum=1.0)  # running stats = last batch stats
+        bn = BatchNorm1d(2)
         x = np.random.default_rng(0).normal(loc=2.0, size=(100, 2))
         bn(Tensor(x))
+        # One EMA step at momentum 0.1 from mean 0 / variance 1, with the
+        # unbiased batch variance.
+        mean = 0.1 * x.mean(axis=0)
+        var = 0.9 + 0.1 * x.var(axis=0, ddof=1)
+        np.testing.assert_allclose(bn.running_mean, mean, rtol=1e-5)
+        np.testing.assert_allclose(bn.running_var, var, rtol=1e-5)
         bn.eval()
         out = bn(Tensor(x)).numpy()
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=0.05)
+        np.testing.assert_allclose(out, (x - mean) / np.sqrt(var + 1e-5),
+                                   rtol=1e-4, atol=1e-5)
 
     def test_2d_normalizes_per_channel(self):
         bn = BatchNorm2d(3)

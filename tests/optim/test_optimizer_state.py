@@ -64,90 +64,3 @@ class TestFreshOptimizerPerTask:
         # zero grad + fresh (empty) momentum => no movement
         np.testing.assert_allclose(p.data, before)
 
-
-def _grads_for(params, step):
-    """Deterministic pseudo-gradients: a fixed function of data and step."""
-    for i, p in enumerate(params):
-        p.grad = np.sin(p.data * (i + 1)) + 0.01 * step
-
-
-def _run_steps(params, opt, schedule, start, stop, trace):
-    for step in range(start, stop):
-        schedule.step(step)
-        _grads_for(params, step)
-        opt.step()
-        opt.zero_grad()
-        trace.append([p.data.copy() for p in params])
-
-
-class TestMidScheduleResume:
-    """A checkpointed optimizer resumed mid-schedule must retrace the
-    uninterrupted run step for step, bit for bit."""
-
-    def _fresh_params(self):
-        rng = np.random.default_rng(123)
-        return [Parameter(rng.normal(size=(3, 4))),
-                Parameter(rng.normal(size=(4,)))]
-
-    def _trajectory(self, make_opt, make_sched, break_at=None, total=10):
-        params = self._fresh_params()
-        opt = make_opt(params)
-        sched = make_sched(opt)
-        trace = []
-        if break_at is None:
-            _run_steps(params, opt, sched, 0, total, trace)
-            return trace
-        _run_steps(params, opt, sched, 0, break_at, trace)
-        saved_opt = opt.state_dict()
-        saved_params = [p.data.copy() for p in params]
-        # Simulate a process restart: everything rebuilt from scratch.
-        params = self._fresh_params()
-        for p, data in zip(params, saved_params):
-            p.data = data
-        opt = make_opt(params)
-        # The schedule captures base_lr at construction, so it must be built
-        # from the freshly configured optimizer *before* load_state_dict
-        # restores the mid-schedule lr.
-        sched = make_sched(opt)
-        opt.load_state_dict(saved_opt)
-        _run_steps(params, opt, sched, break_at, total, trace)
-        return trace
-
-    def _assert_identical(self, make_opt, make_sched):
-        full = self._trajectory(make_opt, make_sched)
-        resumed = self._trajectory(make_opt, make_sched, break_at=4)
-        assert len(full) == len(resumed)
-        for step, (a, b) in enumerate(zip(full, resumed)):
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y,
-                                              err_msg=f"diverged at step {step}")
-
-    def test_sgd_momentum_under_cosine_schedule(self):
-        from repro.optim import CosineLR
-        self._assert_identical(
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
-            lambda o: CosineLR(o, total_epochs=10))
-
-    def test_adam_under_cosine_schedule(self):
-        from repro.optim import CosineLR
-        self._assert_identical(
-            lambda ps: Adam(ps, lr=0.01, weight_decay=1e-4),
-            lambda o: CosineLR(o, total_epochs=6))
-
-    def test_adam_step_counters_survive_roundtrip(self):
-        params = self._fresh_params()
-        opt = Adam(params, lr=0.01)
-        for step in range(3):
-            _grads_for(params, step)
-            opt.step()
-        fresh = Adam(self._fresh_params(), lr=0.01)
-        fresh.load_state_dict(opt.state_dict())
-        for p in fresh.parameters:
-            assert fresh._state[id(p)]["step"] == 3
-
-    def test_slot_count_mismatch_raises(self):
-        opt = SGD(self._fresh_params(), lr=0.1, momentum=0.9)
-        other = SGD([Parameter(np.zeros(2))], lr=0.1, momentum=0.9)
-        import pytest
-        with pytest.raises(ValueError, match="parameter slots"):
-            other.load_state_dict(opt.state_dict())

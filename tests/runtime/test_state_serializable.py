@@ -2,7 +2,7 @@
 
 This is the runtime half of SER001: the lint rule statically screens
 ``state_dict`` implementations, these tests feed the *actual* trained state
-of every method, optimizer, buffer, and result through
+of every method, buffer, and result through
 :func:`repro.runtime.check_serializable` (i.e. full flattening), then verify
 method state round-trips onto a freshly built method.
 """
@@ -12,8 +12,6 @@ import pytest
 
 from repro.continual import ContinualTrainer, build_objective, make_method
 from repro.memory import MemoryBuffer, MemoryRecord
-from repro.nn import Parameter
-from repro.optim import SGD, Adam
 from repro.runtime import check_serializable
 from repro.utils import get_rng_state
 
@@ -65,14 +63,6 @@ class TestMethodStateSerializable:
 
 
 class TestOtherStateSerializable:
-    def test_optimizer_states_flatten(self):
-        params = [Parameter(np.ones((2, 2))), Parameter(np.ones(2))]
-        for opt in (SGD(params, lr=0.1, momentum=0.9), Adam(params, lr=0.01)):
-            for p in params:
-                p.grad = np.ones_like(p.data)
-            opt.step()
-            check_serializable(opt.state_dict())
-
     def test_buffer_state_flattens(self):
         buffer = MemoryBuffer(50, 5)
         buffer.add(MemoryRecord(task_id=0, samples=np.zeros((5, 4)),

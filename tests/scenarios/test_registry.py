@@ -4,25 +4,19 @@ import numpy as np
 import pytest
 
 from repro.continual import ContinualConfig, run_method
-from repro.scenarios import (SCENARIO_REGISTRY, build_stream,
-                             register_scenario, scenario_names)
+from repro.scenarios import SCENARIO_REGISTRY, build_stream
 from repro.scenarios.drift import DriftDetector
 
 
 class TestRegistry:
     def test_the_five_settings_are_registered_in_order(self):
-        assert scenario_names() == [
+        assert list(SCENARIO_REGISTRY) == [
             "class_incremental", "task_free", "blurry",
             "domain_incremental", "long_sequence"]
 
     def test_unknown_scenario_rejected(self, tiny_sequence):
         with pytest.raises(ValueError, match="unknown scenario"):
             build_stream("nope", tiny_sequence, ContinualConfig())
-
-    def test_duplicate_registration_rejected(self):
-        spec = SCENARIO_REGISTRY["blurry"]
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(spec.name, spec.description, spec.build)
 
     def test_config_rejects_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):

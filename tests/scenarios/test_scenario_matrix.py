@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import METHODS as ALL_METHODS
 from repro.continual import run_method
-from repro.scenarios import scenario_names
+from repro.scenarios import SCENARIO_REGISTRY
 from tests.scenarios.test_golden import (MATRIX_GOLDEN, SEED, last_checksums,
                                          run_digests)
 
@@ -40,7 +40,7 @@ def smoke_config(fast_config):
 
 
 def test_the_matrix_covers_every_registered_scenario():
-    assert sorted(SCENARIOS) == sorted(scenario_names())
+    assert sorted(SCENARIOS) == sorted(SCENARIO_REGISTRY)
 
 
 def test_the_matrix_covers_every_method_and_every_pin():

@@ -44,13 +44,6 @@ class TestGraphBoundaries:
             out = a * 2.0
         assert not out.requires_grad
 
-    def test_copy_detaches_and_copies(self):
-        a = Tensor([1.0], requires_grad=True)
-        b = a.copy()
-        assert not b.requires_grad
-        b.data[0] = 5.0
-        assert a.data[0] == 1.0
-
     def test_scalar_chain(self):
         x = Tensor(2.0, requires_grad=True)
         y = ops.exp(x * x)

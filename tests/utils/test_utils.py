@@ -1,4 +1,4 @@
-"""Tests for rng fan-out, aggregation, and table rendering."""
+"""Tests for result aggregation and table rendering."""
 
 import numpy as np
 import pytest
@@ -9,20 +9,7 @@ from repro.utils import (
     format_heatmap,
     format_series,
     format_table,
-    run_seeds,
-    spawn_rngs,
 )
-
-
-class TestRng:
-    def test_spawn_independent_streams(self):
-        a, b = spawn_rngs(0, 2)
-        assert not np.allclose(a.normal(size=10), b.normal(size=10))
-
-    def test_spawn_reproducible(self):
-        first = [g.normal() for g in spawn_rngs(7, 3)]
-        second = [g.normal() for g in spawn_rngs(7, 3)]
-        np.testing.assert_allclose(first, second)
 
 
 def _result(acc_values):
@@ -47,18 +34,6 @@ class TestAggregation:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             aggregate_runs("m", [])
-
-    def test_run_seeds_calls_per_seed(self):
-        calls = []
-
-        def run(seed):
-            calls.append(seed)
-            return _result([1.0, 0.9, 0.9])
-
-        agg, results = run_seeds(run, [0, 1, 2], name="x")
-        assert calls == [0, 1, 2]
-        assert agg.n_runs == 3
-        assert len(results) == 3
 
 
 class TestTables:
