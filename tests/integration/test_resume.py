@@ -5,8 +5,9 @@ A run checkpointed after task ``k`` and resumed in a fresh process must
 produce a bit-for-bit identical accuracy matrix and final weights compared
 to the uninterrupted run — for every CLI method (memory buffers with
 their stored targets and noise scales, frozen old models, distillation
-heads, SI's importance accumulators), and on the task-free and blurry
-streams.  The checkpoint is the run's one history: resume restores the
+heads, SI's importance accumulators), for finetune, CaSSLe and EDSR under
+the BarlowTwins and BYOL objectives (BYOL's EMA target), and on the
+task-free and blurry streams.  The checkpoint is the run's one history: resume restores the
 transfer matrix from it, so a lost or corrupt ``transfer-matrix.json``
 changes nothing.  Resuming under another method or stream is refused, and
 a failed checkpoint or transfer-matrix write is logged while the run goes
