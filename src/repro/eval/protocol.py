@@ -43,7 +43,7 @@ def make_probe(name: str, *, knn_k: int = 20):
         factory = PROBE_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown probe {name!r}; registered: "
-                         f"{', '.join(sorted(PROBE_REGISTRY))}") from None
+                         f"{', '.join(PROBE_REGISTRY)}") from None
     return factory(knn_k)
 
 

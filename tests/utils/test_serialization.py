@@ -14,9 +14,9 @@ class TestModelRoundtrip:
     """A model persists as its state dict inside a run checkpoint."""
 
     def _reload(self, model, fresh, directory):
-        CheckpointManager(directory).save(0, {"model": model.state_dict()})
-        fresh.load_state_dict(
-            CheckpointManager(directory).load_latest().state["model"])
+        manager = CheckpointManager(directory)
+        manager.save(0, {"model": model.state_dict()})
+        fresh.load_state_dict(manager.load_latest().state["model"])
         return fresh
 
     def test_identical_outputs_after_reload(self, rng, tmp_path):
