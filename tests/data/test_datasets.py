@@ -1,10 +1,12 @@
 """Tests for dataset containers, loaders, and generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, DataLoader
-from repro.data.synthetic import SyntheticImageConfig, make_image_dataset
+from repro.data import IMAGE_PRESETS, ArrayDataset, DataLoader
+from repro.data.synthetic import SyntheticImageConfig, apply_domain_shift, make_image_dataset
 from repro.data.tabular import TABULAR_PRESETS, TabularConfig, make_tabular_dataset
 
 
@@ -174,6 +176,58 @@ class TestSyntheticImages:
             return (train.classes[d2.argmin(axis=1)] == test.y).mean()
 
         assert centroid_accuracy(easy_train, easy_test) > centroid_accuracy(hard_train, hard_test)
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(str(array.dtype).encode())
+        digest.update(str(array.shape).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+#: config -> sha256 of (train.x, train.y, test.x, test.y).  Every run,
+#: golden pin and e2e digest starts from these bytes, so a faster generator
+#: must reproduce them exactly.
+DATA_DIGESTS = {
+    **{name: (IMAGE_PRESETS[name]["ci"].config, digest) for name, digest in [
+        ("cifar10-like", "d86838e5c51b2ac2ce9618409a4b3530d5096a68403a6ec58434ebaca8455a6e"),
+        ("cifar100-like", "9e0021549026aae0ffef5ed8e10dca545464d796d9a11934b7233173e629011f"),
+        ("tiny-imagenet-like", "e707923f8600b719bf7238e26ef60d20787e53ca83b8b000925fbaddcec0f9b8"),
+        ("domainnet-like", "b891f4b276c33045300dd660272adf4a29a1174958fc6065bc2ce600be9eddb8"),
+    ]},
+    # conftest.tiny_sequence's config.
+    "tiny": (SyntheticImageConfig(n_classes=6, train_per_class=20, test_per_class=10,
+                                  image_size=8, seed=7, name="tiny"),
+             "2e20403985fad8bcb97a4b9836c1b3e08ad99fcaeb023caf03942e90081e27fc"),
+    # The 4-grid does not divide the image size.
+    "size-10": (SyntheticImageConfig(image_size=10, n_classes=3, train_per_class=4,
+                                     test_per_class=2, seed=3),
+                "61c2076cb0de1d77e2a55f32a6092727d671286f0dd0f2f08c986c0cb6e834d4"),
+    "gray-32": (SyntheticImageConfig(image_size=32, channels=1, n_classes=2,
+                                     train_per_class=3, test_per_class=2, seed=5),
+                "86570cc96dd77b15ef216adf1c1998219a5b72b09bf1ba766c1c889aee257382"),
+}
+
+#: domain -> sha256 of apply_domain_shift(cifar10-like/ci test.x, domain).
+SHIFT_DIGESTS = {
+    1: "c8d1af76bce3e5146bdfdfcc76923012b0d3564d9a9d54b25bfbdcc9e79b7e41",
+    2: "d70080e5eb6d05b417a433297369a07114ab46cb0bb1709b08cd29e4d4322dd6",
+}
+
+
+class TestSyntheticImageBytes:
+    @pytest.mark.parametrize("name", sorted(DATA_DIGESTS))
+    def test_generated_bytes_are_pinned(self, name):
+        config, expected = DATA_DIGESTS[name]
+        train, test = make_image_dataset(config)
+        assert _digest(train.x, train.y, test.x, test.y) == expected
+
+    @pytest.mark.parametrize("domain", sorted(SHIFT_DIGESTS))
+    def test_domain_shift_bytes_are_pinned(self, domain):
+        _train, test = make_image_dataset(IMAGE_PRESETS["cifar10-like"]["ci"].config)
+        assert _digest(apply_domain_shift(test.x, domain)) == SHIFT_DIGESTS[domain]
 
 
 class TestSyntheticTabular:
