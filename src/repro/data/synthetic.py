@@ -60,14 +60,25 @@ class SyntheticImageConfig:
     name: str = "synthetic-images"
 
 
-def _smooth_field(rng: np.random.Generator, channels: int, size: int,
-                  grid: int = 4, sigma: float = 1.0) -> np.ndarray:
-    """Low-frequency random field: coarse iid grid, upsampled and blurred."""
-    grid = min(grid, size)
-    coarse = rng.normal(size=(channels, grid, grid))
-    reps = int(np.ceil(size / grid))
-    field = np.kron(coarse, np.ones((reps, reps)))[:, :size, :size]
-    return gaussian_blur(field[None], np.array([sigma]))[0]
+#: Side of the coarse iid grid a smooth field is upsampled from (capped at
+#: the image size).
+_FIELD_GRID = 4
+
+
+def _grid_side(size: int) -> int:
+    return min(_FIELD_GRID, size)
+
+
+def _smooth_field(coarse: np.ndarray, size: int, sigma: float) -> np.ndarray:
+    """Low-frequency random fields from pre-drawn coarse iid grids.
+
+    ``coarse`` is ``(N, C, g, g)``: each cell is repeated over a square
+    block (cut at ``size`` when ``g`` does not divide it) and every field is
+    blurred with ``sigma`` in one call, giving ``(N, C, size, size)``.
+    """
+    reps = int(np.ceil(size / coarse.shape[-1]))
+    field = coarse.repeat(reps, axis=-2).repeat(reps, axis=-1)[..., :size, :size]
+    return gaussian_blur(field, np.full(len(field), sigma))
 
 
 def _class_figure(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -92,7 +103,8 @@ def _class_prototype(rng: np.random.Generator, channels: int, size: int) -> np.n
     luminance structure.  A weaker per-channel color accent adds realism
     without carrying the class identity.
     """
-    luminance = _smooth_field(rng, 1, size, grid=4, sigma=0.8)
+    grid = _grid_side(size)
+    luminance = _smooth_field(rng.normal(size=(1, 1, grid, grid)), size, sigma=0.8)[0]
     luminance = luminance / (np.abs(luminance).max() + 1e-8)
     figure = _class_figure(rng, size)
     figure_sign = rng.choice([-1.0, 1.0])
@@ -132,7 +144,9 @@ def apply_domain_shift(x: np.ndarray, domain: int, strength: float = 0.5,
         _n, channels, height, width = x.shape
         if height != width:
             raise ValueError(f"images must be square, got {x.shape}")
-        field = _smooth_field(rng, channels, height, grid=4, sigma=1.0)
+        grid = _grid_side(height)
+        field = _smooth_field(rng.normal(size=(1, channels, grid, grid)), height,
+                              sigma=1.0)[0]
         gain = 1.0 + 0.3 * strength * rng.uniform(-1.0, 1.0,
                                                   size=(channels, 1, 1))
         shifted = x * gain[None].astype(np.float32)
@@ -163,17 +177,25 @@ def make_image_dataset(config: SyntheticImageConfig) -> tuple[ArrayDataset, Arra
         class_rng = np.random.default_rng(seed)
         prototypes.append(_class_prototype(class_rng, config.channels, config.image_size))
 
+    channels, size = config.channels, config.image_size
+    grid = _grid_side(size)
+    n_coarse = channels * grid * grid
+
     def draw(per_class: int) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = [], []
+        x = np.empty((len(prototypes), per_class, channels, size, size), dtype=np.float32)
         for label, proto in enumerate(prototypes):
-            for _ in range(per_class):
-                instance = _smooth_field(sample_rng, config.channels, config.image_size,
-                                         grid=4, sigma=0.8)
-                x = proto + config.intra_class_std * instance
-                x = x + sample_rng.normal(scale=config.pixel_noise, size=x.shape)
-                xs.append(np.clip(x, 0.0, 1.0))
-                ys.append(label)
-        return np.asarray(xs, dtype=np.float32), np.asarray(ys, dtype=np.int64)
+            # Row i holds sample i's draws in the order a per-sample loop
+            # makes them: its coarse grid, then its pixel noise.
+            z = sample_rng.standard_normal((per_class, n_coarse + channels * size * size))
+            instance = _smooth_field(z[:, :n_coarse].reshape(per_class, channels, grid, grid),
+                                     size, sigma=0.8)
+            # ``0.0 + scale * z`` is how Generator.normal(scale=...) forms
+            # its values, so the noise keeps that arithmetic bit for bit.
+            noise = 0.0 + config.pixel_noise * z[:, n_coarse:].reshape(instance.shape)
+            # float64 until the clip, then one cast to float32.
+            x[label] = np.clip(proto + config.intra_class_std * instance + noise, 0.0, 1.0)
+        y = np.repeat(np.arange(len(prototypes), dtype=np.int64), per_class)
+        return x.reshape(-1, channels, size, size), y
 
     x_train, y_train = draw(config.train_per_class)
     x_test, y_test = draw(config.test_per_class)

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.data import IMAGE_PRESETS, ArrayDataset, DataLoader
+from repro.augment.image import gaussian_blur
+from repro.data import IMAGE_PRESETS, ArrayDataset, DataLoader, synthetic
 from repro.data.synthetic import SyntheticImageConfig, apply_domain_shift, make_image_dataset
 from repro.data.tabular import TABULAR_PRESETS, TabularConfig, make_tabular_dataset
 
@@ -228,6 +229,22 @@ class TestSyntheticImageBytes:
     def test_domain_shift_bytes_are_pinned(self, domain):
         _train, test = make_image_dataset(IMAGE_PRESETS["cifar10-like"]["ci"].config)
         assert _digest(apply_domain_shift(test.x, domain)) == SHIFT_DIGESTS[domain]
+
+    def test_generation_blurs_in_blocks_not_per_sample(self, monkeypatch):
+        """One blur per prototype and per (class, split): a per-sample loop
+        makes 1,010 calls on this preset."""
+        calls = []
+
+        def counting_blur(x, sigmas):
+            calls.append(len(x))
+            return gaussian_blur(x, sigmas)
+
+        monkeypatch.setattr(synthetic, "gaussian_blur", counting_blur)
+        config = IMAGE_PRESETS["cifar10-like"]["ci"].config
+        make_image_dataset(config)
+        assert len(calls) <= 3 * config.n_classes
+        assert sum(calls) == config.n_classes * (
+            1 + config.train_per_class + config.test_per_class)
 
 
 class TestSyntheticTabular:
