@@ -32,7 +32,6 @@ import json
 import os
 import pathlib
 import re
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,8 +278,12 @@ class CheckpointManager:
         try:
             with np.load(arrays_path) as archive:
                 arrays = {key: archive[key] for key in archive.files}
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            raise CheckpointError(f"unreadable array file {arrays_path.name}: {exc}") from exc
+        except Exception as exc:
+            # A damaged archive fails in zipfile, zlib, the .npy header
+            # parser or numpy with many exception types; any of them means
+            # this checkpoint is unusable and the previous one is tried.
+            raise CheckpointError(f"unreadable array file {arrays_path.name}: "
+                                  f"{type(exc).__name__}: {exc}") from exc
         checksums = manifest["checksums"]
         if set(checksums) != set(arrays):
             raise CheckpointError(

@@ -138,6 +138,31 @@ class TestCheckpointManager:
         assert loaded.task_index == 0
         assert "checksum mismatch" in loaded.skipped[0]
 
+    def test_any_flipped_byte_in_the_array_file_falls_back_or_loads(self, tmp_path):
+        """Each single-byte corruption of the newest ``.npz`` either leaves
+        its arrays intact or makes ``load_latest`` skip it for the older
+        checkpoint; it never raises."""
+        manager = CheckpointManager(tmp_path)
+        older, newer = np.arange(8.0), np.arange(8.0) + 1
+        manager.save(0, {"v": older})
+        manager.save(1, {"v": newer})
+        npz = tmp_path / "ckpt-00001.npz"
+        original = npz.read_bytes()
+        for position in range(len(original)):
+            for mask in (0x01, 0x10, 0x80, 0xFF):
+                damaged = bytearray(original)
+                damaged[position] ^= mask
+                atomic_write_bytes(npz, bytes(damaged))
+                loaded = manager.load_latest()
+                if loaded.task_index == 1:
+                    assert loaded.skipped == []
+                    np.testing.assert_array_equal(loaded.state["v"], newer)
+                else:
+                    assert loaded.task_index == 0
+                    assert len(loaded.skipped) == 1
+                    assert "ckpt-00001.npz" in loaded.skipped[0]
+                    np.testing.assert_array_equal(loaded.state["v"], older)
+
     def test_missing_array_file_is_skipped(self, tmp_path):
         manager = CheckpointManager(tmp_path)
         manager.save(0, {"v": np.array([0.0])})
