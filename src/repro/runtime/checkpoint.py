@@ -241,8 +241,10 @@ class CheckpointManager:
         arrays_name, manifest_name = self._names(task_index)
         arrays_path = self.directory / arrays_name
 
+        # Stored, not deflated: float32 weights barely compress, and
+        # deflating them takes longer than writing the extra bytes.
         buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
+        np.savez(buffer, **arrays)
         atomic_write_bytes(arrays_path, buffer.getvalue(), site="ckpt.arrays")
 
         manifest = {
