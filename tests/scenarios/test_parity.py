@@ -16,7 +16,9 @@ is unchanged, and the only new arrays are ``state/transfer/online`` and
 pins moved once more when ``ContinualMethod`` took over the memory and the
 old model: the base writes ``old_objective`` and ``buffer`` before CaSSLe
 adds ``head``, so the archive members changed order while every array, and
-every manifest's ``checksums`` map, stayed the same.
+every manifest's ``checksums`` map, stayed the same.  All six ``ckpt-*.npz``
+pins moved again when the archives began to be stored uncompressed
+(``np.savez``); their arrays, and so every manifest pin, did not change.
 """
 
 import hashlib
@@ -36,15 +38,15 @@ ARTIFACTS = {
         "result.json":
             "44199bfbc4422101be2f2d3550dd12b08b1605eea1b9c96194ecf8031d83caba",
         "ckpt-00000.npz":
-            "c2d2399ea636db81612a1c4e9d680f2c49b9fdf022eb02a8565e828d00076b5f",
+            "e826c6c2f1bbcbe1f190b9762904398dd67515a1e88bfde30b213397d43db68f",
         "ckpt-00000.json":
             "342518cdc396f9ec533834729f25f3c1e5aa41f9ccfe42a7b90fa47a54cb366e",
         "ckpt-00001.npz":
-            "54b8318924b9cf22145a2bbde0668859a0f56b4a7f20a27f67a630e0f24ce4d9",
+            "975abefc6061b6c3bb9fda574eff26636b2785e07fbc55b958dd8d133cbf7647",
         "ckpt-00001.json":
             "213ed3a605f4a1094698fc3c16fdc4dd575e62ceb56a5b0b563e799dafad118d",
         "ckpt-00002.npz":
-            "6f7b68e6e750059ae5e2058587975f106b033e66ee77bb4f694a7e5db510902e",
+            "fee405b820b3fe2c21901218afdf07ec7043e6c9deffaf2d035a4115207e0746",
         "ckpt-00002.json":
             "b8000e2414ddefd2a012a1973a1ce0cc3feb6d8428262a0e7639baea17d3b447",
         "transfer-matrix.json":
@@ -54,15 +56,15 @@ ARTIFACTS = {
         "result.json":
             "6088821b8483285322afb45ef6232d64103351955402b15ed6c35db7d63ded27",
         "ckpt-00000.npz":
-            "442f57626520eab8a85321826f3c52ec33da7dfe9d0901bbc0c494725792fcfd",
+            "98ba2976b67e4851283ba67444e9155d8b38fd7a54b58cb50e3fdc974bffff11",
         "ckpt-00000.json":
             "2cc4ed8b5c5caf6419bb7ff3e85296dc094a82a4d1228751fa3b67e9776d4074",
         "ckpt-00001.npz":
-            "be8fea4f7ff21af8720c70f866588ac64769c45e67816c54a3472ca7f44663c4",
+            "0b4a52aef1662cc7f36bf8af0cba7c8bac7cb3f6c8cf3ca334bcecdd65d5b574",
         "ckpt-00001.json":
             "756f17066caf5720f434740c557a0bbb4e6604a9286dcf43abddf83c955f1b2c",
         "ckpt-00002.npz":
-            "8fc0e7a9df1caadbbbb94ce1c2591b60c2de8fbea215c333ff0600ec3daf1581",
+            "632e19836926a617515734c76474b8a1fe024981e53fa0047077aa6aaf66cd85",
         "ckpt-00002.json":
             "2a86aa6298c293d4c822cc287085f4f1a08a0e0ebd46d6d83aad6bd950647a73",
         "transfer-matrix.json":
