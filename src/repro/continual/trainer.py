@@ -438,9 +438,10 @@ class ContinualTrainer:
 
         # Fresh tape per task: the trainable parameter set (heads, frozen
         # backbones) can change at task boundaries, and a stale tape would
-        # fail its validity check every batch anyway.
+        # fail its validity check every batch anyway.  A guarded step runs
+        # eagerly under anomaly mode, so a guarded run builds no tape.
         self._taped_step = None
-        if config.use_tape and method.tape_safe:
+        if config.use_tape and method.tape_safe and policy is None:
             self._taped_step = TapedFunction(self._eager_loss_backward,
                                              name=f"{method.name}-step")
 
