@@ -39,6 +39,9 @@ from repro.tensor.tensor import Tensor
 #: :data:`repro.continual.cassle.DISTILL_WEIGHT`.
 REPLAY_WEIGHT = 0.5
 
+#: Augmented views per sample behind the Min-Var view variance.
+VIEW_VARIANCE_VIEWS = 4
+
 
 class EDSR(CaSSLe):
     """The paper's method: entropy-based selection + noise-enhanced replay."""
@@ -98,11 +101,11 @@ class EDSR(CaSSLe):
             loss = loss + REPLAY_WEIGHT * replay
         return loss
 
-    def _view_variances(self, x: np.ndarray, n_views: int = 4) -> np.ndarray:
+    def _view_variances(self, x: np.ndarray) -> np.ndarray:
         """Per-sample variance of augmented-view representations (Min-Var)."""
         reps = np.stack([
             extract_representations(self.objective, self.augment.pipeline(x, self.rng))
-            for _ in range(n_views)
+            for _ in range(VIEW_VARIANCE_VIEWS)
         ])  # (V, N, d)
         return reps.var(axis=0).mean(axis=1)
 

@@ -11,6 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
+#: A heatmap cell's format, and the text of an empty (NaN) cell, which is
+#: as wide as a formatted one.
+HEATMAP_CELL_FORMAT = "{:6.3f}"
+HEATMAP_NAN_TEXT = "   .  "
+
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
                  title: str | None = None) -> str:
@@ -35,11 +40,11 @@ def format_series(label: str, xs: Sequence, ys: Sequence[float],
     return f"{label}: {pairs}"
 
 
-def format_heatmap(matrix: np.ndarray, title: str = "", cell_format: str = "{:6.3f}",
-                   nan_text: str = "   .  ") -> str:
+def format_heatmap(matrix: np.ndarray, title: str = "") -> str:
     """Lower-triangular matrix as aligned text (the Fig. 4 heatmaps)."""
     lines = [title] if title else []
     for row in np.asarray(matrix):
-        cells = [nan_text if np.isnan(v) else cell_format.format(v) for v in row]
+        cells = [HEATMAP_NAN_TEXT if np.isnan(v) else HEATMAP_CELL_FORMAT.format(v)
+                 for v in row]
         lines.append(" ".join(cells))
     return "\n".join(lines)
