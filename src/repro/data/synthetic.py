@@ -172,12 +172,9 @@ def make_image_dataset(config: SyntheticImageConfig) -> tuple[ArrayDataset, Arra
     class_seeds = root.integers(0, 2**31 - 1, size=config.n_classes)
     sample_rng = np.random.default_rng(root.integers(0, 2**31 - 1))
 
-    prototypes = []
-    for seed in class_seeds:
-        class_rng = np.random.default_rng(seed)
-        prototypes.append(_class_prototype(class_rng, config.channels, config.image_size))
-
     channels, size = config.channels, config.image_size
+    prototypes = [_class_prototype(np.random.default_rng(seed), channels, size)
+                  for seed in class_seeds]
     grid = _grid_side(size)
     n_coarse = channels * grid * grid
 
