@@ -188,16 +188,18 @@ def _digest(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-#: config -> sha256 of (train.x, train.y, test.x, test.y).  Every run,
+#: name -> (config, sha256 of train.x, train.y, test.x, test.y).  Every run,
 #: golden pin and e2e digest starts from these bytes, so a faster generator
 #: must reproduce them exactly.
 DATA_DIGESTS = {
-    **{name: (IMAGE_PRESETS[name]["ci"].config, digest) for name, digest in [
-        ("cifar10-like", "d86838e5c51b2ac2ce9618409a4b3530d5096a68403a6ec58434ebaca8455a6e"),
-        ("cifar100-like", "9e0021549026aae0ffef5ed8e10dca545464d796d9a11934b7233173e629011f"),
-        ("tiny-imagenet-like", "e707923f8600b719bf7238e26ef60d20787e53ca83b8b000925fbaddcec0f9b8"),
-        ("domainnet-like", "b891f4b276c33045300dd660272adf4a29a1174958fc6065bc2ce600be9eddb8"),
-    ]},
+    "cifar10-like": (IMAGE_PRESETS["cifar10-like"]["ci"].config,
+                     "d86838e5c51b2ac2ce9618409a4b3530d5096a68403a6ec58434ebaca8455a6e"),
+    "cifar100-like": (IMAGE_PRESETS["cifar100-like"]["ci"].config,
+                      "9e0021549026aae0ffef5ed8e10dca545464d796d9a11934b7233173e629011f"),
+    "tiny-imagenet-like": (IMAGE_PRESETS["tiny-imagenet-like"]["ci"].config,
+                           "e707923f8600b719bf7238e26ef60d20787e53ca83b8b000925fbaddcec0f9b8"),
+    "domainnet-like": (IMAGE_PRESETS["domainnet-like"]["ci"].config,
+                       "b891f4b276c33045300dd660272adf4a29a1174958fc6065bc2ce600be9eddb8"),
     # conftest.tiny_sequence's config.
     "tiny": (SyntheticImageConfig(n_classes=6, train_per_class=20, test_per_class=10,
                                   image_size=8, seed=7, name="tiny"),
