@@ -32,37 +32,55 @@ class _BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
-    def _update_running_stats(self, mean: np.ndarray, var: np.ndarray,
-                              count: int) -> None:
-        """EMA update of the running statistics from one batch's mean/var.
-
-        Routed through ``batch_norm_train``'s ``stat_callback`` so a tape
-        replay (which skips this layer's Python code entirely) re-fires the
-        same update with the replayed batch statistics.
-        """
-        m = MOMENTUM
-        self._set_buffer("running_mean",
-                         ((1 - m) * self.running_mean + m * mean.reshape(-1)).astype(np.float32))
-        # unbiased variance for the running estimate, as torch does
-        unbias = count / max(count - 1, 1)
-        self._set_buffer("running_var",
-                         ((1 - m) * self.running_var + m * unbias * var.reshape(-1)).astype(np.float32))
-
     def _normalize(self, x: Tensor, axes: tuple[int, ...], relu: bool) -> Tensor:
         # One fused kernel per mode (one tape node), affine and ReLU included.
         if self.training:
-            # The batch statistics reach _update_running_stats through the
+            # The batch statistics reach update_running_stats through the
             # stat callback.
             count = math.prod(x.shape[a] for a in axes)
             return ops.batch_norm_train(
                 x, self.weight, self.bias, axes, EPS, relu=relu,
-                stat_callback=lambda mean, var: self._update_running_stats(mean, var, count))[0]
-        cap = engine.active_capture()
-        if cap is not None:
-            cap.mark_unsafe("eval-mode BatchNorm reads running stats the "
-                            "tape would bake in as constants")
+                stat_callback=lambda mean, var: update_running_stats(
+                    (self,), mean, var, count))[0]
+        mark_eval_unsafe()
         return ops.batch_norm_eval(x, self.weight, self.bias, self.running_mean,
                                    self.running_var, axes, EPS, relu=relu)
+
+
+def update_running_stats(layers, mean: np.ndarray, var: np.ndarray,
+                         count: int) -> None:
+    """One EMA step of the running statistics of ``layers`` from one batch.
+
+    ``mean``/``var`` are the layers' batch statistics over ``count``
+    values per channel, concatenated in layer order.  The EMA runs once
+    over the concatenated buffers; elementwise it is each layer's own, so
+    every buffer gets the bytes a per-layer update would give it.  Routed
+    through a ``stat_callback`` so a tape replay (which skips the layers'
+    Python code entirely) re-fires the same update with the replayed
+    batch statistics.
+    """
+    m = MOMENTUM
+    running_mean = np.concatenate([layer.running_mean for layer in layers])
+    running_var = np.concatenate([layer.running_var for layer in layers])
+    running_mean = ((1 - m) * running_mean + m * mean.reshape(-1)).astype(np.float32)
+    # unbiased variance for the running estimate, as torch does
+    unbias = count / max(count - 1, 1)
+    running_var = ((1 - m) * running_var + m * unbias * var.reshape(-1)).astype(np.float32)
+    start = 0
+    for layer in layers:
+        stop = start + layer.running_mean.size
+        layer._set_buffer("running_mean", running_mean[start:stop])
+        layer._set_buffer("running_var", running_var[start:stop])
+        start = stop
+
+
+def mark_eval_unsafe() -> None:
+    """Poison an active tape capture: eval-form BatchNorm reads running
+    statistics the tape would bake in as constants."""
+    cap = engine.active_capture()
+    if cap is not None:
+        cap.mark_unsafe("eval-mode BatchNorm reads running stats the "
+                        "tape would bake in as constants")
 
 
 class BatchNorm1d(_BatchNorm):
@@ -70,7 +88,8 @@ class BatchNorm1d(_BatchNorm):
 
     ``relu=True`` applies a following ReLU inside the same kernel (the
     ``(BatchNorm1d, ReLU)`` fold :class:`~repro.nn.container.Sequential`
-    makes).
+    makes outside a run of MLP layers; inside one, the layer runs in the
+    run's ``mlp`` dispatch).
     """
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:

@@ -1,12 +1,13 @@
 """Registered :class:`~repro.tensor.engine.Op` classes for every primitive.
 
 Part one is the core surface (arithmetic, shape, reductions, activations);
-part two is the fused kernels (linear+bias[+relu], l2-normalize, row-wise
-cosine, normalized MSE, batch-norm+affine[+relu]) whose backward passes
-compute all input gradients from shared intermediates in a single call.
-Each fused op has an exact unfused reference composition — the parity
-property tests in ``tests/tensor/test_fusion_parity.py`` pin forward and
-gradients of the two paths against each other.
+part two is the fused kernels (linear+bias, l2-normalize, row-wise cosine,
+normalized MSE, batch-norm+affine[+relu], and a whole run of MLP layers)
+whose backward passes compute all input gradients from shared
+intermediates in a single call.  Each fused op has an exact unfused
+reference composition — the parity property tests in
+``tests/tensor/test_fusion_parity.py`` pin forward and gradients of the
+two paths against each other.
 
 All ops save what backward needs eagerly via ``ctx.save(...)`` and consult
 ``ctx.needs_input_grad`` to skip gradients nobody will consume.  ``None``
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from repro.tensor.engine import Context, Op, register
+from repro.tensor.engine import DEFAULT_DTYPE, Context, Op, register
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -375,37 +376,6 @@ class LinearOp(Op):
 
 
 @register
-class LinearReluOp(Op):
-    """Fused ``relu(x @ w + b)`` — the MLP/projector hidden-layer kernel.
-
-    Reference composition: ``matmul`` + ``add`` + ``relu``.  The pre-ReLU
-    activation never materializes on the tape; only its sign mask survives
-    to backward.
-    """
-
-    name = "linear_relu"
-
-    @staticmethod
-    def forward(ctx: Context, x, w, *bias):
-        y = x @ w
-        if bias:
-            y += bias[0]
-        mask = y > 0
-        ctx.save(x, w, mask)
-        return np.maximum(y, 0.0, out=y)
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        x, w, mask = ctx.saved
-        gy = grad * mask
-        gx = gy @ w.T if ctx.needs_input_grad[0] else None
-        gw = x.T @ gy if ctx.needs_input_grad[1] else None
-        if len(ctx.needs_input_grad) > 2 and ctx.needs_input_grad[2]:
-            return gx, gw, gy.sum(axis=0)
-        return (gx, gw) + (None,) * (len(ctx.needs_input_grad) - 2)
-
-
-@register
 class L2NormalizeOp(Op):
     """Fused ``x / sqrt(sum(x*x, axis) + eps)``.
 
@@ -578,3 +548,154 @@ class BatchNormOp(Op):
         sum_g = gx.sum(axis=axes, keepdims=True)
         sum_gx = (gx * xhat).sum(axis=axes, keepdims=True)
         return (scale / m) * (m * gx - sum_g - xhat * sum_gx), gw, gb
+
+
+def _policy_dtype(*arrays):
+    """The dtype ``engine.result_dtype`` gives an op over strong ``arrays``."""
+    for a in arrays:
+        if a.dtype == np.float64:
+            return np.float64
+    return DEFAULT_DTYPE
+
+
+def _channel_sum(g):
+    """``_unbroadcast(g, (1, C)).reshape(-1)`` for a 2-D ``g``: a row of
+    one is returned as it is, since ``np.add.reduce`` would turn its
+    ``-0.0`` entries into ``0.0``."""
+    return g.reshape(-1) if g.shape[0] == 1 else np.add.reduce(g, axis=0)
+
+
+@register
+class MlpOp(Op):
+    """A run of ``Linear`` layers, each optionally followed by
+    ``BatchNorm1d`` and/or ``ReLU``, as one dispatch over 2-D input.
+
+    The inputs are ``x`` and then, per layer, the Linear weight, its bias
+    if it has one, and the BatchNorm weight and bias if it has one.
+    ``layers`` holds one ``(bias, norm, relu)`` per Linear: whether a bias
+    follows the weight, ``None``, ``"train"`` or ``"eval"`` for the
+    BatchNorm1d after it, and whether a ReLU ends the block.  ``running``
+    lists the eval-form layers' ``(running_mean, running_var)`` in order.
+
+    Reference composition: one ``linear`` dispatch per Linear (or the
+    retired ``linear_relu`` when a ReLU follows it directly) and one
+    ``batch_norm`` dispatch per BatchNorm1d, the ReLU folded in.  Each
+    layer runs those kernels' IEEE operations in their order and casts its
+    output to the dtype ``apply_ctx`` would give it, so the run equals the
+    per-layer dispatches byte for byte.  Two spellings differ without
+    changing a bit: the batch statistics are ``np.add.reduce`` then
+    ``np.true_divide(s, np.intp(m), out=s, casting="unsafe")``, which is
+    what ``np.mean`` runs, and the gradient sums are ``np.add.reduce``
+    where the kernels call ``_unbroadcast`` (see ``_channel_sum``) or
+    ``.sum``.  The train form
+    exposes the batch statistics of its train-form BatchNorm layers,
+    concatenated in layer order, as ``ctx.mean``/``ctx.var``.
+    """
+
+    name = "mlp"
+
+    @staticmethod
+    def forward(ctx: Context, x, *params, layers, eps: float, running=()):
+        needs = ctx.needs_input_grad
+        saved, means, variances = [], [], []
+        stats = iter(running)
+        need = needs[0]  # whether the current activation needs a gradient
+        i = 0
+        for bias, norm, relu in layers:
+            w = params[i]
+            y = x @ w
+            if bias:
+                b = params[i + 1]
+                y += b
+                dtype = _policy_dtype(x, w, b)
+                out_need = need or needs[i + 1] or needs[i + 2]
+            else:
+                dtype = _policy_dtype(x, w)
+                out_need = need or needs[i + 1]
+            mask = None
+            if relu and norm is None:
+                if out_need:
+                    mask = y > 0
+                y = np.maximum(y, 0.0, out=y)
+            if y.dtype != dtype:
+                y = y.astype(dtype)
+            if out_need:
+                saved.append((False, x, w, i + 1, bias, mask, need))
+            i += 1 + bias
+            need = out_need
+            x = y
+            if norm is None:
+                continue
+            weight, shift = params[i], params[i + 1]
+            if norm == "train":
+                m = x.shape[0]
+                mean = np.add.reduce(x, axis=0, keepdims=True)
+                np.true_divide(mean, np.intp(m), out=mean, casting="unsafe")
+                centered = x - mean
+                var = np.add.reduce(centered * centered, axis=0, keepdims=True)
+                np.true_divide(var, np.intp(m), out=var, casting="unsafe")
+                scale = 1.0 / np.sqrt(var + eps)
+                xhat = centered * scale
+                means.append(mean.reshape(-1))
+                variances.append(var.reshape(-1))
+            else:
+                m = None
+                running_mean, running_var = next(stats)
+                scale = np.sqrt(running_var.reshape(1, -1) + np.float32(eps))
+                xhat = (x - running_mean.reshape(1, -1)) / scale
+            y = xhat * weight + shift
+            out_need = need or needs[i + 1] or needs[i + 2]
+            mask = None
+            if relu:
+                if out_need:
+                    mask = y > 0
+                y = np.maximum(y, 0.0, out=y)
+            dtype = _policy_dtype(x, weight, shift)
+            if y.dtype != dtype:
+                y = y.astype(dtype)
+            if out_need:
+                saved.append((True, xhat, scale, weight, i + 1, mask, m, need))
+            i += 2
+            need = out_need
+            x = y
+        ctx.save(*saved)
+        if means:
+            ctx.mean = np.concatenate(means)
+            ctx.var = np.concatenate(variances)
+        return x
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        needs = ctx.needs_input_grad
+        grads = [None] * len(needs)
+        for record in reversed(ctx.saved):
+            if record[0]:
+                _norm, xhat, scale, weight, j, mask, m, need_x = record
+                g = grad if mask is None else grad * mask
+                if needs[j]:
+                    grads[j] = _channel_sum(g * xhat)
+                if needs[j + 1]:
+                    grads[j + 1] = _channel_sum(g)
+                if not need_x:
+                    break
+                gx = g * weight
+                if m is None:
+                    grad = gx / scale
+                    continue
+                sum_g = np.add.reduce(gx, axis=0, keepdims=True)
+                sum_gx = np.add.reduce(gx * xhat, axis=0, keepdims=True)
+                grad = (scale / m) * (m * gx - sum_g - xhat * sum_gx)
+            else:
+                _norm, x, w, j, bias, mask, need_x = record
+                if mask is not None:
+                    grad = grad * mask
+                if needs[j]:
+                    grads[j] = x.T @ grad
+                if bias and needs[j + 1]:
+                    grads[j + 1] = np.add.reduce(grad, axis=0)
+                if not need_x:
+                    break
+                grad = grad @ w.T
+        else:
+            grads[0] = grad
+        return grads

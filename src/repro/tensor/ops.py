@@ -4,11 +4,13 @@ These are the pointwise nonlinearities and the composite conveniences
 used across the library (``log_softmax``, ``l2_normalize``, ``mse``).
 Each dispatches registered ops through the engine's ``apply`` choke
 point; the fusable ones (``l2_normalize``,
-``cosine_similarity``, ``normalized_mse``, ``linear``, ``linear_relu``,
+``cosine_similarity``, ``normalized_mse``, ``linear``,
 ``batch_norm_train``, ``batch_norm_eval``) consult
 :func:`~repro.tensor.engine.fusion_enabled` and fall back to the unfused
 reference composition under :func:`~repro.tensor.engine.no_fusion` so
-parity tests can pin the two paths against each other.
+parity tests can pin the two paths against each other.  ``mlp`` always
+dispatches its fused op: its per-layer reference is
+:class:`~repro.nn.container.Sequential` under ``no_fusion()``.
 """
 
 from __future__ import annotations
@@ -82,13 +84,25 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out if bias is None else out + bias
 
 
-def linear_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Fused ``relu(x @ weight (+ bias))`` — MLP hidden-layer kernel."""
-    if engine.fusion_enabled() and x.ndim == 2:
-        if bias is None:
-            return _apply("linear_relu", x, weight)
-        return _apply("linear_relu", x, weight, bias)
-    return relu(linear(x, weight, bias))
+def mlp(x: Tensor, params, layers, *, eps: float, running=(),
+        stat_callback=None) -> Tensor:
+    """A run of MLP layers as one ``mlp`` dispatch (see ``MlpOp``).
+
+    ``params`` are the run's parameters in layer order (each Linear's
+    weight and bias, then its BatchNorm's weight and bias), ``layers`` one
+    ``(bias, norm, relu)`` per Linear, ``running`` the eval-form
+    BatchNorm layers' running statistics.  ``stat_callback(mean, var)``
+    receives the train-form layers' batch statistics, concatenated, and is
+    registered as a replay hook, as in :func:`batch_norm_train`.
+    """
+    out, ctx = engine.apply_ctx("mlp", x, *params, layers=layers, eps=eps,
+                                running=running)
+    if stat_callback is not None:
+        stat_callback(ctx.mean, ctx.var)
+        cap = engine.active_capture()
+        if cap is not None:
+            cap.record_stat_hook(stat_callback, ctx=ctx)
+    return out
 
 
 def _affine(xhat: Tensor, weight: Tensor, bias: Tensor, shape: tuple[int, ...],

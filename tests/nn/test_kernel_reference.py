@@ -1,18 +1,21 @@
-"""Reference parity for the rewritten ``maxpool2d``, ``conv2d`` and ``batch_norm`` kernels.
+"""Reference parity for the rewritten ``maxpool2d``, ``conv2d``, ``batch_norm`` and ``mlp`` kernels.
 
 ``MaxPool2dOp`` takes its max as a chain of ``np.maximum`` over the k²
 slices ``x[:, :, i::k, j::k]``; ``_im2col`` and ``_col2im`` copy and
 scatter-add k² channels-last slices; ``BatchNormOp`` applies the affine,
-the eval form and a trailing ReLU inside one dispatch.  The functions
-below are the forms they replaced: the 6-D reshape max-pool with its
-broadcast tie mask, the ``as_strided`` im2col, the NCHW col2im, and the
-BatchNorm layer's op sequence (the affine-less train kernel or the eval
-``sub``/``add``/``sqrt``/``div`` chain, then ``reshape``/``mul``/
-``reshape``/``add`` and a ``relu`` op).  Both sides perform the same IEEE
-operations in the same accumulation order, so every comparison is on
-bytes, dtypes and strides, with no tolerance.  Strides count because a
-reduction downstream may sum a contiguous array in another order than a
-strided view of the same values.
+the eval form and a trailing ReLU inside one dispatch; ``MlpOp`` runs a
+whole run of Linear[+BatchNorm1d][+ReLU] blocks in one dispatch.  The
+functions below are the forms they replaced: the 6-D reshape max-pool
+with its broadcast tie mask, the ``as_strided`` im2col, the NCHW col2im,
+the BatchNorm layer's op sequence (the affine-less train kernel or the
+eval ``sub``/``add``/``sqrt``/``div`` chain, then ``reshape``/``mul``/
+``reshape``/``add`` and a ``relu`` op), and a run's per-layer dispatches
+(``linear``, the deleted ``linear_relu`` kernel kept here, ``batch_norm``)
+with each BatchNorm layer's own running-statistics EMA.  Both sides
+perform the same IEEE operations in the same accumulation order, so every
+comparison is on bytes, dtypes and strides, with no tolerance.  Strides
+count because a reduction downstream may sum a contiguous array in
+another order than a strided view of the same values.
 """
 
 import itertools
@@ -20,12 +23,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.nn import (BatchNorm1d, BatchNorm2d, Conv2d, Linear, MaxPool2d,
-                      ReLU, Sequential, conv)
+from repro.nn import (MLP, BatchNorm1d, BatchNorm2d, Conv2d, Linear,
+                      MaxPool2d, ReLU, Sequential, conv, norm)
 from repro.nn.pool import MaxPool2dOp
 from repro.tensor import Tensor, engine, no_fusion
 from repro.tensor.core_ops import BatchNormOp, _unbroadcast
-from repro.tensor.engine import Context
+from repro.tensor.engine import Context, Op, apply, apply_ctx, register
 
 DTYPES = [np.float32, np.float64]
 
@@ -337,15 +340,210 @@ def conv_block():
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
 @pytest.mark.parametrize("build,budget", [
-    (linear_block, ["linear", "batch_norm"]),
+    (linear_block, ["mlp"]),
     (conv_block, ["conv2d", "batch_norm", "maxpool2d"]),
 ], ids=["linear-bn-relu", "conv-bn-relu-pool"])
 def test_block_dispatch_budget(build, budget, training, monkeypatch):
-    """One dispatch per layer: BatchNorm carries its affine and the ReLU."""
+    """A run of Linear blocks is one dispatch; a conv layer is one, and its
+    BatchNorm, carrying the affine and the ReLU, another."""
     block, x = build()
     block.train(training)
     assert dispatched_ops(monkeypatch, block, x) == budget
     with no_fusion():
         composed = dispatched_ops(monkeypatch, block, x)
     assert composed.count("relu") == 1
-    assert "batch_norm" not in composed
+    assert "batch_norm" not in composed and "mlp" not in composed
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_tabular_backbone_is_one_dispatch(training, monkeypatch):
+    """The 7-layer tabular encoder, 6 BatchNorm layers and all, is one run."""
+    model = MLP(TABULAR_DIMS, rng=np.random.default_rng(0))
+    model.train(training)
+    x = np.random.default_rng(1).normal(size=(8, 20)).astype(np.float32)
+    assert dispatched_ops(monkeypatch, model, x) == ["mlp"]
+
+
+# -- mlp -----------------------------------------------------------------------
+@register
+class ReferenceLinearReluOp(Op):
+    """The deleted ``linear_relu`` kernel, kept as the reference."""
+
+    name = "reference_linear_relu"
+
+    @staticmethod
+    def forward(ctx, x, w, *bias):
+        y = x @ w
+        if bias:
+            y += bias[0]
+        mask = y > 0
+        ctx.save(x, w, mask)
+        return np.maximum(y, 0.0, out=y)
+
+    @staticmethod
+    def backward(ctx, grad):
+        x, w, mask = ctx.saved
+        gy = grad * mask
+        gx = gy @ w.T if ctx.needs_input_grad[0] else None
+        gw = x.T @ gy if ctx.needs_input_grad[1] else None
+        if len(ctx.needs_input_grad) > 2 and ctx.needs_input_grad[2]:
+            return gx, gw, gy.sum(axis=0)
+        return (gx, gw) + (None,) * (len(ctx.needs_input_grad) - 2)
+
+
+def reference_running_stats(running_mean, running_var, mean, var, count):
+    """The per-layer EMA each BatchNorm layer ran on its own buffers."""
+    m = norm.MOMENTUM
+    unbias = count / max(count - 1, 1)
+    return (((1 - m) * running_mean + m * mean.reshape(-1)).astype(np.float32),
+            ((1 - m) * running_var + m * unbias * var.reshape(-1)).astype(np.float32))
+
+
+def per_layer_run(x, params, layers, running):
+    """The run as the dispatches it replaces; returns the output and the
+    train-form layers' ``(mean, var)``."""
+    params, stats, batch = iter(params), iter(running), []
+    for bias, mode, relu in layers:
+        inputs = [x, next(params)] + ([next(params)] if bias else [])
+        kernel = "reference_linear_relu" if relu and mode is None else "linear"
+        x = apply(kernel, *inputs)
+        if mode == "train":
+            x, ctx = apply_ctx("batch_norm", x, next(params), next(params),
+                               axes=(0,), eps=norm.EPS, relu=relu)
+            batch.append((ctx.mean, ctx.var))
+        elif mode == "eval":
+            running_mean, running_var = next(stats)
+            x = apply("batch_norm", x, next(params), next(params), axes=(0,),
+                      eps=norm.EPS, relu=relu, running_mean=running_mean,
+                      running_var=running_var)
+    return x, batch
+
+
+TABULAR_DIMS = [20, 32, 32, 32, 32, 32, 32, 16]
+#: (bias, norm, relu) per Linear: the 7-layer tabular backbone, the VAE's
+#: BatchNorm-less encoder (final ReLU) and decoder (none), and a run whose
+#: BatchNorm layers are in different modes.
+MLP_RUNS = {
+    "tabular": ((True, "train", True),) * 6 + ((True, None, False),),
+    "tabular-eval": ((True, "eval", True),) * 6 + ((True, None, False),),
+    "vae-encoder": ((True, None, True),),
+    "vae-decoder": ((True, None, True), (True, None, False)),
+    "mixed-modes": ((True, "train", True), (True, "eval", True),
+                    (False, "train", False), (True, "eval", False),
+                    (False, None, True)),
+}
+MLP_WIDTHS = {"tabular": TABULAR_DIMS, "tabular-eval": TABULAR_DIMS,
+              "vae-encoder": [12, 8], "vae-decoder": [4, 8, 12],
+              "mixed-modes": [6, 5, 4, 7, 3, 5]}
+
+
+def make_mlp_inputs(run, rows, dtype, seed=0):
+    """x, the parameters in input order, running stats and an upstream grad."""
+    rng = np.random.default_rng(seed)
+    widths = MLP_WIDTHS[run]
+    x = rng.normal(size=(rows, widths[0])).astype(dtype)
+    params, running = [], []
+    for (bias, mode, _relu), (fan_in, fan_out) in zip(
+            MLP_RUNS[run], zip(widths, widths[1:])):
+        params.append(rng.normal(size=(fan_in, fan_out)).astype(np.float32))
+        if bias:
+            params.append(rng.normal(size=fan_out).astype(np.float32))
+        if mode is not None:
+            params += [rng.normal(size=fan_out).astype(np.float32)
+                       for _ in range(2)]
+            running.append((rng.normal(size=fan_out).astype(np.float32),
+                            rng.uniform(0.2, 2.0, size=fan_out).astype(np.float32)))
+    grad = rng.normal(size=(rows, widths[-1])).astype(dtype)
+    return x, params, running, grad
+
+
+def leaves(x, params, grad_x, frozen):
+    """Fresh leaf tensors: ``x`` needing a gradient or not, and the first
+    ``frozen`` parameters needing none."""
+    return ([Tensor(x, requires_grad=grad_x)]
+            + [Tensor(p, requires_grad=i >= frozen) for i, p in enumerate(params)])
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["all-grads", "first-frozen"])
+@pytest.mark.parametrize("grad_x", [True, False], ids=["grad-x", "data-x"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("rows", [16, 1])
+@pytest.mark.parametrize("run", sorted(MLP_RUNS))
+def test_mlp_matches_per_layer_dispatches(run, rows, dtype, grad_x, frozen):
+    """Output, every input gradient and every running buffer after the EMA.
+
+    ``first-frozen`` leaves the first layer's parameters without a
+    gradient, so with ``data-x`` the backward stops above that layer."""
+    layers = MLP_RUNS[run]
+    x, params, running, grad = make_mlp_inputs(run, rows, dtype)
+    modes = [mode for _bias, mode, _relu in layers if mode is not None]
+    stats = [pair for pair, mode in zip(running, modes) if mode == "eval"]
+    initial = [pair for pair, mode in zip(running, modes) if mode == "train"]
+    bias, mode, _relu = layers[0]
+    frozen = (1 + bias + 2 * (mode is not None)) if frozen else 0
+
+    ref_inputs = leaves(x, params, grad_x, frozen)
+    want, batch = per_layer_run(ref_inputs[0], ref_inputs[1:], layers, stats)
+    got_inputs = leaves(x, params, grad_x, frozen)
+    got, ctx = apply_ctx("mlp", *got_inputs, layers=layers, eps=norm.EPS,
+                         running=tuple(stats))
+    assert_same_bytes(got.data, want.data)
+
+    assert got.requires_grad == want.requires_grad
+    if want.requires_grad:
+        want.backward(grad)
+        got.backward(grad)
+    for got_leaf, want_leaf in zip(got_inputs, ref_inputs, strict=True):
+        if want_leaf.grad is None:
+            assert got_leaf.grad is None
+        else:
+            assert_same_bytes(got_leaf.grad, want_leaf.grad)
+
+    if not batch:
+        return
+    layers_of_run = [BatchNorm1d(mean.size) for mean, _var in initial]
+    for layer, (mean, var) in zip(layers_of_run, initial):
+        layer._set_buffer("running_mean", mean)
+        layer._set_buffer("running_var", var)
+    norm.update_running_stats(layers_of_run, ctx.mean, ctx.var, rows)
+    for layer, (mean, var), (batch_mean, batch_var) in zip(
+            layers_of_run, initial, batch, strict=True):
+        want_mean, want_var = reference_running_stats(mean, var, batch_mean,
+                                                      batch_var, rows)
+        assert_same_bytes(layer.running_mean, want_mean)
+        assert_same_bytes(layer.running_var, want_var)
+
+
+def test_sequential_run_matches_per_layer_dispatches():
+    """The layer-level fold: a tabular MLP whose BatchNorm layers alternate
+    modes equals its per-layer dispatches, running buffers included."""
+    model = MLP(TABULAR_DIMS, rng=np.random.default_rng(0))
+    batch_norms = [m for m in model.modules() if isinstance(m, BatchNorm1d)]
+    for i, layer in enumerate(batch_norms):
+        layer.train(i % 2 == 0)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(8, 20)).astype(np.float32)
+    grad = rng.normal(size=(8, 16)).astype(np.float32)
+    params = [p.data for p in model.parameters()]
+    layers = tuple((True, "train" if bn.training else "eval", True)
+                   for bn in batch_norms) + ((True, None, False),)
+    stats = [(bn.running_mean, bn.running_var) for bn in batch_norms
+             if not bn.training]
+    initial = [(bn.running_mean, bn.running_var) for bn in batch_norms
+               if bn.training]
+
+    ref_inputs = leaves(x, params, False, 0)
+    want, batch = per_layer_run(ref_inputs[0], ref_inputs[1:], layers, stats)
+    want.backward(grad)
+    out = model(Tensor(x))
+    out.backward(grad)
+    assert_same_bytes(out.data, want.data)
+    for param, want_leaf in zip(model.parameters(), ref_inputs[1:], strict=True):
+        assert_same_bytes(param.grad, want_leaf.grad)
+    trained = [bn for bn in batch_norms if bn.training]
+    for layer, (mean, var), (batch_mean, batch_var) in zip(
+            trained, initial, batch, strict=True):
+        want_mean, want_var = reference_running_stats(mean, var, batch_mean,
+                                                      batch_var, 8)
+        assert_same_bytes(layer.running_mean, want_mean)
+        assert_same_bytes(layer.running_var, want_var)

@@ -15,7 +15,7 @@ class TestRegistry:
         names = set(registered_ops())
         for expected in ("add", "sub", "mul", "div", "matmul", "sum", "max",
                          "relu", "exp", "log", "reshape", "getitem",
-                         "linear", "linear_relu", "l2normalize", "cosine_rows",
+                         "linear", "mlp", "l2normalize", "cosine_rows",
                          "normalized_mse", "batch_norm", "conv2d",
                          "maxpool2d"):
             assert expected in names, expected

@@ -4,9 +4,12 @@ Every fused op ships with an exact unfused reference composition reachable
 under ``no_fusion()``.  These tests pin the two paths against each other —
 forward outputs and input gradients — to tight tolerance, and gradcheck
 each fused kernel against the finite-difference reference so the coverage
-auditor counts them (ops.linear, ops.linear_relu, ops.normalized_mse,
+auditor counts them (ops.linear, ops.mlp, ops.normalized_mse,
 ops.batch_norm_train, ops.batch_norm_eval, plus the fused dispatch inside
-ops.l2_normalize and ops.cosine_similarity).
+ops.l2_normalize and ops.cosine_similarity).  ``ops.mlp`` has no unfused
+branch of its own; its reference is the per-layer composition, built here
+from ``ops.linear``, ``ops.relu`` and the batch-norm ops under
+``no_fusion()``.
 """
 
 import numpy as np
@@ -49,27 +52,11 @@ class TestFusedLinear:
         x, w = rng.normal(size=(5, 4)), rng.normal(size=(4, 3))
         _assert_paths_match(lambda x, w: ops.linear(x, w), [x, w])
 
-    def test_linear_relu_parity(self):
-        rng = _rng()
-        x, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
-        _assert_paths_match(lambda x, w, b: ops.linear_relu(x, w, b), [x, w, b])
-
     def test_linear_gradcheck(self):
         rng = _rng()
         assert check_gradients(
             lambda x, w, b: ops.linear(x, w, b),
             [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2,))])
-
-    def test_linear_relu_gradcheck(self):
-        rng = _rng()
-        # Keep pre-activations away from the ReLU kink where the central
-        # difference straddles the nondifferentiability.
-        x = rng.normal(size=(4, 3)) + 0.5
-        w = rng.normal(size=(3, 2))
-        b = rng.normal(size=(2,))
-        y = x @ w + b
-        assert np.abs(y).min() > 1e-3
-        assert check_gradients(lambda x, w, b: ops.linear_relu(x, w, b), [x, w, b])
 
     def test_linear_falls_back_for_non_2d(self):
         rng = _rng()
@@ -227,6 +214,77 @@ class TestFusedBatchNorm:
                                                       1e-5, relu=True)
         np.testing.assert_allclose(mean, mean2, atol=1e-6)
         np.testing.assert_allclose(var, var2, atol=1e-6)
+
+
+#: (bias, norm, relu) per Linear of an ``ops.mlp`` run, and the shape of
+#: each layer's weight.
+MLP_RUNS = {
+    "linear-relu-linear": (((True, None, True), (True, None, False)),
+                           [(4, 3), (3, 2)]),
+    "bn-train-relu": (((True, "train", True), (True, None, False)),
+                      [(4, 5), (5, 2)]),
+    "mixed-modes": (((True, "train", True), (True, None, True),
+                     (False, "eval", False)), [(4, 5), (5, 3), (3, 2)]),
+}
+
+
+def _mlp_inputs(layers, shapes, seed=1234):
+    """x, the run's parameters in input order, and the eval layers' stats."""
+    rng = np.random.default_rng(seed)
+    params, running = [], []
+    for (bias, norm, _relu), shape in zip(layers, shapes):
+        params.append(rng.normal(size=shape))
+        if bias:
+            params.append(rng.normal(size=shape[1]))
+        if norm is not None:
+            params += [rng.normal(size=shape[1]), rng.normal(size=shape[1])]
+        if norm == "eval":
+            running.append(_running_stats(shape[1]))
+    x = rng.normal(size=(6, shapes[0][0]))
+    scale = Tensor(rng.normal(size=(6, shapes[-1][1])))
+    return [x] + params, tuple(running), scale
+
+
+def _mlp_composed(layers, running):
+    """The run layer by layer: ``linear``, then batch norm or ``relu``."""
+    def fn(x, *params):
+        params, stats = iter(params), iter(running)
+        for bias, norm, relu in layers:
+            x = ops.linear(x, next(params), next(params) if bias else None)
+            if norm == "train":
+                x = ops.batch_norm_train(x, next(params), next(params), (0,),
+                                         1e-5, relu=relu)[0]
+            elif norm == "eval":
+                x = ops.batch_norm_eval(x, next(params), next(params),
+                                        *next(stats), (0,), 1e-5, relu=relu)
+            elif relu:
+                x = ops.relu(x)
+        return x
+    return fn
+
+
+class TestFusedMlp:
+    @pytest.mark.parametrize("run", sorted(MLP_RUNS))
+    def test_mlp_parity(self, run):
+        layers, shapes = MLP_RUNS[run]
+        arrays, running, scale = _mlp_inputs(layers, shapes)
+        fused_out, fused_grads = _grads(
+            lambda x, *p: ops.mlp(x, p, layers, eps=1e-5,
+                                  running=running) * scale, arrays)
+        with no_fusion():
+            ref_out, ref_grads = _grads(
+                lambda *a: _mlp_composed(layers, running)(*a) * scale, arrays)
+        np.testing.assert_allclose(fused_out, ref_out, atol=1e-6, rtol=1e-8)
+        for fg, rg in zip(fused_grads, ref_grads, strict=True):
+            np.testing.assert_allclose(fg, rg, atol=1e-6, rtol=1e-8)
+
+    @pytest.mark.parametrize("run", sorted(MLP_RUNS))
+    def test_mlp_gradcheck(self, run):
+        layers, shapes = MLP_RUNS[run]
+        arrays, running, scale = _mlp_inputs(layers, shapes)
+        assert check_gradients(
+            lambda x, *p: ops.mlp(x, p, layers, eps=1e-5,
+                                  running=running) * scale, arrays)
 
 
 class TestFusedConv:
