@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Parameter
 from repro.optim.base import Optimizer
 
 
@@ -17,23 +16,17 @@ EPS = 1e-8
 
 
 class Adam(Optimizer):
+    state_arrays = ("m", "v")
+
     def __init__(self, parameters, lr: float = 1e-3, weight_decay: float = 0.0):
         super().__init__(parameters, lr)
         self.weight_decay = weight_decay
 
-    def _update(self, param: Parameter, state: dict) -> None:
-        grad = param.grad
+    def _update(self, data, grad, buffers, step):
         if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
-        step = state.get("step", 0) + 1
-        m = state.get("m")
-        v = state.get("v")
-        if m is None:
-            m = np.zeros_like(param.data)
-            v = np.zeros_like(param.data)
-        m = BETA1 * m + (1 - BETA1) * grad
-        v = BETA2 * v + (1 - BETA2) * grad * grad
-        state.update(step=step, m=m, v=v)
+            grad = grad + self.weight_decay * data
+        m = BETA1 * buffers["m"] + (1 - BETA1) * grad
+        v = BETA2 * buffers["v"] + (1 - BETA2) * grad * grad
         m_hat = m / (1 - BETA1 ** step)
         v_hat = v / (1 - BETA2 ** step)
-        param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        return data - self.lr * m_hat / (np.sqrt(v_hat) + EPS), {"m": m, "v": v}

@@ -4,22 +4,34 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.nn.module import Parameter
 
 
 class Optimizer:
-    """Holds a parameter list and applies per-parameter updates.
+    """Holds a parameter list and applies the update rule in flat groups.
 
-    Subclasses implement :meth:`_update` for a single parameter given its
-    gradient; state (momentum buffers etc.) is kept per parameter id.  The
-    trainer builds a fresh optimizer for every task and every restore, so
-    this state is never checkpointed.
+    :meth:`step` gathers the parameters that have a gradient, groups them
+    by step count and by the dtypes of every array the rule reads, and
+    runs the subclass's :meth:`_update` once per group over flat
+    concatenations.  The rule is elementwise, so each parameter gets the
+    bytes a per-parameter update would give it.  State (the step count and
+    the arrays named by :attr:`state_arrays`) is kept per parameter id.
+    The trainer builds a fresh optimizer for every task and every restore,
+    so this state is never checkpointed.
     """
+
+    #: Per-parameter state arrays the rule keeps; each starts as zeros
+    #: shaped like its parameter.
+    state_arrays: tuple[str, ...] = ()
 
     def __init__(self, parameters: Iterable[Parameter], lr: float):
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer got an empty parameter list")
+        if len({id(p) for p in self.parameters}) < len(self.parameters):
+            raise ValueError("optimizer got a parameter more than once")
         self.lr = float(lr)
         self._state: dict[int, dict] = {}
 
@@ -38,11 +50,48 @@ class Optimizer:
             p.zero_grad(set_to_none=set_to_none)
 
     def step(self) -> None:
+        """Update every parameter that has a gradient, one group at a time."""
+        names = self.state_arrays
+        groups: dict[tuple, list] = {}
         for p in self.parameters:
-            if p.grad is None:
+            grad = p.grad
+            if grad is None:
                 continue
+            data = p.data
+            if grad.shape != data.shape:
+                raise ValueError(f"gradient of shape {grad.shape} for a "
+                                 f"parameter of shape {data.shape}")
             state = self._state.setdefault(id(p), {})
-            self._update(p, state)
+            key = (state.get("step", 0), data.dtype, grad.dtype,
+                   *[state[name].dtype if name in state else data.dtype
+                     for name in names])
+            groups.setdefault(key, []).append((p, state))
+        for (count, *_dtypes), members in groups.items():
+            data = _flat([p.data for p, _state in members])
+            grad = _flat([p.grad for p, _state in members])
+            buffers = {name: _flat([state[name] if name in state
+                                    else np.zeros_like(p.data)
+                                    for p, state in members])
+                       for name in names}
+            data, buffers = self._update(data, grad, buffers, count + 1)
+            start = 0
+            for p, state in members:
+                shape = p.data.shape
+                stop = start + p.data.size
+                p.data = data[start:stop].reshape(shape)
+                for name, array in buffers.items():
+                    state[name] = array[start:stop].reshape(shape)
+                state["step"] = count + 1
+                start = stop
 
-    def _update(self, param: Parameter, state: dict) -> None:
+    def _update(self, data: np.ndarray, grad: np.ndarray,
+                buffers: dict[str, np.ndarray],
+                step: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The rule over one group: flat ``data``, ``grad`` and state
+        ``buffers``, and the group's new step count; returns the new data
+        and buffers."""
         raise NotImplementedError
+
+
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.reshape(-1) for a in arrays])

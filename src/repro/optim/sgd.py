@@ -5,9 +5,6 @@ The paper trains all image models with SGD (Sec. IV-A5).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.nn.module import Parameter
 from repro.optim.base import Optimizer
 
 
@@ -18,15 +15,14 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.weight_decay = weight_decay
 
-    def _update(self, param: Parameter, state: dict) -> None:
-        grad = param.grad
+    @property
+    def state_arrays(self) -> tuple[str, ...]:
+        return ("momentum",) if self.momentum else ()
+
+    def _update(self, data, grad, buffers, step):
         if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
+            grad = grad + self.weight_decay * data
         if self.momentum:
-            buf = state.get("momentum")
-            if buf is None:
-                buf = np.zeros_like(param.data)
-            buf = self.momentum * buf + grad
-            state["momentum"] = buf
-            grad = buf
-        param.data = param.data - self.lr * grad
+            grad = self.momentum * buffers["momentum"] + grad
+            buffers = {"momentum": grad}
+        return data - self.lr * grad, buffers
