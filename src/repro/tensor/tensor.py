@@ -170,35 +170,40 @@ class Tensor:
         if capture is not None:
             capture.record_backward(self, grad)
 
+        # Every set and dict below is keyed on the tensors themselves:
+        # Tensor defines no __eq__, so it hashes by identity, without an
+        # id() call per lookup.
         order: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
+        pop, push, visit, mark = stack.pop, stack.append, order.append, seen.add
         while stack:
-            node, processed = stack.pop()
+            node, processed = pop()
             if processed:
-                order.append(node)
+                visit(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
+            mark(node)
+            push((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+                if parent not in seen:
+                    push((parent, False))
 
         check_anomaly = anomaly.is_anomaly_enabled()
         if check_anomaly:
             anomaly.check_backward(grad, self._op, self._created_at)
 
-        # ``grads`` accumulates per-node gradients; ``owned`` marks the ids
+        # ``grads`` accumulates per-node gradients; ``owned`` marks the nodes
         # whose accumulator array this walk allocated itself, so further
         # contributions may be added in place (buffer reuse) without risking
         # corruption of an array an op's backward returned by reference.
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        owned: set[int] = set()
+        grads: dict[Tensor, np.ndarray] = {self: grad}
+        owned: set[Tensor] = set()
+        take, lookup, own = grads.pop, grads.get, owned.add
+        add, asarray = np.add, np.asarray
         for node in reversed(order):
-            key = id(node)
-            node_grad = grads.pop(key, None)
+            node_grad = take(node, None)
             if node_grad is None:
                 continue
             if not node._parents:
@@ -208,12 +213,12 @@ class Tensor:
                 # upstream cannot upcast a float32 parameter's gradient.
                 if node_grad.dtype != node._data.dtype:
                     node_grad = node_grad.astype(node._data.dtype)
-                    owned.add(key)
+                    own(node)
                 buf = node.grad
                 if buf is None:
-                    node.grad = node_grad if key in owned else node_grad.copy()
+                    node.grad = node_grad if node in owned else node_grad.copy()
                 elif buf.shape == node_grad.shape and buf.dtype == node_grad.dtype:
-                    np.add(buf, node_grad, out=buf)
+                    add(buf, node_grad, out=buf)
                 else:
                     node.grad = buf + node_grad
                 continue
@@ -231,20 +236,19 @@ class Tensor:
             for parent, contribution in zip(node._inputs, contributions):
                 if contribution is None or not parent.requires_grad:
                     continue
-                contribution = np.asarray(contribution)
+                contribution = asarray(contribution)
                 if check_anomaly:
                     anomaly.check_backward(contribution, node._op,
                                            node._created_at)
-                pkey = id(parent)
-                accumulated = grads.get(pkey)
+                accumulated = lookup(parent)
                 if accumulated is None:
-                    grads[pkey] = contribution
-                elif (pkey in owned and accumulated.shape == contribution.shape
+                    grads[parent] = contribution
+                elif (parent in owned and accumulated.shape == contribution.shape
                       and accumulated.dtype == contribution.dtype):
-                    np.add(accumulated, contribution, out=accumulated)
+                    add(accumulated, contribution, out=accumulated)
                 else:
-                    grads[pkey] = accumulated + contribution
-                    owned.add(pkey)
+                    grads[parent] = accumulated + contribution
+                    own(parent)
 
     # ------------------------------------------------------------------
     # Arithmetic
