@@ -99,8 +99,9 @@ def _folds_relu(layers: list[Module], i: int) -> bool:
 
 
 def _run(x: Tensor, blocks) -> Tensor | None:
-    """One ``mlp`` dispatch over a run, or ``None`` when its parameters
-    mix dtypes (the flat running-statistics EMA needs one dtype)."""
+    """One ``mlp`` dispatch over a run, or ``None`` when it has several
+    train-form BatchNorm layers and its parameters mix dtypes: the flat
+    running-statistics EMA is exact only over statistics of one dtype."""
     params, layers, running, train = [], [], [], []
     for linear, batch_norm, relu in blocks:
         params.append(linear.weight)
@@ -116,7 +117,7 @@ def _run(x: Tensor, blocks) -> Tensor | None:
                 mode = "eval"
                 running.append((batch_norm.running_mean, batch_norm.running_var))
         layers.append((linear.bias is not None, mode, relu))
-    if len({p.dtype for p in params}) > 1:
+    if len(train) > 1 and len({p.dtype for p in params}) > 1:
         return None
     if running:
         norm.mark_eval_unsafe()

@@ -65,23 +65,27 @@ class Optimizer:
             key = (state.get("step", 0), data.dtype, grad.dtype,
                    *[state[name].dtype if name in state else data.dtype
                      for name in names])
-            groups.setdefault(key, []).append((p, state))
+            groups.setdefault(key, []).append((p, data, grad, state))
         for (count, *_dtypes), members in groups.items():
-            data = _flat([p.data for p, _state in members])
-            grad = _flat([p.grad for p, _state in members])
-            buffers = {name: _flat([state[name] if name in state
-                                    else np.zeros_like(p.data)
-                                    for p, state in members])
-                       for name in names}
-            data, buffers = self._update(data, grad, buffers, count + 1)
+            step = count + 1
+            data, buffers = self._update(
+                np.concatenate([data for _p, data, _grad, _state in members],
+                               axis=None),
+                np.concatenate([grad for _p, _data, grad, _state in members],
+                               axis=None),
+                {name: np.concatenate([state[name] if name in state
+                                       else np.zeros_like(data)
+                                       for _p, data, _grad, state in members],
+                                      axis=None)
+                 for name in names},
+                step)
             start = 0
-            for p, state in members:
-                shape = p.data.shape
-                stop = start + p.data.size
-                p.data = data[start:stop].reshape(shape)
+            for p, old, _grad, state in members:
+                stop = start + old.size
+                p.data = data[start:stop].reshape(old.shape)
                 for name, array in buffers.items():
-                    state[name] = array[start:stop].reshape(shape)
-                state["step"] = count + 1
+                    state[name] = array[start:stop].reshape(old.shape)
+                state["step"] = step
                 start = stop
 
     def _update(self, data: np.ndarray, grad: np.ndarray,
@@ -92,6 +96,3 @@ class Optimizer:
         and buffers."""
         raise NotImplementedError
 
-
-def _flat(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in arrays])

@@ -550,10 +550,13 @@ class BatchNormOp(Op):
         return (scale / m) * (m * gx - sum_g - xhat * sum_gx), gw, gb
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _policy_dtype(*arrays):
     """The dtype ``engine.result_dtype`` gives an op over strong ``arrays``."""
     for a in arrays:
-        if a.dtype == np.float64:
+        if a.dtype == _FLOAT64:
             return np.float64
     return DEFAULT_DTYPE
 
