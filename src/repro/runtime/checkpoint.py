@@ -4,15 +4,17 @@ A checkpoint is a pair of files in the checkpoint directory::
 
     ckpt-00007.npz    every ndarray leaf of the state tree, flattened
     ckpt-00007.json   the manifest: schema version, the non-array tree with
-                      array references, and a SHA-256 checksum per array
+                      array references, a SHA-256 checksum per array, and
+                      a SHA-256 digest of all its other fields
 
 Both files are written via write-to-temp + ``fsync`` + ``os.replace``; the
 manifest is written *last*, so its presence is the commit point — a crash
 mid-write leaves at worst a stale temp file, never a manifest pointing at
 missing or truncated data.  On load, :meth:`CheckpointManager.load_latest`
 verifies the manifest parses into the shape :meth:`CheckpointManager.save`
-writes, the schema version matches, every referenced array exists, and
-every checksum agrees; a checkpoint failing any check is skipped (recorded
+writes, the schema version matches, the digest agrees with the manifest's
+other fields, every referenced array exists, and every checksum agrees; a
+checkpoint failing any check is skipped (recorded
 in ``LoadedCheckpoint.skipped``) and the next most recent one is tried, so
 a corrupt or partial newest checkpoint falls back to the last good one
 instead of crashing the run.
@@ -40,7 +42,7 @@ from repro.faults import plane as _faults
 
 #: Bumped whenever the manifest layout or the trainer's run-state contract
 #: changes; a checkpoint of another version is skipped, never half-read.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Every fault-injection site on the checkpoint write path, in program
 #: order.  The crash-consistency sweep (:mod:`repro.faults.crashsweep`)
@@ -60,7 +62,7 @@ _MANIFEST_RE = re.compile(r"^ckpt-(\d+)\.json$")
 
 #: Manifest field -> the JSON type :meth:`CheckpointManager.save` writes.
 _MANIFEST_FIELDS = {"arrays_file": str, "checksums": dict, "tree": dict,
-                    "task_index": int}
+                    "task_index": int, "digest": str}
 
 
 class CheckpointError(RuntimeError):
@@ -170,6 +172,17 @@ def atomic_write_bytes(path: pathlib.Path, data: bytes,
     _faults.fault_point(f"{site}.committed")
 
 
+def _manifest_digest(manifest: dict) -> str:
+    """SHA-256 of the canonical JSON of every manifest field but ``digest``.
+
+    JSON round-trips every value ``save`` writes, so a manifest read back
+    re-serializes to the same canonical bytes unless it was altered.
+    """
+    fields = {key: value for key, value in manifest.items() if key != "digest"}
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _array_checksum(array: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(str(array.dtype).encode())
@@ -254,6 +267,7 @@ class CheckpointManager:
             "checksums": {key: _array_checksum(a) for key, a in arrays.items()},
             "tree": tree,
         }
+        manifest["digest"] = _manifest_digest(manifest)
         manifest_path = self.directory / manifest_name
         atomic_write_bytes(manifest_path,
                            json.dumps(manifest, indent=1).encode("utf-8"),
@@ -276,6 +290,9 @@ class CheckpointManager:
             if type(manifest.get(key)) is not kind:
                 raise CheckpointError(
                     f"manifest field {key!r} is not a JSON {kind.__name__}")
+        if manifest["digest"] != _manifest_digest(manifest):
+            raise CheckpointError("manifest digest mismatch: a field was "
+                                  "altered after the checkpoint was written")
         arrays_path = self.directory / manifest["arrays_file"]
         try:
             with np.load(arrays_path) as archive:

@@ -13,6 +13,7 @@ from repro.runtime import (
     flatten_state,
     unflatten_state,
 )
+from repro.runtime.checkpoint import _manifest_digest
 
 
 def sample_state():
@@ -130,9 +131,11 @@ class TestCheckpointManager:
         manager.save(0, {"v": np.array([0.0])})
         manager.save(1, {"v": np.arange(64, dtype=np.float64)})
         manifest = json.loads((tmp_path / "ckpt-00001.json").read_text())
-        # Point the manifest at a checksum the data can no longer satisfy.
+        # Point the manifest at a checksum the data can no longer satisfy,
+        # and re-sign it so the array check, not the digest, rejects it.
         key = next(iter(manifest["checksums"]))
         manifest["checksums"][key] = "0" * 64
+        manifest["digest"] = _manifest_digest(manifest)
         (tmp_path / "ckpt-00001.json").write_text(json.dumps(manifest))
         loaded = manager.load_latest()
         assert loaded.task_index == 0
@@ -178,6 +181,35 @@ class TestCheckpointManager:
         manifest["schema_version"] = 999
         manifest_path.write_text(json.dumps(manifest))
         assert manager.load_latest() is None
+
+    def test_altered_manifest_value_falls_back_to_the_older(self, tmp_path):
+        """A damaged digit in the JSON tree, which no array checksum covers,
+        fails the manifest digest."""
+        manager = CheckpointManager(tmp_path)
+        manager.save(0, {"state": 12345})
+        newest = manager.save(1, {"state": 12345})
+        text = newest.read_text()
+        assert text.count("12345") == 1
+        newest.write_text(text.replace("12345", "12845"))
+        loaded = manager.load_latest()
+        assert loaded.task_index == 0
+        assert loaded.state == {"state": 12345}
+        assert len(loaded.skipped) == 1
+        assert "ckpt-00001.json" in loaded.skipped[0]
+        assert "digest mismatch" in loaded.skipped[0]
+
+    def test_schema_2_manifest_is_skipped(self, tmp_path):
+        """A checkpoint written before manifests carried their digest."""
+        manager = CheckpointManager(tmp_path)
+        manager.save(0, {"v": np.array([0.0])})
+        newest = manager.save(1, {"v": np.array([1.0])})
+        manifest = json.loads(newest.read_text())
+        manifest["schema_version"] = 2
+        del manifest["digest"]
+        newest.write_text(json.dumps(manifest, indent=1))
+        loaded = manager.load_latest()
+        assert loaded.task_index == 0
+        assert "schema version 2" in loaded.skipped[0]
 
     @pytest.mark.parametrize("damage", ["renamed-key", "dangling-array",
                                         "json-array", "not-utf8"])

@@ -19,6 +19,10 @@ adds ``head``, so the archive members changed order while every array, and
 every manifest's ``checksums`` map, stayed the same.  All six ``ckpt-*.npz``
 pins moved again when the archives began to be stored uncompressed
 (``np.savez``); their arrays, and so every manifest pin, did not change.
+The six manifest pins moved when manifests began to carry a digest of
+their other fields (checkpoint schema 3): ``canonical_manifest`` drops the
+digest, and with ``schema_version`` set back to 2 every canonical manifest
+hashes to its previous pin.
 """
 
 import hashlib
@@ -40,15 +44,15 @@ ARTIFACTS = {
         "ckpt-00000.npz":
             "e826c6c2f1bbcbe1f190b9762904398dd67515a1e88bfde30b213397d43db68f",
         "ckpt-00000.json":
-            "342518cdc396f9ec533834729f25f3c1e5aa41f9ccfe42a7b90fa47a54cb366e",
+            "96d7d65e7d2be46db04fa0e65a4ca64f5a9e17619bb13ffc555fcfff54dfa911",
         "ckpt-00001.npz":
             "975abefc6061b6c3bb9fda574eff26636b2785e07fbc55b958dd8d133cbf7647",
         "ckpt-00001.json":
-            "213ed3a605f4a1094698fc3c16fdc4dd575e62ceb56a5b0b563e799dafad118d",
+            "afffdad7a2059b88089d57604b9ace62f92f26d92c1f482e6857ff24f14004a6",
         "ckpt-00002.npz":
             "fee405b820b3fe2c21901218afdf07ec7043e6c9deffaf2d035a4115207e0746",
         "ckpt-00002.json":
-            "b8000e2414ddefd2a012a1973a1ce0cc3feb6d8428262a0e7639baea17d3b447",
+            "abd8282dee11e50a80b222511ad03dbe67e62ec70e3a37ac98b86cff36eb2594",
         "transfer-matrix.json":
             "3d9d5a75106e8198a92cffb25bb8fbef5d24727d76f54a9784ce6a03694c6363",
     },
@@ -58,15 +62,15 @@ ARTIFACTS = {
         "ckpt-00000.npz":
             "98ba2976b67e4851283ba67444e9155d8b38fd7a54b58cb50e3fdc974bffff11",
         "ckpt-00000.json":
-            "2cc4ed8b5c5caf6419bb7ff3e85296dc094a82a4d1228751fa3b67e9776d4074",
+            "cc558906d2cbb595c8a59e37180e156f4f865a1a0f04df17c4ab37653f689227",
         "ckpt-00001.npz":
             "0b4a52aef1662cc7f36bf8af0cba7c8bac7cb3f6c8cf3ca334bcecdd65d5b574",
         "ckpt-00001.json":
-            "756f17066caf5720f434740c557a0bbb4e6604a9286dcf43abddf83c955f1b2c",
+            "e51ec666d70b0f04aab527628045d18c78988e036bf2c5490018ad713ab6aafe",
         "ckpt-00002.npz":
             "632e19836926a617515734c76474b8a1fe024981e53fa0047077aa6aaf66cd85",
         "ckpt-00002.json":
-            "2a86aa6298c293d4c822cc287085f4f1a08a0e0ebd46d6d83aad6bd950647a73",
+            "43c390f0ae7f812f7ec955994ffc6073802bbabaf2a98a8b90576c72f4bf21ca",
         "transfer-matrix.json":
             "11176b1ed4141979ef15c7e08b160fe4060c5bb48fb59052b304e695aead765d",
     },
@@ -81,10 +85,12 @@ def canonical_manifest(path) -> bytes:
     """Manifest bytes with the one wall-clock field zeroed.
 
     ``elapsed_seconds`` is real timing — it differs even between two runs
-    of the same seed — so the pin covers everything else.
+    of the same seed — so the pin covers everything else.  The manifest's
+    ``digest`` covers ``elapsed_seconds`` too, so it is dropped.
     """
     manifest = json.loads(path.read_text(encoding="utf-8"))
     manifest["tree"]["result"]["elapsed_seconds"] = 0.0
+    del manifest["digest"]
     return json.dumps(manifest, sort_keys=True).encode("utf-8")
 
 
