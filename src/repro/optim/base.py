@@ -95,4 +95,3 @@ class Optimizer:
         ``buffers``, and the group's new step count; returns the new data
         and buffers."""
         raise NotImplementedError
-

@@ -590,9 +590,9 @@ class MlpOp(Op):
     ``np.true_divide(s, np.intp(m), out=s, casting="unsafe")``, which is
     what ``np.mean`` runs, and the gradient sums are ``np.add.reduce``
     where the kernels call ``_unbroadcast`` (see ``_channel_sum``) or
-    ``.sum``.  The train form
-    exposes the batch statistics of its train-form BatchNorm layers,
-    concatenated in layer order, as ``ctx.mean``/``ctx.var``.
+    ``.sum``.  The train form exposes the batch statistics of its
+    train-form BatchNorm layers, concatenated in layer order, as
+    ``ctx.mean``/``ctx.var``.
     """
 
     name = "mlp"

@@ -132,3 +132,11 @@ def test_a_parameter_listed_twice_is_rejected():
     p = Parameter(np.zeros(2))
     with pytest.raises(ValueError, match="more than once"):
         SGD([p, p], lr=0.1)
+
+
+def test_a_gradient_of_another_shape_is_rejected():
+    """Its flat slice would overlap its neighbour's."""
+    p = Parameter(np.zeros(2))
+    p.grad = np.ones(3)
+    with pytest.raises(ValueError, match="gradient of shape"):
+        Adam([p], lr=0.1).step()
