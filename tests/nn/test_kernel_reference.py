@@ -523,7 +523,8 @@ def test_sequential_run_matches_per_layer_dispatches(tail, monkeypatch):
     model = MLP(TABULAR_DIMS, rng=np.random.default_rng(0))
     if tail == "float64":
         linear = model.net.layers[9]
-        linear.weight.data = linear.weight.data.astype(np.float64)
+        # No forward has run: no graph holds the rebound weight.
+        linear.weight.data = linear.weight.data.astype(np.float64)  # repro-lint: disable=AD001
     batch_norms = [m for m in model.modules() if isinstance(m, BatchNorm1d)]
     for i, layer in enumerate(batch_norms):
         layer.train(i % 2 == 0)

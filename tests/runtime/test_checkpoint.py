@@ -190,7 +190,7 @@ class TestCheckpointManager:
         newest = manager.save(1, {"state": 12345})
         text = newest.read_text()
         assert text.count("12345") == 1
-        newest.write_text(text.replace("12345", "12845"))
+        atomic_write_bytes(newest, text.replace("12345", "12845").encode())
         loaded = manager.load_latest()
         assert loaded.task_index == 0
         assert loaded.state == {"state": 12345}
@@ -206,7 +206,7 @@ class TestCheckpointManager:
         manifest = json.loads(newest.read_text())
         manifest["schema_version"] = 2
         del manifest["digest"]
-        newest.write_text(json.dumps(manifest, indent=1))
+        atomic_write_bytes(newest, json.dumps(manifest, indent=1).encode())
         loaded = manager.load_latest()
         assert loaded.task_index == 0
         assert "schema version 2" in loaded.skipped[0]
