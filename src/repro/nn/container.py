@@ -58,9 +58,9 @@ def _plan(layers: list[Module]) -> list[tuple]:
 
     ``blocks`` is ``None`` for a single layer, or a run's
     ``(linear, batch_norm or None, relu)`` blocks; ``steps`` is the
-    entry's ``(layer, relu)`` calls layer by layer.  A layer that appears
-    twice makes no run: its weights would take their gradient
-    contributions in another order.
+    entry's ``(layer, relu)`` calls layer by layer.  ``layers`` holding
+    one module twice makes no runs: that module's weights would take
+    their gradient contributions in another order.
     """
     shared = len({id(layer) for layer in layers}) < len(layers)
     plan: list[tuple] = []

@@ -536,16 +536,15 @@ def test_sequential_run_matches_per_layer_dispatches(tail, monkeypatch):
                    for bn in batch_norms) + ((True, None, False),)
     stats = [(bn.running_mean, bn.running_var) for bn in batch_norms
              if not bn.training]
-    initial = [(bn.running_mean, bn.running_var) for bn in batch_norms
-               if bn.training]
+    trained = [bn for bn in batch_norms if bn.training]
+    initial = [(bn.running_mean, bn.running_var) for bn in trained]
 
     ref_inputs = leaves(x, params, False, 0)
     want, batch = per_layer_run(ref_inputs[0], ref_inputs[1:], layers, stats)
     want.backward(grad)
     dispatched = dispatched_ops(monkeypatch, model, x)
     assert (dispatched == ["mlp"]) == (tail == "float32")
-    for bn, (mean, var) in zip([bn for bn in batch_norms if bn.training],
-                               initial):
+    for bn, (mean, var) in zip(trained, initial):  # undo that forward's EMA
         bn._set_buffer("running_mean", mean)
         bn._set_buffer("running_var", var)
     model.zero_grad()
@@ -554,7 +553,6 @@ def test_sequential_run_matches_per_layer_dispatches(tail, monkeypatch):
     assert_same_bytes(out.data, want.data)
     for param, want_leaf in zip(model.parameters(), ref_inputs[1:], strict=True):
         assert_same_bytes(param.grad, want_leaf.grad)
-    trained = [bn for bn in batch_norms if bn.training]
     for layer, (mean, var), (batch_mean, batch_var) in zip(
             trained, initial, batch, strict=True):
         want_mean, want_var = reference_running_stats(mean, var, batch_mean,
