@@ -11,6 +11,7 @@ import functools
 import numpy as np
 
 from repro.augment.base import Augmentation, Compose
+from repro.utils.arrays import sorted_unique
 
 
 @functools.lru_cache(maxsize=128)
@@ -101,7 +102,7 @@ def _gaussian_taps(sigmas: np.ndarray) -> np.ndarray:
     radii = np.where(active, (4.0 * sigmas + 0.5).astype(np.int64), 0)
     taps = np.zeros((len(sigmas), radii.max(initial=0) + 1))
     taps[~active, 0] = 1.0
-    for radius in np.unique(radii[active]):
+    for radius in sorted_unique(radii[active]):
         rows = np.nonzero(active & (radii == radius))[0]
         offsets = np.arange(-radius, radius + 1)
         s = sigmas[rows, None]

@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 
 class ArrayDataset:
     """Dense in-memory dataset.
@@ -44,7 +46,7 @@ class ArrayDataset:
 
     @property
     def classes(self) -> np.ndarray:
-        return np.unique(self.y)
+        return sorted_unique(self.y)
 
     def filter_classes(self, classes: Sequence[int], name: str | None = None) -> "ArrayDataset":
         mask = np.isin(self.y, np.asarray(classes))

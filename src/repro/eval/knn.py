@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 
 class KNNClassifier:
     """Cosine-similarity weighted k-nearest-neighbour classifier.
@@ -54,7 +56,7 @@ class KNNClassifier:
             raise ValueError("cannot fit on an empty index")
         self._index = self._normalize(representations)
         self._labels = np.asarray(labels, dtype=np.int64)
-        self._classes = np.unique(self._labels)
+        self._classes = sorted_unique(self._labels)
         # Index labels as positions in the sorted class list, so voting is a
         # single scatter-add instead of one masked pass per class.
         self._label_index = np.searchsorted(self._classes, self._labels)

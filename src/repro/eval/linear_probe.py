@@ -15,6 +15,7 @@ from repro.nn.linear import Linear
 from repro.optim.adam import Adam
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import fallback_rng
 
 #: Mini-batch size and Adam weight decay of the probe head's training.
@@ -56,7 +57,7 @@ class LinearProbe:
             raise ValueError("representations and labels length mismatch")
         if len(x) == 0:
             raise ValueError("cannot fit a probe on an empty set")
-        self._classes = np.unique(y)
+        self._classes = sorted_unique(y)
         class_index = {int(c): i for i, c in enumerate(self._classes)}
         targets = np.array([class_index[int(label)] for label in y])
 

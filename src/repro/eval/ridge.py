@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 #: Default ridge-strength grid (log-spaced; validation accuracy picks).
 DEFAULT_LAMBDAS = tuple(float(v) for v in np.logspace(-4.0, 2.0, 13))
 
@@ -113,7 +115,7 @@ class RidgeStatistics:
     def __init__(self, dim: int, classes: np.ndarray):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        classes = np.unique(np.asarray(classes))
+        classes = sorted_unique(classes)
         if classes.size == 0:
             raise ValueError("classes must be non-empty")
         self.dim = int(dim)
@@ -306,7 +308,7 @@ class RidgeProbe:
             raise ValueError("representations and labels length mismatch")
         if len(x) == 0:
             raise ValueError("cannot fit a probe on an empty set")
-        classes = np.unique(y)
+        classes = sorted_unique(y)
 
         val_mask = np.arange(len(x)) % VALIDATION_STRIDE == 0
         train_mask = ~val_mask
@@ -314,7 +316,7 @@ class RidgeProbe:
         # class present in the training part; tiny or single-class inputs
         # skip selection and take the grid's smallest λ.
         selectable = (len(self.lambdas) > 1 and train_mask.any() and val_mask.any()
-                      and np.array_equal(np.unique(y[train_mask]), classes))
+                      and np.array_equal(sorted_unique(y[train_mask]), classes))
 
         stats = RidgeStatistics(x.shape[1], classes)
         if selectable:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from repro.nn import norm
 from repro.nn.activation import ReLU
+from repro.nn.conv import Conv2d, run_stage
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
+from repro.nn.pool import MaxPool2d
 from repro.tensor import engine, ops
 from repro.tensor.tensor import Tensor
 
@@ -16,9 +18,10 @@ class Sequential(Module):
 
     When fusion is enabled, each run of ``Linear`` layers, each optionally
     followed by a ``BatchNorm1d`` and/or a ``ReLU``, dispatches as one
-    ``mlp`` op on 2-D input, and a ``(BatchNorm1d or BatchNorm2d, ReLU)``
-    pair outside such a run runs the ReLU inside the ``batch_norm``
-    kernel.  The runs are found once, in ``__init__``; the fusion is a
+    ``mlp`` op on 2-D input, and each bias-free ``Conv2d`` followed by a
+    ``BatchNorm2d``, then optionally a ``ReLU`` and/or a ``MaxPool2d``,
+    as one ``conv_stage`` op (see :func:`repro.nn.conv.run_stage`).  The
+    runs and stages are found once, in ``__init__``; the fusion is a
     call-time rewrite: the layer list, the parameters, and ``state_dict``
     layout are unchanged, and disabling fusion
     (:func:`repro.tensor.engine.no_fusion`) runs the layers one by one.
@@ -36,14 +39,17 @@ class Sequential(Module):
             for layer in self.layers:
                 x = layer(x)
             return x
-        for blocks, steps in self._plan:
+        for blocks, stage, layers in self._plan:
+            if stage is not None:
+                x = run_stage(x, *stage)
+                continue
             if blocks is not None and x.ndim == 2:
                 out = _run(x, blocks)
                 if out is not None:
                     x = out
                     continue
-            for layer, relu in steps:
-                x = layer(x, relu=True) if relu else layer(x)
+            for layer in layers:
+                x = layer(x)
         return x
 
     def __len__(self) -> int:
@@ -54,19 +60,20 @@ class Sequential(Module):
 
 
 def _plan(layers: list[Module]) -> list[tuple]:
-    """Split ``layers`` into ``(blocks, steps)`` entries.
+    """Split ``layers`` into ``(blocks, stage, layers)`` entries.
 
-    ``blocks`` is ``None`` for a single layer, or a run's
-    ``(linear, batch_norm or None, relu)`` blocks; ``steps`` is the
-    entry's ``(layer, relu)`` calls layer by layer.  ``layers`` holding
-    one module twice makes no runs: that module's weights would take
-    their gradient contributions in another order.
+    ``blocks`` is a run's ``(linear, batch_norm or None, relu)`` blocks,
+    ``stage`` a conv stage's ``(conv, batch_norm, relu, pool or None)``,
+    and ``layers`` the entry's layers, called one by one when it is
+    neither (or its run falls back).  ``layers`` holding one module twice
+    makes no runs or stages: that module's weights would take their
+    gradient contributions in another order.
     """
     shared = len({id(layer) for layer in layers}) < len(layers)
     plan: list[tuple] = []
     i, count = 0, len(layers)
     while i < count:
-        start, blocks = i, []
+        start, blocks, stage = i, [], None
         while not shared and i < count and type(layers[i]) is Linear:
             linear, batch_norm = layers[i], None
             i += 1
@@ -76,26 +83,19 @@ def _plan(layers: list[Module]) -> list[tuple]:
             relu = i < count and type(layers[i]) is ReLU
             i += relu
             blocks.append((linear, batch_norm, relu))
-        if not blocks:
-            i += 1 + _folds_relu(layers, i)
-        plan.append((tuple(blocks) or None, _steps(layers[start:i])))
+        if (not blocks and not shared and type(layers[i]) is Conv2d
+                and layers[i].bias is None and i + 1 < count
+                and type(layers[i + 1]) is BatchNorm2d):
+            i += 2
+            relu = i < count and type(layers[i]) is ReLU
+            i += relu
+            pool = layers[i] if i < count and type(layers[i]) is MaxPool2d else None
+            i += pool is not None
+            stage = (layers[start], layers[start + 1], relu, pool)
+        elif not blocks:
+            i += 1
+        plan.append((tuple(blocks) or None, stage, layers[start:i]))
     return plan
-
-
-def _steps(layers: list[Module]) -> list[tuple[Module, bool]]:
-    """``(layer, relu)`` per call, a ReLU after a BatchNorm folded into it."""
-    steps, i = [], 0
-    while i < len(layers):
-        fold = _folds_relu(layers, i)
-        steps.append((layers[i], fold))
-        i += 1 + fold
-    return steps
-
-
-def _folds_relu(layers: list[Module], i: int) -> bool:
-    """Whether ``layers[i]`` is a BatchNorm that runs the next layer's ReLU."""
-    return (type(layers[i]) in (BatchNorm1d, BatchNorm2d) and i + 1 < len(layers)
-            and type(layers[i + 1]) is ReLU)
 
 
 def _run(x: Tensor, blocks) -> Tensor | None:

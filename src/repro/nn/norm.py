@@ -32,19 +32,20 @@ class _BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
-    def _normalize(self, x: Tensor, axes: tuple[int, ...], relu: bool) -> Tensor:
-        # One fused kernel per mode (one tape node), affine and ReLU included.
+    def _normalize(self, x: Tensor, axes: tuple[int, ...]) -> Tensor:
+        # The composed ops: a BatchNorm layer on its own is not a hot path
+        # (inside an ``mlp`` run or a conv stage it runs in that dispatch).
         if self.training:
             # The batch statistics reach update_running_stats through the
             # stat callback.
             count = math.prod(x.shape[a] for a in axes)
             return ops.batch_norm_train(
-                x, self.weight, self.bias, axes, EPS, relu=relu,
+                x, self.weight, self.bias, axes, EPS,
                 stat_callback=lambda mean, var: update_running_stats(
                     (self,), mean, var, count))[0]
         mark_eval_unsafe()
         return ops.batch_norm_eval(x, self.weight, self.bias, self.running_mean,
-                                   self.running_var, axes, EPS, relu=relu)
+                                   self.running_var, axes, EPS)
 
 
 def update_running_stats(layers, mean: np.ndarray, var: np.ndarray,
@@ -86,22 +87,24 @@ def mark_eval_unsafe() -> None:
 class BatchNorm1d(_BatchNorm):
     """Normalizes (N, F) activations per feature.
 
-    ``relu=True`` applies a following ReLU inside the same kernel (the
-    ``(BatchNorm1d, ReLU)`` fold :class:`~repro.nn.container.Sequential`
-    makes outside a run of MLP layers; inside one, the layer runs in the
-    run's ``mlp`` dispatch).
+    Inside a run of MLP layers (see :class:`~repro.nn.container.Sequential`)
+    the layer runs in the run's ``mlp`` dispatch.
     """
 
-    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2:
             raise ValueError(f"BatchNorm1d expects (N, F), got {x.shape}")
-        return self._normalize(x, axes=(0,), relu=relu)
+        return self._normalize(x, axes=(0,))
 
 
 class BatchNorm2d(_BatchNorm):
-    """Normalizes (N, C, H, W) activations per channel; ``relu`` as in 1-D."""
+    """Normalizes (N, C, H, W) activations per channel.
 
-    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+    After a Conv2d the layer runs in the conv's ``conv_stage`` dispatch
+    (see :func:`repro.nn.conv.run_stage`).
+    """
+
+    def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects (N, C, H, W), got {x.shape}")
-        return self._normalize(x, axes=(0, 2, 3), relu=relu)
+        return self._normalize(x, axes=(0, 2, 3))

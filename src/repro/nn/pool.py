@@ -9,13 +9,41 @@ from repro.tensor.engine import Context, Op, apply, register
 from repro.tensor.tensor import Tensor
 
 
+def _window_max(slices, ties: bool):
+    """The max over the k² window ``slices``, a chain of ``np.maximum``.
+
+    With ``ties``, also the window's tie record for the backward: one bool
+    hit mask per slice, stacked, and the number of hits per output.
+    """
+    out = slices[0].copy()
+    for window_slice in slices[1:]:
+        np.maximum(out, window_slice, out=out)
+    if not ties:
+        return out, None
+    hits = np.stack([window_slice == out for window_slice in slices])
+    return out, (hits, np.add.reduce(hits, axis=0,
+                                     dtype=np.min_scalar_type(len(slices))))
+
+
+def _window_grad(grad, ties, views, dtype) -> None:
+    """Write ``grad`` times each slice's tie weight into its window view.
+
+    Ties split the gradient evenly, as in ``Tensor.max``: the weight is
+    ``hit.astype(dtype) / count``, exact small integers divided.
+    """
+    hits, count = ties
+    for hit, view in zip(hits, views):
+        np.multiply(grad, hit.astype(dtype) / count, out=view)
+
+
 @register
 class MaxPool2dOp(Op):
     """Non-overlapping max pooling (kernel == stride).
 
     The max is a chain of ``np.maximum`` over the k² strided slices
     ``x[:, :, i::k, j::k]``.  Ties split the gradient evenly, as in
-    ``Tensor.max``; those weights are built only when a gradient is needed.
+    ``Tensor.max``; the tie masks are kept as bools, and only when a
+    gradient is needed.
     """
 
     name = "maxpool2d"
@@ -28,18 +56,12 @@ class MaxPool2dOp(Op):
                              f"{kernel}, got {(h, w)}")
         slices = [x[:, :, i::kernel, j::kernel]
                   for i in range(kernel) for j in range(kernel)]
-        out = slices[0].copy()
-        for window_slice in slices[1:]:
-            np.maximum(out, window_slice, out=out)
-        if any(ctx.needs_input_grad):
-            hits = [(window_slice == out).astype(x.dtype) for window_slice in slices]
-            # Small integer counts: exact in any summation order.
-            count = sum(hits)
-            for hit in hits:
-                hit /= count
-            ctx.weights = hits
+        out, ties = _window_max(slices, any(ctx.needs_input_grad))
+        if ties is not None:
+            ctx.ties = ties
             ctx.kernel = kernel
             ctx.shape = x.shape
+            ctx.dtype = x.dtype
         return out
 
     @staticmethod
@@ -49,10 +71,10 @@ class MaxPool2dOp(Op):
         # products below run over whole rows.
         grad = np.ascontiguousarray(grad)
         k = ctx.kernel
-        gx = np.empty(ctx.shape, dtype=np.result_type(grad, ctx.weights[0]))
-        for offset, weight in enumerate(ctx.weights):
-            i, j = divmod(offset, k)
-            np.multiply(grad, weight, out=gx[:, :, i::k, j::k])
+        gx = np.empty(ctx.shape, dtype=np.result_type(grad, ctx.dtype))
+        _window_grad(grad, ctx.ties, [gx[:, :, i::k, j::k]
+                                      for i in range(k) for j in range(k)],
+                     ctx.dtype)
         return (gx,)
 
 

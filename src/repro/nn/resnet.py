@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.activation import ReLU
 from repro.nn.container import Sequential
-from repro.nn.conv import Conv2d
+from repro.nn.conv import Conv2d, run_stage
 from repro.nn.module import Module
 from repro.nn.norm import BatchNorm2d
 from repro.nn.pool import GlobalAvgPool2d
@@ -45,8 +45,10 @@ class BasicBlock(Module):
             self.shortcut = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = ops.relu(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
+        # Each conv and its BatchNorm run as one conv stage (the first with
+        # its ReLU); the shortcut's pair is a Sequential, which folds it.
+        out = run_stage(x, self.conv1, self.bn1, relu=True)
+        out = run_stage(out, self.conv2, self.bn2)
         skip = self.shortcut(x) if self.shortcut is not None else x
         return ops.relu(out + skip)
 

@@ -36,6 +36,7 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.data.splits import Task, TaskSequence
 from repro.data.synthetic import apply_domain_shift
+from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "ScenarioStream",
@@ -118,7 +119,7 @@ class ScenarioStream:
 
 
 def _classes_of(y: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(c) for c in np.unique(y))
+    return tuple(int(c) for c in sorted_unique(y))
 
 
 def class_incremental_stream(sequence: TaskSequence) -> ScenarioStream:

@@ -2,9 +2,10 @@
 
 Part one is the core surface (arithmetic, shape, reductions, activations);
 part two is the fused kernels (linear+bias, l2-normalize, row-wise cosine,
-normalized MSE, batch-norm+affine[+relu], and a whole run of MLP layers)
-whose backward passes compute all input gradients from shared
-intermediates in a single call.  Each fused op has an exact unfused
+normalized MSE, and a whole run of MLP layers) whose backward passes
+compute all input gradients from shared intermediates in a single call.
+The conv stage (conv + BatchNorm + ReLU + max-pool) registers beside
+``conv2d`` in ``repro.nn.conv``.  Each fused op has an exact unfused
 reference composition — the parity property tests in
 ``tests/tensor/test_fusion_parity.py`` pin forward and gradients of the
 two paths against each other.
@@ -16,8 +17,6 @@ result; eager dispatch and tape replay run the same code.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -477,79 +476,6 @@ class NormalizedMseOp(Op):
         return gp, gt
 
 
-@register
-class BatchNormOp(Op):
-    """Fused batch normalization with its affine and an optional ReLU.
-
-    ``y = xhat * w + b`` per channel, then ``max(y, 0)`` when ``relu``.
-    The train form (no running statistics given) normalizes with the batch
-    statistics, ``xhat = (x - mean) * (1 / sqrt(var + eps))``, and exposes
-    them on ``ctx.mean``/``ctx.var`` (keepdims) so the layer can update its
-    running stats without recomputing the reductions.  The eval form
-    normalizes with the given running statistics,
-    ``xhat = (x - running_mean) / sqrt(running_var + float32(eps))``.
-
-    Reference composition: ``mean``/``var``/``sqrt``/``div`` (train) or
-    ``sub``/``add``/``sqrt``/``div`` (eval), then ``reshape``/``mul``/
-    ``reshape``/``add`` and a ``relu`` node.  The kernel performs the same
-    IEEE operations in the same order, so it equals that composition byte
-    for byte.  Backward, with ``g = grad * (y > 0)`` and ``gx = g * w``:
-    ``dbias = sum(g)``, ``dweight = sum(g * xhat)`` and
-
-    - train: ``dx = inv/m * (m*gx - sum(gx) - xhat * sum(gx * xhat))``,
-      the analytic form with full gradient flow through mean and variance;
-    - eval: ``dx = gx / std``.
-    """
-
-    name = "batch_norm"
-
-    @staticmethod
-    def forward(ctx: Context, x, weight, bias, *, axes, eps: float,
-                relu: bool = False, running_mean=None, running_var=None):
-        axes = tuple(axes)
-        shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
-        if running_mean is None:
-            mean = x.mean(axis=axes, keepdims=True)
-            centered = x - mean
-            var = np.mean(centered * centered, axis=axes, keepdims=True)
-            scale = 1.0 / np.sqrt(var + eps)
-            xhat = centered * scale
-            ctx.m = math.prod(x.shape[a] for a in axes)
-            ctx.mean = mean
-            ctx.var = var
-        else:
-            scale = np.sqrt(running_var.reshape(shape) + np.float32(eps))
-            xhat = (x - running_mean.reshape(shape)) / scale
-        w = weight.reshape(shape)
-        y = xhat * w + bias.reshape(shape)
-        mask = None
-        if relu:
-            if any(ctx.needs_input_grad):
-                mask = y > 0
-            y = np.maximum(y, 0.0, out=y)
-        ctx.save(xhat, scale, w, mask)
-        ctx.axes = axes
-        ctx.train = running_mean is None
-        return y
-
-    @staticmethod
-    def backward(ctx: Context, grad):
-        xhat, scale, w, mask = ctx.saved
-        g = grad if mask is None else grad * mask
-        need_x, need_w, need_b = ctx.needs_input_grad
-        gw = _unbroadcast(g * xhat, w.shape).reshape(-1) if need_w else None
-        gb = _unbroadcast(g, w.shape).reshape(-1) if need_b else None
-        if not need_x:
-            return None, gw, gb
-        gx = g * w
-        if not ctx.train:
-            return gx / scale, gw, gb
-        axes, m = ctx.axes, ctx.m
-        sum_g = gx.sum(axis=axes, keepdims=True)
-        sum_gx = (gx * xhat).sum(axis=axes, keepdims=True)
-        return (scale / m) * (m * gx - sum_g - xhat * sum_gx), gw, gb
-
-
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -582,7 +508,8 @@ class MlpOp(Op):
 
     Reference composition: one ``linear`` dispatch per Linear (or the
     retired ``linear_relu`` when a ReLU follows it directly) and one
-    ``batch_norm`` dispatch per BatchNorm1d, the ReLU folded in.  Each
+    dispatch of the retired ``batch_norm`` kernel per BatchNorm1d, the
+    ReLU folded in (both kept in ``tests/nn/test_kernel_reference.py``).  Each
     layer runs those kernels' IEEE operations in their order and casts its
     output to the dtype ``apply_ctx`` would give it, so the run equals the
     per-layer dispatches byte for byte.  Two spellings differ without

@@ -4,13 +4,14 @@ These are the pointwise nonlinearities and the composite conveniences
 used across the library (``log_softmax``, ``l2_normalize``, ``mse``).
 Each dispatches registered ops through the engine's ``apply`` choke
 point; the fusable ones (``l2_normalize``,
-``cosine_similarity``, ``normalized_mse``, ``linear``,
-``batch_norm_train``, ``batch_norm_eval``) consult
+``cosine_similarity``, ``normalized_mse``, ``linear``) consult
 :func:`~repro.tensor.engine.fusion_enabled` and fall back to the unfused
 reference composition under :func:`~repro.tensor.engine.no_fusion` so
-parity tests can pin the two paths against each other.  ``mlp`` always
-dispatches its fused op: its per-layer reference is
-:class:`~repro.nn.container.Sequential` under ``no_fusion()``.
+parity tests can pin the two paths against each other.  ``mlp`` and
+``conv_stage`` always dispatch their fused op: their per-layer reference
+is the layers under ``no_fusion()``.  ``batch_norm_train`` and
+``batch_norm_eval`` are compositions only; a BatchNorm layer outside an
+``mlp`` run or a conv stage runs them.
 """
 
 from __future__ import annotations
@@ -92,48 +93,69 @@ def mlp(x: Tensor, params, layers, *, eps: float, running=(),
     weight and bias, then its BatchNorm's weight and bias), ``layers`` one
     ``(bias, norm, relu)`` per Linear, ``running`` the eval-form
     BatchNorm layers' running statistics.  ``stat_callback(mean, var)``
-    receives the train-form layers' batch statistics, concatenated, and is
-    registered as a replay hook, as in :func:`batch_norm_train`.
+    receives the train-form layers' batch statistics, concatenated (see
+    :func:`_report_stats`).
     """
     out, ctx = engine.apply_ctx("mlp", x, *params, layers=layers, eps=eps,
                                 running=running)
-    if stat_callback is not None:
-        stat_callback(ctx.mean, ctx.var)
-        cap = engine.active_capture()
-        if cap is not None:
-            cap.record_stat_hook(stat_callback, ctx=ctx)
+    _report_stats(stat_callback, ctx)
     return out
 
 
-def _affine(xhat: Tensor, weight: Tensor, bias: Tensor, shape: tuple[int, ...],
-            apply_relu: bool) -> Tensor:
-    """The composed BatchNorm tail: ``xhat * weight + bias``, then ReLU."""
-    out = xhat * weight.reshape(*shape) + bias.reshape(*shape)
-    return relu(out) if apply_relu else out
+def conv_stage(x: Tensor, weight: Tensor, norm_weight: Tensor,
+               norm_bias: Tensor, *, kernel: int, stride: int, padding: int,
+               eps: float, relu: bool = False, pool: int = 0, running=None,
+               stat_callback=None) -> Tensor:
+    """A bias-free Conv2d, its BatchNorm2d, an optional ReLU and an
+    optional MaxPool2d (kernel ``pool``) as one ``conv_stage`` dispatch
+    (see ``ConvStageOp``).
+
+    ``running`` is ``None`` for the train form, or the eval form's
+    ``(running_mean, running_var)``.  ``stat_callback(mean, var)``
+    receives the train form's batch statistics (see
+    :func:`_report_stats`).  Its per-layer reference is the layers under
+    ``no_fusion()``.
+    """
+    out, ctx = engine.apply_ctx("conv_stage", x, weight, norm_weight,
+                                norm_bias, kernel=kernel, stride=stride,
+                                padding=padding, eps=eps, relu=relu,
+                                pool=pool, running=running)
+    _report_stats(stat_callback, ctx)
+    return out
+
+
+def _report_stats(stat_callback, ctx) -> None:
+    """Hand a fused op's batch statistics, ``ctx.mean``/``ctx.var``, to
+    ``stat_callback`` (the running-stat update), and register it as a
+    replay hook when a tape capture is active, so a replayed step updates
+    the running averages exactly like an eager one."""
+    if stat_callback is None:
+        return
+    stat_callback(ctx.mean, ctx.var)
+    cap = engine.active_capture()
+    if cap is not None:
+        cap.record_stat_hook(stat_callback, ctx=ctx)
+
+
+def _affine(xhat: Tensor, weight: Tensor, bias: Tensor,
+            shape: tuple[int, ...]) -> Tensor:
+    """The BatchNorm tail: ``xhat * weight + bias``."""
+    return xhat * weight.reshape(*shape) + bias.reshape(*shape)
 
 
 def batch_norm_train(x: Tensor, weight: Tensor, bias: Tensor,
-                     axes: tuple[int, ...], eps: float, *, relu: bool = False,
+                     axes: tuple[int, ...], eps: float, *,
                      stat_callback=None):
-    """Train-mode batch normalization, affine and optional ReLU.
+    """Train-mode batch normalization and its affine, composed of ops.
 
     Returns ``(y, mean, var)``.  ``mean``/``var`` are the batch statistics
     as plain keepdims arrays (for running-stat updates), not tensors on the
     tape.  ``stat_callback`` is the running-stat update itself, called here
     as ``callback(mean, var)`` and — when a tape capture is active —
-    registered as a replay hook so a replayed step updates the running
-    averages exactly like an eager one.
+    registered as a replay hook on the ``mean``/``var`` nodes so a
+    replayed step updates the running averages exactly like an eager one.
     """
     axes = tuple(axes)
-    if engine.fusion_enabled():
-        out, ctx = engine.apply_ctx("batch_norm", x, weight, bias, axes=axes,
-                                    eps=eps, relu=relu)
-        if stat_callback is not None:
-            stat_callback(ctx.mean, ctx.var)
-            cap = engine.active_capture()
-            if cap is not None:
-                cap.record_stat_hook(stat_callback, ctx=ctx)
-        return out, ctx.mean, ctx.var
     mean = x.mean(axis=axes, keepdims=True)
     centered = x - mean
     var = (centered * centered).mean(axis=axes, keepdims=True)
@@ -143,24 +165,20 @@ def batch_norm_train(x: Tensor, weight: Tensor, bias: Tensor,
         cap = engine.active_capture()
         if cap is not None:
             cap.record_stat_hook(stat_callback, tensors=(mean, var))
-    return _affine(xhat, weight, bias, mean.shape, relu), mean.data, var.data
+    return _affine(xhat, weight, bias, mean.shape), mean.data, var.data
 
 
 def batch_norm_eval(x: Tensor, weight: Tensor, bias: Tensor,
                     running_mean, running_var, axes: tuple[int, ...],
-                    eps: float, *, relu: bool = False) -> Tensor:
+                    eps: float) -> Tensor:
     """Eval-mode batch normalization over per-channel running statistics.
 
     ``running_mean``/``running_var`` are plain ``(C,)`` arrays: constants,
-    not tensors on the tape.  Then the affine and an optional ReLU, as in
+    not tensors on the tape.  Then the affine, as in
     :func:`batch_norm_train`.
     """
     axes = tuple(axes)
-    if engine.fusion_enabled():
-        return _apply("batch_norm", x, weight, bias, axes=axes, eps=eps,
-                      relu=relu, running_mean=running_mean,
-                      running_var=running_var)
     shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
     mean = Tensor(running_mean.reshape(shape))
     var = Tensor(running_var.reshape(shape))
-    return _affine((x - mean) / sqrt(var + eps), weight, bias, shape, relu)
+    return _affine((x - mean) / sqrt(var + eps), weight, bias, shape)

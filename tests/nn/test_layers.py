@@ -174,11 +174,13 @@ class TestPooling:
         with no_grad():
             _, ctx = apply_ctx("maxpool2d", Tensor(x, requires_grad=True),
                                kernel=2)
-        assert not hasattr(ctx, "weights")
+        assert not hasattr(ctx, "ties")
         _, ctx = apply_ctx("maxpool2d", Tensor(x), kernel=2)
-        assert not hasattr(ctx, "weights")
+        assert not hasattr(ctx, "ties")
         _, ctx = apply_ctx("maxpool2d", Tensor(x, requires_grad=True), kernel=2)
-        assert len(ctx.weights) == 4
+        hits, count = ctx.ties  # the tie masks as bools, and their count
+        assert hits.dtype == np.bool_ and hits.shape == (4, 2, 3, 2, 2)
+        assert count.dtype == np.uint8 and (count >= 1).all()
 
     def test_global_avg_pool(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 4))

@@ -6,7 +6,8 @@ finetune, EDSR, DER and LUMP, each emitting a complete transfer matrix;
 the other five methods run on ``class_incremental``.  Every cell's
 digests must equal its pin in ``test_golden.MATRIX_GOLDEN``, and repeat
 runs are deterministic.  The memory methods' manifest pins cover every
-array of their replay buffer.
+array of their replay buffer.  The finetune and EDSR class-incremental
+cells also run under ``no_fusion()``, against a tolerance.
 """
 
 import numpy as np
@@ -14,7 +15,9 @@ import pytest
 
 from repro.cli import METHODS as ALL_METHODS
 from repro.continual import run_method
+from repro.runtime import CheckpointManager
 from repro.scenarios import SCENARIO_REGISTRY
+from repro.tensor import no_fusion
 from tests.scenarios.test_golden import (MATRIX_GOLDEN, SEED, last_checksums,
                                          run_digests)
 
@@ -128,3 +131,37 @@ def test_task_free_run_discovers_boundaries(smoke_config, tiny_sequence,
     assert transfer.n_rows == n_segments
     assert result.n_tasks == n_segments
     assert (tmp_path / "transfer-matrix.json").exists()
+
+
+#: How far a class-incremental cell's final model arrays may move under
+#: ``no_fusion()``, as a share of each array's largest magnitude.  The
+#: fused kernels round differently from their compositions (``Tensor.mean``
+#: multiplies by a float32 reciprocal where the kernels divide), and
+#: training carries the difference along.  Measured at these cells:
+#: finetune 0.0017%, edsr 0.82% (the first conv stage's BatchNorm bias).
+COMPOSED_TOLERANCE = {"finetune": 1e-3, "edsr": 1e-2}
+
+
+@pytest.mark.parametrize("method", sorted(COMPOSED_TOLERANCE))
+def test_composed_run_matches_the_fused_cell(method, trained_cell,
+                                             smoke_config, tiny_sequence,
+                                             tmp_path):
+    """Under ``no_fusion()`` the cell gives the same accuracy-matrix and
+    ``transfer-matrix.json`` bytes, and model arrays within tolerance."""
+    _, _, fused, fused_dir = trained_cell("class_incremental", method)
+    config = smoke_config.with_overrides(scenario="class_incremental")
+    with no_fusion():
+        _, _, composed = run_digests(method, config, tiny_sequence, tmp_path)
+    assert composed[0] == fused[0]  # the accuracy matrix
+    assert composed[2] == fused[2]  # transfer-matrix.json
+    want = final_model(fused_dir)
+    got = final_model(tmp_path)
+    assert sorted(got) == sorted(want)
+    for name, array in want.items():
+        bound = COMPOSED_TOLERANCE[method] * np.abs(array).max()
+        assert np.abs(got[name] - array).max() <= bound, name
+
+
+def final_model(directory):
+    """The objective's arrays in the run's last checkpoint."""
+    return CheckpointManager(directory).load_latest().state["method"]["objective"]

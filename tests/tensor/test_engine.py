@@ -16,7 +16,7 @@ class TestRegistry:
         for expected in ("add", "sub", "mul", "div", "matmul", "sum", "max",
                          "relu", "exp", "log", "reshape", "getitem",
                          "linear", "mlp", "l2normalize", "cosine_rows",
-                         "normalized_mse", "batch_norm", "conv2d",
+                         "normalized_mse", "conv_stage", "conv2d",
                          "maxpool2d"):
             assert expected in names, expected
 

@@ -4,12 +4,13 @@ Every fused op ships with an exact unfused reference composition reachable
 under ``no_fusion()``.  These tests pin the two paths against each other —
 forward outputs and input gradients — to tight tolerance, and gradcheck
 each fused kernel against the finite-difference reference so the coverage
-auditor counts them (ops.linear, ops.mlp, ops.normalized_mse,
-ops.batch_norm_train, ops.batch_norm_eval, plus the fused dispatch inside
-ops.l2_normalize and ops.cosine_similarity).  ``ops.mlp`` has no unfused
-branch of its own; its reference is the per-layer composition, built here
-from ``ops.linear``, ``ops.relu`` and the batch-norm ops under
-``no_fusion()``.
+auditor counts them (ops.linear, ops.mlp, ops.conv_stage,
+ops.normalized_mse, plus the fused dispatch inside ops.l2_normalize and
+ops.cosine_similarity; ops.batch_norm_train and ops.batch_norm_eval are
+compositions only, gradchecked as such).  ``ops.mlp`` and
+``ops.conv_stage`` have no unfused branch of their own; their reference is
+the per-layer composition, built here from ``ops.linear``, ``conv2d``,
+``ops.relu``, ``maxpool2d`` and the batch-norm ops under ``no_fusion()``.
 """
 
 import numpy as np
@@ -115,7 +116,8 @@ class TestFusedNormalizeFamily:
 def _bn_train(axes, relu, scale):
     """Train-mode BatchNorm (affine, optional ReLU) weighted by ``scale``."""
     def fn(x, w, b):
-        return ops.batch_norm_train(x, w, b, axes, 1e-5, relu=relu)[0] * scale
+        y = ops.batch_norm_train(x, w, b, axes, 1e-5)[0]
+        return (ops.relu(y) if relu else y) * scale
     return fn
 
 
@@ -136,26 +138,68 @@ def _running_stats(channels, seed=99):
             rng.uniform(0.5, 2.0, size=channels).astype(np.float32))
 
 
+def _stage(relu, pool=0, stride=1, running=None, stat_callback=None):
+    """A 3x3 conv stage: one ``ops.conv_stage`` dispatch when fused, and
+    the ops of its layers one by one under ``no_fusion()``."""
+    geometry = dict(kernel=3, stride=stride, padding=1)
+
+    def fn(x, w, gamma, beta):
+        if engine.fusion_enabled():
+            return ops.conv_stage(x, w, gamma, beta, eps=1e-5, relu=relu,
+                                  pool=pool, running=running,
+                                  stat_callback=stat_callback, **geometry)
+        y = engine.apply("conv2d", x, w, **geometry)
+        if running is None:
+            y, mean, var = ops.batch_norm_train(y, gamma, beta, (0, 2, 3), 1e-5)
+            if stat_callback is not None:
+                stat_callback(mean, var)
+        else:
+            y = ops.batch_norm_eval(y, gamma, beta, *running, (0, 2, 3), 1e-5)
+        if relu:
+            y = ops.relu(y)
+        return engine.apply("maxpool2d", y, kernel=pool) if pool else y
+    return fn
+
+
+def _stage_inputs(samples, channels, size=4, seed=1234):
+    """x, the conv weight, the BatchNorm weight and bias, and an output
+    weight of the stage's output shape (``stride``, ``pool`` as given)."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(samples, 3, size, size)),
+            rng.normal(size=(27, channels)), rng.normal(size=channels),
+            rng.normal(size=channels)]
+
+
+def _weighted(fn, scale_seed=7):
+    """``fn``'s output times a fixed random weight of its shape, so the
+    train-form gradient is O(1) rather than the degenerate ~0 a plain sum
+    of BatchNorm outputs gives."""
+    def weighted(*tensors):
+        out = fn(*tensors)
+        scale = np.random.default_rng(scale_seed).normal(size=out.shape)
+        return out * Tensor(scale)
+    return weighted
+
+
 class TestFusedBatchNorm:
-    # Parity tolerance note: the unfused Tensor.mean reference multiplies by
-    # a weak scalar 1/count that coerces to float32 (the engine's historical
-    # behavior), while the fused kernel divides exactly — a benign ~2e-9
-    # relative divergence, with the fused path the more accurate one.
-    # The train-mode output is weighted so the BN gradient is O(1) rather
-    # than the degenerate ~0 that a plain sum produces (BN outputs sum to
-    # zero).
+    # BatchNorm runs inside the ``conv_stage`` (and ``mlp``) dispatch; the
+    # parity cases compare a stage with its layers' ops under
+    # ``no_fusion()``.  Parity tolerance note: the composed Tensor.mean
+    # multiplies by a weak scalar 1/count that coerces to float32 (the
+    # engine's historical behavior), while the fused kernel divides
+    # exactly — a benign ~2e-9 relative divergence, with the fused path the
+    # more accurate one.  The output is weighted so the BN gradient is O(1).
 
     def test_batch_norm_parity(self):
-        x, w, b, scale = _bn_inputs((8, 5))
+        arrays = _stage_inputs(8, 5)
         for relu in (False, True):
-            _assert_paths_match(_bn_train((0,), relu, scale), [x, w, b],
-                                atol=1e-6)
+            _assert_paths_match(_weighted(_stage(relu)), arrays, atol=1e-6)
 
     def test_batch_norm_2d_axes_parity(self):
-        x, w, b, scale = _bn_inputs((4, 3, 5, 5))
+        arrays = _stage_inputs(4, 3, size=8)
         for relu in (False, True):
-            _assert_paths_match(_bn_train((0, 2, 3), relu, scale), [x, w, b],
-                                atol=1e-6)
+            _assert_paths_match(_weighted(_stage(relu, pool=2, stride=2)),
+                                arrays, atol=1e-6)
 
     def test_batch_norm_gradcheck(self):
         x, w, b, scale = _bn_inputs((6, 4))
@@ -166,32 +210,28 @@ class TestFusedBatchNorm:
     @pytest.mark.parametrize("shape,axes", BN_LAYOUTS)
     def test_batch_norm_relu_gradcheck(self, shape, axes):
         x, w, b, scale = _bn_inputs(shape)
-        assert check_gradients(
-            lambda x, w, b: ops.batch_norm_train(x, w, b, axes, 1e-5,
-                                                 relu=True)[0] * scale,
-            [x, w, b])
+        assert check_gradients(_bn_train(axes, True, scale), [x, w, b])
 
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("shape,axes", BN_LAYOUTS)
     def test_batch_norm_eval_parity(self, shape, axes, relu):
-        x, w, b, _scale = _bn_inputs(shape)
-        running_mean, running_var = _running_stats(shape[1])
-        _assert_paths_match(
-            lambda x, w, b: ops.batch_norm_eval(x, w, b, running_mean,
-                                                running_var, axes, 1e-5,
-                                                relu=relu),
-            [x, w, b])
+        """The eval-form stage whose BatchNorm sees ``shape``'s samples and
+        channels."""
+        arrays = _stage_inputs(*shape[:2])
+        running = _running_stats(shape[1])
+        _assert_paths_match(_stage(relu, pool=2, running=running), arrays)
 
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("shape,axes", BN_LAYOUTS)
     def test_batch_norm_eval_gradcheck(self, shape, axes, relu):
         x, w, b, _scale = _bn_inputs(shape)
         running_mean, running_var = _running_stats(shape[1])
-        assert check_gradients(
-            lambda x, w, b: ops.batch_norm_eval(x, w, b, running_mean,
-                                                running_var, axes, 1e-5,
-                                                relu=relu),
-            [x, w, b])
+
+        def fn(x, w, b):
+            y = ops.batch_norm_eval(x, w, b, running_mean, running_var, axes,
+                                    1e-5)
+            return ops.relu(y) if relu else y
+        assert check_gradients(fn, [x, w, b])
 
     def test_batch_norm_stats_match_numpy(self):
         rng = _rng()
@@ -204,16 +244,33 @@ class TestFusedBatchNorm:
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-6)
 
     def test_batch_norm_stats_match_under_no_fusion(self):
-        rng = _rng()
-        x = rng.normal(size=(16, 3)).astype(np.float32)
-        w, b = (Tensor(rng.normal(size=3).astype(np.float32)) for _ in range(2))
-        _out, mean, var = ops.batch_norm_train(Tensor(x), w, b, (0,), 1e-5,
-                                               relu=True)
+        """The stage's batch statistics, as its stat callback receives them."""
+        arrays = [Tensor(a.astype(np.float32)) for a in _stage_inputs(16, 3)]
+        stats = []
+
+        def record(mean, var):
+            stats.append((mean.reshape(-1), var.reshape(-1)))
+        _stage(True, stat_callback=record)(*arrays)
         with no_fusion():
-            _out2, mean2, var2 = ops.batch_norm_train(Tensor(x), w, b, (0,),
-                                                      1e-5, relu=True)
+            _stage(True, stat_callback=record)(*arrays)
+        (mean, var), (mean2, var2) = stats
         np.testing.assert_allclose(mean, mean2, atol=1e-6)
         np.testing.assert_allclose(var, var2, atol=1e-6)
+
+
+class TestFusedConvStage:
+    @pytest.mark.parametrize("pool", [0, 2], ids=["no-pool", "pool"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["affine", "relu"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_conv_stage_gradcheck(self, mode, relu, pool):
+        running = None if mode == "train" else _running_stats(2)
+        assert check_gradients(
+            lambda x, w, gamma, beta: ops.conv_stage(
+                x, w, gamma, beta, kernel=3, stride=1, padding=1, eps=1e-5,
+                relu=relu, pool=pool, running=running)
+            * Tensor(np.random.default_rng(7).normal(
+                size=(3, 2, 4 // (pool or 1), 4 // (pool or 1)))),
+            _stage_inputs(3, 2))
 
 
 #: (bias, norm, relu) per Linear of an ``ops.mlp`` run, and the shape of
@@ -253,11 +310,11 @@ def _mlp_composed(layers, running):
             x = ops.linear(x, next(params), next(params) if bias else None)
             if norm == "train":
                 x = ops.batch_norm_train(x, next(params), next(params), (0,),
-                                         1e-5, relu=relu)[0]
+                                         1e-5)[0]
             elif norm == "eval":
                 x = ops.batch_norm_eval(x, next(params), next(params),
-                                        *next(stats), (0,), 1e-5, relu=relu)
-            elif relu:
+                                        *next(stats), (0,), 1e-5)
+            if relu:
                 x = ops.relu(x)
         return x
     return fn
@@ -355,14 +412,15 @@ class TestSequentialFusion:
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_batch_norm_relu_fold_matches_unfused(self, training):
-        from repro.nn import BatchNorm1d, Linear, ReLU, Sequential
+        """A conv stage: the conv, its BatchNorm, the ReLU and the pool."""
+        from repro.nn import BatchNorm2d, Conv2d, MaxPool2d, ReLU, Sequential
 
         rng = np.random.default_rng(0)
-        model = Sequential(Linear(4, 8, rng=rng), BatchNorm1d(8), ReLU(),
-                           Linear(8, 2, rng=rng))
+        model = Sequential(Conv2d(3, 4, 3, padding=1, bias=False, rng=rng),
+                           BatchNorm2d(4), ReLU(), MaxPool2d(2))
         model.train(training)
-        x = np.random.default_rng(1).normal(size=(5, 4)).astype(np.float32)
-        scale = Tensor(np.random.default_rng(2).normal(size=(5, 2)))
+        x = np.random.default_rng(1).normal(size=(5, 3, 4, 4)).astype(np.float32)
+        scale = Tensor(np.random.default_rng(2).normal(size=(5, 4, 2, 2)))
 
         out_fused = model(Tensor(x))
         (out_fused * scale).sum().backward()

@@ -94,3 +94,28 @@ def test_training_loads_no_scipy_module():
     output = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
                             check=True, capture_output=True, text=True)
     assert output.stdout.strip() == "[]"
+
+
+#: The same short EDSR run on image or tabular data (``argv[1]``), then
+#: whether ``numpy.ma`` is loaded.
+NO_NUMPY_MA_SCRIPT = """
+import sys
+from repro import ContinualConfig, load_image_benchmark, run_method
+from repro.data import load_tabular_benchmark
+from repro.data.splits import TaskSequence
+
+sequence = (load_image_benchmark("cifar10-like", scale="ci")
+            if sys.argv[1] == "image" else load_tabular_benchmark("ci"))
+two_tasks = TaskSequence(sequence.tasks[:2], name=sequence.name)
+config = ContinualConfig(epochs=1, batch_size=64, representation_dim=16)
+run_method("edsr", two_tasks, config, seed=0)
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("data", ["image", "tabular"])
+def test_training_loads_no_numpy_ma(data):
+    """``np.unique`` imports ``numpy.ma``; no runtime path calls it."""
+    output = subprocess.run([sys.executable, "-c", NO_NUMPY_MA_SCRIPT, data],
+                            check=True, capture_output=True, text=True)
+    assert output.stdout.strip() == "False"
