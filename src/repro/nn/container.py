@@ -18,7 +18,7 @@ class Sequential(Module):
 
     When fusion is enabled, each run of ``Linear`` layers, each optionally
     followed by a ``BatchNorm1d`` and/or a ``ReLU``, dispatches as one
-    ``mlp`` op on 2-D input, and each bias-free ``Conv2d`` followed by a
+    ``mlp`` op on 2-D input, and each ``Conv2d`` followed by a
     ``BatchNorm2d``, then optionally a ``ReLU`` and/or a ``MaxPool2d``,
     as one ``conv_stage`` op (see :func:`repro.nn.conv.run_stage`).  The
     runs and stages are found once, in ``__init__``; the fusion is a
@@ -84,8 +84,7 @@ def _plan(layers: list[Module]) -> list[tuple]:
             i += relu
             blocks.append((linear, batch_norm, relu))
         if (not blocks and not shared and type(layers[i]) is Conv2d
-                and layers[i].bias is None and i + 1 < count
-                and type(layers[i + 1]) is BatchNorm2d):
+                and i + 1 < count and type(layers[i + 1]) is BatchNorm2d):
             i += 2
             relu = i < count and type(layers[i]) is ReLU
             i += relu

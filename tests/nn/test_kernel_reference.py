@@ -840,3 +840,20 @@ def test_a_repeated_layer_makes_no_run(monkeypatch):
     block = Sequential(layer, ReLU(), layer)
     x = rng.normal(size=(3, 4)).astype(np.float32)
     assert dispatched_ops(monkeypatch, block, x) == ["linear", "relu", "linear"]
+
+
+@pytest.mark.parametrize("change", ["conv-bias", "float64-norm"])
+def test_a_stage_the_op_cannot_take_runs_layer_by_layer(change, monkeypatch):
+    """A conv with a bias, or a stage whose arrays mix dtypes, keeps its
+    per-layer dispatches."""
+    rng = np.random.default_rng(0)
+    conv_layer = Conv2d(3, 4, 3, padding=1, bias=change == "conv-bias", rng=rng)
+    norm_layer = BatchNorm2d(4)
+    if change == "float64-norm":
+        # No forward has run: no graph holds the rebound weight.
+        norm_layer.weight.data = norm_layer.weight.data.astype(np.float64)  # repro-lint: disable=AD001
+    block = Sequential(conv_layer, norm_layer, ReLU(), MaxPool2d(2))
+    x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+    dispatched = dispatched_ops(monkeypatch, block, x)
+    assert "conv_stage" not in dispatched
+    assert dispatched[0] == "conv2d" and dispatched[-2:] == ["relu", "maxpool2d"]
