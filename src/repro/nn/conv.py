@@ -255,6 +255,8 @@ class ConvStageOp(Op):
             raise ValueError(f"MaxPool2d({pool}) needs H, W divisible by "
                              f"{pool}, got {(out_h, out_w)}")
         padded = _pad(x, padding)
+        # The conv output, (N*oh*ow, C_out) channels-last rows, which the
+        # BatchNorm passes below normalize in place.
         xhat = _unfold(padded, kernel, stride, out_h, out_w).reshape(
             n * out_h * out_w, -1) @ w
         rows = xhat.reshape(n, out_h * out_w, -1)
