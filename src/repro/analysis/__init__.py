@@ -10,17 +10,16 @@ Components (see DESIGN.md, "Analysis architecture"):
   import resolution, call graph) the project rules run against;
 - :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` — the
   per-function CFG and the taint framework rules are written in;
-- :mod:`repro.analysis.output` — the ``lint-baseline.json``
-  no-new-violations ratchet;
 - :mod:`repro.analysis.coverage` — a gradcheck-coverage auditor that fails
   when a differentiable primitive has no gradient test;
 - :mod:`repro.tensor.anomaly` — the runtime NaN/Inf sanitizer (lives with
   the tensor engine; re-exported by :mod:`repro.tensor`).
 
 Run everything with ``repro lint [paths]``; it exits non-zero on any
-non-baselined violation.  Its flags are declared once, by
-:func:`build_parser`, which ``repro.cli`` mounts as the ``lint``
-subcommand.
+violation not silenced by an inline suppression comment (see
+:mod:`repro.analysis.linter`), the one way to accept a finding.  Its
+flags are declared once, by :func:`build_parser`, which ``repro.cli``
+mounts as the ``lint`` subcommand.
 """
 
 from __future__ import annotations
@@ -45,11 +44,9 @@ from repro.analysis.linter import (
     lint_file,
     run_lint,
 )
-from repro.analysis.output import Baseline
 from repro.analysis.rules import default_rules, rules_by_code
 
 __all__ = [
-    "Baseline",
     "CoverageReport",
     "LintRule",
     "ModuleSource",
@@ -101,13 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="files or directories to lint (default: src/repro)")
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run (default: all)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="accepted-violation baseline; only violations "
-                             "beyond it fail the run")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="re-pin the baseline to the current violations "
-                             "of every rule and exit 0 (default file: "
-                             "lint-baseline.json; not with --select)")
     parser.add_argument("--tests", metavar="DIR", default=None,
                         help="gradcheck test directory for the coverage auditor "
                              "(default: tests/tensor when it exists)")
@@ -124,49 +114,23 @@ def main(argv: Sequence[str] | None = None) -> int:
 def lint(args: argparse.Namespace) -> int:
     """Run ``repro lint`` on parsed flags and print the text report.
 
-    Parses every file, runs the selected rules, applies the baseline,
-    audits gradcheck coverage and prints the report.  Returns 0 when clean
-    (or when every violation is baselined), 1 on any new violation or
+    Parses every file, runs the selected rules, audits gradcheck coverage
+    and prints the report.  Returns 0 when clean, 1 on any violation or
     coverage gap, 2 on usage errors.
     """
-    if args.update_baseline and args.select:
-        # A re-pin replaces the whole file, so a partial rule set would
-        # drop every other rule's accepted entries.
-        print("error: --update-baseline re-pins every rule; "
-              "run it without --select")
-        return 2
     try:
         rules = rules_by_code(args.select.split(",")) if args.select else default_rules()
-        baseline = (Baseline.load(args.baseline)
-                    if args.baseline and not args.update_baseline else None)
         violations = run_lint(args.paths, rules)
     except (FileNotFoundError, SyntaxError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
 
-    if args.update_baseline:
-        baseline = Baseline(args.baseline or "lint-baseline.json")
-        baseline.update(violations)
-        baseline.write()
-        print(f"baseline: pinned {len(violations)} violation(s) "
-              f"to {baseline.path}")
-        return 0
-
-    reported = violations
-    fixed: list[str] = []
-    if baseline is not None:
-        reported, fixed = baseline.partition(violations)
-
     status = 0
-    if reported:
-        print(format_report(reported))
+    if violations:
+        print(format_report(violations))
         status = 1
     else:
-        suffix = f" ({len(violations)} baselined)" if violations else ""
-        print(f"lint: clean ({', '.join(sorted(r.code for r in rules))}){suffix}")
-    for key in fixed:
-        print(f"baseline: {key} no longer occurs — run --update-baseline "
-              f"to tighten the ratchet")
+        print(f"lint: clean ({', '.join(sorted(r.code for r in rules))})")
 
     if not args.no_coverage:
         tests_dir = Path(args.tests) if args.tests else Path("tests") / "tensor"

@@ -3,8 +3,9 @@
 :class:`ProjectIndex` parses every file once and derives what the
 whole-program rules consume:
 
-- a dotted module name per file (``src/repro/nn/conv.py`` ->
-  ``repro.nn.conv``; files under a ``tests`` tree -> ``tests.…``);
+- a dotted module name per file, taken from ``ModuleSource.name``
+  (``src/repro/nn/conv.py`` -> ``repro.nn.conv``; files under a
+  ``tests`` tree -> ``tests.…``);
 - per-module import tables, so :meth:`ModuleInfo.resolve` maps any
   ``Name``/``Attribute`` chain to its fully-qualified dotted target
   (``np.random.rand`` -> ``numpy.random.rand``, a bare ``default_rng``
@@ -51,22 +52,6 @@ _COMMON_METHODS = {
 def parse_sources(files: Sequence[Path]) -> list[ModuleSource]:
     """Parse ``files`` sequentially, preserving their order."""
     return [ModuleSource.parse(Path(f)) for f in files]
-
-
-def module_name_for(path: Path) -> str:
-    """Dotted module name for a file, anchored at ``repro``/``tests``."""
-    parts = list(path.parts)
-    stem_parts: list[str] = []
-    for anchor in ("repro", "tests"):
-        if anchor in parts:
-            stem_parts = parts[len(parts) - 1 - parts[::-1].index(anchor):]
-            break
-    if not stem_parts:
-        stem_parts = parts[-2:] if len(parts) >= 2 else parts[-1:]
-    stem_parts = [p[:-3] if p.endswith(".py") else p for p in stem_parts]
-    if stem_parts and stem_parts[-1] == "__init__":
-        stem_parts = stem_parts[:-1]
-    return ".".join(stem_parts)
 
 
 @dataclass
@@ -164,7 +149,7 @@ class ProjectIndex:
         """Index already-parsed sources."""
         index = cls()
         for source in sources:
-            module = ModuleInfo(name=module_name_for(source.path), source=source)
+            module = ModuleInfo(name=source.name, source=source)
             module._build_imports()
             index.modules[module.name] = module
             index.by_path[source.path] = module

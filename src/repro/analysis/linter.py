@@ -10,12 +10,14 @@ Two rule shapes share one runner:
 
 :func:`run_lint` walks a set of paths (deduplicated — a file named twice,
 or both a file and its parent directory, is linted once), parses every
-file and applies every registered rule.
+file and applies every registered rule.  A walk skips ``fixtures``
+directories: the rule fixtures are deliberate violations, linted only
+when named.
 
 Suppressions
 ------------
-A violation is silenced by a trailing comment anywhere on the *statement*
-it is reported in::
+A suppression is the one way to accept a finding.  A violation is silenced
+by a trailing comment anywhere on the *statement* it is reported in::
 
     param.data = new_value  # repro-lint: disable=AD001
 
@@ -40,6 +42,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 
+def module_name_for(path: Path) -> str:
+    """Dotted module name for a file, anchored at ``repro``/``tests``."""
+    parts = list(path.parts)
+    stem_parts: list[str] = []
+    for anchor in ("repro", "tests"):
+        if anchor in parts:
+            stem_parts = parts[len(parts) - 1 - parts[::-1].index(anchor):]
+            break
+    if not stem_parts:
+        stem_parts = parts[-2:] if len(parts) >= 2 else parts[-1:]
+    stem_parts = [p[:-3] if p.endswith(".py") else p for p in stem_parts]
+    if stem_parts and stem_parts[-1] == "__init__":
+        stem_parts = stem_parts[:-1]
+    return ".".join(stem_parts)
+
+
 @dataclass(frozen=True)
 class Violation:
     """One lint finding, formatted as ``path:line: CODE message``."""
@@ -55,11 +73,18 @@ class Violation:
 
 @dataclass
 class ModuleSource:
-    """A parsed Python file plus the bookkeeping rules need."""
+    """A parsed Python file plus the bookkeeping rules need.
+
+    ``name`` is the dotted module name (:func:`module_name_for`); rules
+    that only apply to some ``repro`` packages scope by it
+    (:meth:`in_package`), so ``tests/nn/`` or a checkout under a directory
+    named ``nn`` is not ``repro.nn``.
+    """
 
     path: Path
     text: str
     tree: ast.Module
+    name: str
     _suppressions: dict[int, set[str]] = field(default_factory=dict)
     _stmt_spans: list[tuple[int, int]] = field(default_factory=list)
 
@@ -67,7 +92,8 @@ class ModuleSource:
     def parse(cls, path: Path) -> "ModuleSource":
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
-        source = cls(path=path, text=text, tree=tree)
+        source = cls(path=path, text=text, tree=tree,
+                     name=module_name_for(path))
         for lineno, line in enumerate(text.splitlines(), start=1):
             match = _SUPPRESS_RE.search(line)
             if match:
@@ -105,10 +131,10 @@ class ModuleSource:
         codes = self._suppressions.get(line)
         return bool(codes) and (code.upper() in codes or "ALL" in codes)
 
-    @property
-    def package_parts(self) -> tuple[str, ...]:
-        """Path components, used by rules that only apply to some subpackages."""
-        return self.path.parts
+    def in_package(self, *names: str) -> bool:
+        """Whether this module is one of the dotted ``names`` or inside one."""
+        return any(self.name == name or self.name.startswith(name + ".")
+                   for name in names)
 
 
 class LintRule:
@@ -145,9 +171,11 @@ class ProjectRule(LintRule):
 def iter_python_files(paths: Sequence[Path | str]) -> Iterator[Path]:
     """Yield every ``.py`` file under the given files/directories, sorted.
 
-    Overlapping inputs (the same file twice, or a file plus a directory
-    containing it) are deduplicated so no file is ever linted — and no
-    violation reported — twice.  A missing path raises
+    A directory walk does not descend into a directory named ``fixtures``
+    (rule fixtures are inputs, not code); a file named directly is always
+    yielded.  Overlapping inputs (the same file twice, or a file plus a
+    directory containing it) are deduplicated so no file is ever linted —
+    and no violation reported — twice.  A missing path raises
     :class:`FileNotFoundError`; an existing path that is neither a
     directory nor a ``.py`` file raises :class:`ValueError`.
     """
@@ -155,7 +183,9 @@ def iter_python_files(paths: Sequence[Path | str]) -> Iterator[Path]:
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            for found in sorted(p for p in path.rglob("*.py") if p.is_file()):
+            for found in sorted(
+                    p for p in path.rglob("*.py") if p.is_file()
+                    and "fixtures" not in p.relative_to(path).parts[:-1]):
                 resolved = found.resolve()
                 if resolved not in seen:
                     seen.add(resolved)

@@ -1,14 +1,15 @@
 """AD001 / AD002 — autograd-correctness rules.
 
 AD001 flags assignments that mutate ``Tensor.data`` in differentiable code
-paths (``tensor/``, ``nn/``, ``ssl/``, ``continual/``).  Ops save the
-arrays their backward needs by reference (``ctx.save``), so an in-place
-write (``x.data[...] = arr``, ``x.data += arr``) changes what a pending
-backward reads without the version counter noticing, and a rebind
-(``x.data = arr``) makes that backward raise the saved-tensor version
-error.  Deliberate rebinds outside a live graph — optimizers live outside
-the scanned packages; EMA updates and ``load_state_dict`` carry
-suppressions — are the only sanctioned uses.
+paths (the ``repro.tensor``, ``repro.nn``, ``repro.ssl`` and
+``repro.continual`` packages).  Ops save the arrays their backward needs
+by reference (``ctx.save``), so an in-place write (``x.data[...] = arr``,
+``x.data += arr``) changes what a pending backward reads without the
+version counter noticing, and a rebind (``x.data = arr``) makes that
+backward raise the saved-tensor version error.  Deliberate rebinds
+outside a live graph — optimizers live outside the scanned packages; EMA
+updates and ``load_state_dict`` carry suppressions — are the only
+sanctioned uses.
 
 AD002 flags the late-binding-closure bug: a function or lambda defined
 inside a ``for`` loop that reads the loop variable without binding it as a
@@ -25,14 +26,15 @@ from typing import Iterator
 
 from repro.analysis.linter import LintRule, ModuleSource, Violation
 
-_DIFFERENTIABLE_DIRS = {"tensor", "nn", "ssl", "continual"}
+_DIFFERENTIABLE_PACKAGES = ("repro.tensor", "repro.nn", "repro.ssl",
+                            "repro.continual")
 
 
 class InplaceMutationRule(LintRule):
     code = "AD001"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
-        if not _DIFFERENTIABLE_DIRS.intersection(module.package_parts[:-1]):
+        if not module.in_package(*_DIFFERENTIABLE_PACKAGES):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Assign):

@@ -1,7 +1,7 @@
 """DET001 — seedless or global-state randomness.
 
 Every stochastic component in the library must take an explicit, seeded
-``numpy.random.Generator`` (see ``utils/rng.py``).  Two patterns defeat
+``numpy.random.Generator`` (see ``repro.utils.rng``).  Two patterns defeat
 that guarantee and are flagged:
 
 - ``np.random.default_rng()`` with no seed argument: the generator is
@@ -11,8 +11,8 @@ that guarantee and are flagged:
   ``np.random.seed()``, ``np.random.shuffle()``: these share one hidden
   global stream, so adding a call anywhere perturbs every later draw.
 
-Calls inside ``utils/rng.py`` itself are exempt — that module is the one
-place allowed to mint generators.  Uppercase attributes
+Calls inside ``repro.utils.rng`` itself are exempt — that module is the
+one place allowed to mint generators.  Uppercase attributes
 (``np.random.Generator``, ``np.random.SeedSequence``) are types, not
 draws, and are not flagged.
 """
@@ -41,8 +41,7 @@ class SeedlessRNGRule(LintRule):
     code = "DET001"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
-        parts = module.package_parts
-        if parts[-1] == "rng.py" and "utils" in parts:
+        if module.in_package("repro.utils.rng"):
             return
         imported_default_rng = self._imports_default_rng(module.tree)
         for node in ast.walk(module.tree):

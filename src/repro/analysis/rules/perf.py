@@ -1,8 +1,8 @@
 """PERF001 — hot-path performance rule.
 
-The execution stack (``tensor/``, ``nn/``, ``ssl/``) sits inside the
-training loop of every experiment, so two easy-to-miss patterns cost real
-wall-clock there:
+The execution stack (``repro.tensor``, ``repro.nn``, ``repro.ssl``) sits
+inside the training loop of every experiment, so two easy-to-miss patterns
+cost real wall-clock there:
 
 1. **Per-element Python loops.**  A ``for`` loop over ``range(x.size)``,
    ``range(x.shape[i])`` or ``range(len(x.data))`` executes one Python
@@ -28,7 +28,7 @@ from typing import Iterator
 
 from repro.analysis.linter import LintRule, ModuleSource, Violation
 
-_HOT_DIRS = {"tensor", "nn", "ssl"}
+_HOT_PACKAGES = ("repro.tensor", "repro.nn", "repro.ssl")
 
 _F64_CONSTRUCTORS = {"zeros", "ones", "empty", "full", "eye", "arange", "linspace"}
 
@@ -37,7 +37,7 @@ class HotLoopDtypeRule(LintRule):
     code = "PERF001"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
-        if not _HOT_DIRS.intersection(module.package_parts[:-1]):
+        if not module.in_package(*_HOT_PACKAGES):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.For):

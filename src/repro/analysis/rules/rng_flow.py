@@ -27,7 +27,7 @@ Sanitizers
     ``len``/``type``/``isinstance`` — structural facts about a tainted
     value are deterministic even when the value is not.
 
-``utils/rng.py`` is exempt (it is the sanctioned generator mint), as is
+``repro.utils.rng`` is exempt (it is the sanctioned generator mint), as is
 timing code whose tainted values flow only into logs/results — those
 never pass through a sink, so the dataflow rule stays silent where a
 grep-shaped rule would cry wolf.
@@ -121,8 +121,7 @@ class RNGTaintRule(ProjectRule):
     def check_project(self, index: ProjectIndex) -> Iterator[Violation]:
         spec = self.spec_cls()
         for info in index.functions.values():
-            parts = info.module.path.parts
-            if parts[-1] == "rng.py" and "utils" in parts:
+            if info.module.source.in_package("repro.utils.rng"):
                 continue
             result = analyze_function(info.node, spec, info.module.resolve)
             for finding in result.findings:

@@ -47,7 +47,7 @@ class RobustIORule(LintRule):
     code = "RB001"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
-        if "runtime" not in module.package_parts[:-1]:
+        if not module.in_package("repro.runtime"):
             return
         exempt_spans = [
             (node.lineno, node.end_lineno)

@@ -16,8 +16,9 @@ recorded for replay.  Code that reaches around it breaks all four at once:
    wrong.
 
 Only the engine itself and the tape replayer may touch these internals;
-both are exempted by path.  Anything else should call ``engine.apply`` /
-``engine.apply_ctx`` (or the ``repro.tensor.ops`` wrappers).
+both are exempted by module name.  Anything else should call
+``engine.apply`` / ``engine.apply_ctx`` (or the ``repro.tensor.ops``
+wrappers).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Iterator
 
 from repro.analysis.linter import LintRule, ModuleSource, Violation
 
-# The dispatch internals live here; these files ARE the choke point.
-_EXEMPT_FILES = {"engine.py", "tape.py"}
+# The dispatch internals live here; these modules ARE the choke point.
+_EXEMPT_MODULES = ("repro.tensor.engine", "repro.tensor.tape")
 
 
 def _is_registry_expr(node: ast.expr) -> bool:
@@ -57,8 +58,7 @@ class TapeBypassRule(LintRule):
     code = "TAPE001"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
-        parts = module.package_parts
-        if module.path.name in _EXEMPT_FILES and "tensor" in parts[:-1]:
+        if module.in_package(*_EXEMPT_MODULES):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Subscript) and _is_registry_expr(node.value):

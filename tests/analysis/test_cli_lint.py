@@ -36,7 +36,7 @@ class TestAnalysisMain:
         assert "lint: clean" in capsys.readouterr().out
 
     def test_select_runs_only_requested_rules(self, tmp_path, capsys):
-        path = write(tmp_path / "nn" / "bad.py", """\
+        path = write(tmp_path / "repro" / "nn" / "bad.py", """\
             import numpy as np
 
             def f(param):
@@ -48,25 +48,18 @@ class TestAnalysisMain:
         assert status == 1
         assert "AD001" in out and "DET001" not in out
 
-    @pytest.mark.parametrize("target, baseline, message", [
-        ("missing", None, "error: no such file or directory: {target}"),
-        ("README.md", None, "error: not a Python file or directory: {target}"),
-        ("good.py", "not json", "error: {baseline}: not a lint baseline"),
-    ], ids=["missing", "not-python", "bad-baseline"])
-    def test_missing_path_exits_two(self, tmp_path, capsys, target, baseline,
-                                    message):
-        # Usage errors exit 2; exit 1 means new violations.
-        target, baseline_path = tmp_path / target, tmp_path / "baseline.json"
-        argv = [str(target), "--no-coverage"]
+    @pytest.mark.parametrize("target, message", [
+        ("missing", "error: no such file or directory: {target}"),
+        ("README.md", "error: not a Python file or directory: {target}"),
+    ], ids=["missing", "not-python"])
+    def test_missing_path_exits_two(self, tmp_path, capsys, target, message):
+        # Usage errors exit 2; exit 1 means violations.
+        target = tmp_path / target
         if target.name != "missing":
             write(target, "x = 1\n")
-        if baseline is not None:
-            write(baseline_path, baseline)
-            argv += ["--baseline", str(baseline_path)]
-        status = analysis_main(argv)
+        status = analysis_main([str(target), "--no-coverage"])
         assert status == 2
-        assert message.format(target=target, baseline=baseline_path) \
-            in capsys.readouterr().out
+        assert message.format(target=target) in capsys.readouterr().out
 
     def test_coverage_gap_fails_run(self, tmp_path, capsys):
         # A minimal package whose only primitive has no gradcheck test.

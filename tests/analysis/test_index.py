@@ -3,8 +3,8 @@
 import textwrap
 from pathlib import Path
 
-from repro.analysis.index import ProjectIndex, module_name_for, parse_sources
-from repro.analysis.linter import ModuleSource
+from repro.analysis.index import ProjectIndex, parse_sources
+from repro.analysis.linter import ModuleSource, module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_ROOT = REPO_ROOT / "src" / "repro"

@@ -5,7 +5,10 @@ extra plumbing — any new violation of any rule in ``src/repro`` or any new
 differentiable primitive without a gradcheck test fails ``python -m pytest``.
 """
 
+import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import audit_gradcheck_coverage, main
 
@@ -27,3 +30,17 @@ def test_lint_entry_point_exits_zero_on_clean_tree(capsys):
     assert status == 0, "\n" + out
     assert "lint: clean" in out, "\n" + out
     assert "gradcheck coverage" in out, "\n" + out
+
+
+@pytest.mark.parametrize("parent", ["nn", "runtime"])
+def test_tree_lints_clean_under_a_directory_named_like_a_package(
+        tmp_path, capsys, parent):
+    # Rules scope by module name, so a checkout under a directory named
+    # like a repro package is linted as the same modules.
+    copy = tmp_path / parent / "src" / "repro"
+    shutil.copytree(SRC_ROOT, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    status = main([str(copy), "--no-coverage"])
+    out = capsys.readouterr().out
+    assert status == 0, "\n" + out
+    assert "lint: clean" in out, "\n" + out

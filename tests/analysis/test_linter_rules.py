@@ -66,7 +66,7 @@ class TestDET001:
         assert lint_file(path, [SeedlessRNGRule()]) == []
 
     def test_exempt_inside_utils_rng(self, tmp_path):
-        path = write(tmp_path / "utils" / "rng.py", """\
+        path = write(tmp_path / "repro" / "utils" / "rng.py", """\
             import numpy as np
             rng = np.random.default_rng()
         """)
@@ -82,7 +82,7 @@ class TestDET001:
 
 class TestAD001:
     def test_fires_on_rebind_in_differentiable_dir(self, tmp_path):
-        path = write(tmp_path / "nn" / "mod.py", """\
+        path = write(tmp_path / "repro" / "nn" / "mod.py", """\
             def step(param, update):
                 param.data = update
         """)
@@ -91,7 +91,7 @@ class TestAD001:
         assert "param.data" in found[0].message
 
     def test_fires_on_subscript_and_augassign(self, tmp_path):
-        path = write(tmp_path / "ssl" / "mod.py", """\
+        path = write(tmp_path / "repro" / "ssl" / "mod.py", """\
             def corrupt(x, mask, delta):
                 x.data[mask] = 0.0
                 x.data += delta
@@ -99,14 +99,14 @@ class TestAD001:
         assert codes(lint_file(path, [InplaceMutationRule()])) == ["AD001", "AD001"]
 
     def test_quiet_outside_differentiable_dirs(self, tmp_path):
-        path = write(tmp_path / "optim" / "mod.py", """\
+        path = write(tmp_path / "repro" / "optim" / "mod.py", """\
             def step(param, lr):
                 param.data = param.data - lr * param.grad
         """)
         assert lint_file(path, [InplaceMutationRule()]) == []
 
     def test_quiet_on_reads(self, tmp_path):
-        path = write(tmp_path / "nn" / "mod.py", """\
+        path = write(tmp_path / "repro" / "nn" / "mod.py", """\
             def snapshot(param):
                 copy = param.data.copy()
                 return copy
@@ -114,7 +114,7 @@ class TestAD001:
         assert lint_file(path, [InplaceMutationRule()]) == []
 
     def test_suppression_comment(self, tmp_path):
-        path = write(tmp_path / "nn" / "mod.py", """\
+        path = write(tmp_path / "repro" / "nn" / "mod.py", """\
             def load(param, state):
                 param.data = state.copy()  # repro-lint: disable=AD001
         """)
@@ -245,6 +245,34 @@ class TestAPI001:
         assert lint_file(path, [ExportHygieneRule()]) == []
 
 
+class TestScope:
+    """Package-scoped rules test the dotted module name, not path parts."""
+
+    MUTATION = """\
+        import numpy as np
+
+        def step(param):
+            param.data = np.zeros(3)
+    """
+    WRITE = """\
+        def save(path):
+            with open(path, "w") as handle:
+                handle.write("x")
+    """
+
+    @pytest.mark.parametrize("relpath, source, expected", [
+        ("repro/nn/x.py", MUTATION, ["AD001", "PERF001"]),
+        ("tests/nn/test_x.py", MUTATION, []),
+        ("repro/runtime/x.py", WRITE, ["RB001"]),
+        ("tests/runtime/test_x.py", WRITE, []),
+    ], ids=["repro-nn", "tests-nn", "repro-runtime", "tests-runtime"])
+    def test_fires_only_inside_its_repro_package(self, tmp_path, relpath,
+                                                 source, expected):
+        path = write(tmp_path / relpath, source)
+        rules = rules_by_code(["AD001", "PERF001", "RB001"])
+        assert sorted(codes(lint_file(path, rules))) == expected
+
+
 class TestRunner:
     def test_run_lint_walks_directories_sorted(self, tmp_path):
         write(tmp_path / "b.py", "import numpy as np\nx = np.random.rand()\n")
@@ -257,6 +285,12 @@ class TestRunner:
         path = write(tmp_path / "mod.py", "import numpy as np\nz = np.random.rand()\n")
         violation = run_lint([path])[0]
         assert violation.format().startswith(f"{path}:2: DET001 ")
+
+    def test_walk_skips_fixtures_but_a_named_fixture_is_linted(self, tmp_path):
+        bad = write(tmp_path / "fixtures" / "bad.py",
+                    "import numpy as np\nx = np.random.rand()\n")
+        assert run_lint([tmp_path]) == []
+        assert codes(run_lint([bad])) == ["DET001"]
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

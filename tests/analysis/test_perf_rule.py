@@ -1,8 +1,8 @@
 """PERF001 — hot-path loop / dtype-promotion rule tests.
 
-PERF001 is scoped to modules living under a ``tensor``/``nn``/``ssl``
-directory, so the synthetic files are written into matching subdirectories
-of tmp_path.
+PERF001 is scoped to the ``repro.tensor``/``repro.nn``/``repro.ssl``
+packages, so the synthetic files are written into matching
+``repro/<package>/`` subdirectories of tmp_path.
 """
 
 import textwrap
@@ -23,7 +23,7 @@ def codes(violations):
 
 class TestPerElementLoops:
     def test_fires_on_range_over_size(self, tmp_path):
-        path = write(tmp_path / "tensor" / "mod.py", """\
+        path = write(tmp_path / "repro" / "tensor" / "mod.py", """\
             def f(x):
                 total = 0.0
                 for i in range(x.size):
@@ -36,7 +36,7 @@ class TestPerElementLoops:
         assert "per-element" in found[0].message
 
     def test_fires_on_range_over_shape_subscript(self, tmp_path):
-        path = write(tmp_path / "nn" / "mod.py", """\
+        path = write(tmp_path / "repro" / "nn" / "mod.py", """\
             def f(x):
                 for i in range(x.shape[0]):
                     x[i] = 0.0
@@ -44,7 +44,7 @@ class TestPerElementLoops:
         assert codes(lint_file(path, [HotLoopDtypeRule()])) == ["PERF001"]
 
     def test_fires_on_len_of_attribute(self, tmp_path):
-        path = write(tmp_path / "ssl" / "mod.py", """\
+        path = write(tmp_path / "repro" / "ssl" / "mod.py", """\
             def f(t):
                 for i in range(len(t.data)):
                     pass
@@ -52,7 +52,7 @@ class TestPerElementLoops:
         assert codes(lint_file(path, [HotLoopDtypeRule()])) == ["PERF001"]
 
     def test_quiet_on_structural_loops(self, tmp_path):
-        path = write(tmp_path / "nn" / "mod.py", """\
+        path = write(tmp_path / "repro" / "nn" / "mod.py", """\
             def f(dims, layers, kernel):
                 for i in range(len(dims) - 1):
                     pass
@@ -64,7 +64,7 @@ class TestPerElementLoops:
         assert lint_file(path, [HotLoopDtypeRule()]) == []
 
     def test_quiet_outside_hot_dirs(self, tmp_path):
-        path = write(tmp_path / "benchmarks" / "mod.py", """\
+        path = write(tmp_path / "repro" / "benchmarks" / "mod.py", """\
             def f(x):
                 for i in range(x.size):
                     pass
@@ -72,7 +72,7 @@ class TestPerElementLoops:
         assert lint_file(path, [HotLoopDtypeRule()]) == []
 
     def test_suppression_comment_silences(self, tmp_path):
-        path = write(tmp_path / "tensor" / "mod.py", """\
+        path = write(tmp_path / "repro" / "tensor" / "mod.py", """\
             def f(x):
                 for i in range(x.size):  # repro-lint: disable=PERF001
                     pass
@@ -82,7 +82,7 @@ class TestPerElementLoops:
 
 class TestDtypePromotion:
     def test_fires_on_dtype_less_constructors(self, tmp_path):
-        path = write(tmp_path / "tensor" / "mod.py", """\
+        path = write(tmp_path / "repro" / "tensor" / "mod.py", """\
             import numpy as np
 
             def f(n):
@@ -96,7 +96,7 @@ class TestDtypePromotion:
         assert all("float64" in v.message for v in found)
 
     def test_quiet_with_explicit_dtype(self, tmp_path):
-        path = write(tmp_path / "tensor" / "mod.py", """\
+        path = write(tmp_path / "repro" / "tensor" / "mod.py", """\
             import numpy as np
 
             def f(n, ref):
@@ -108,14 +108,14 @@ class TestDtypePromotion:
         assert lint_file(path, [HotLoopDtypeRule()]) == []
 
     def test_quiet_on_non_numpy_calls(self, tmp_path):
-        path = write(tmp_path / "nn" / "mod.py", """\
+        path = write(tmp_path / "repro" / "nn" / "mod.py", """\
             def f(pool):
                 return pool.zeros(3), zeros(3)
         """)
         assert lint_file(path, [HotLoopDtypeRule()]) == []
 
     def test_fires_in_ssl_dir(self, tmp_path):
-        path = write(tmp_path / "ssl" / "mod.py", """\
+        path = write(tmp_path / "repro" / "ssl" / "mod.py", """\
             import numpy as np
             EYE = np.eye(4)
         """)

@@ -1,6 +1,6 @@
 """RB001 — robustness I/O hygiene rule tests.
 
-The rule scopes to the ``runtime`` package: any write-mode ``open()`` or
+The rule scopes to the ``repro.runtime`` package: any write-mode ``open()`` or
 ``Path.write_text``/``write_bytes`` outside ``atomic_write_bytes`` can be
 torn by a crash mid-write — the corrupt-hybrid state the crash sweep
 exists to rule out.
@@ -24,7 +24,7 @@ def codes(violations):
 
 class TestScope:
     def test_writes_outside_runtime_are_ignored(self, tmp_path):
-        path = write(tmp_path / "utils" / "report.py", """\
+        path = write(tmp_path / "repro" / "utils" / "report.py", """\
             def dump(path, text):
                 with open(path, "w") as handle:
                     handle.write(text)
@@ -34,7 +34,7 @@ class TestScope:
 
 class TestRuntimeWrites:
     def test_fires_on_write_mode_open(self, tmp_path):
-        path = write(tmp_path / "runtime" / "state.py", """\
+        path = write(tmp_path / "repro" / "runtime" / "state.py", """\
             def save(path, data):
                 with open(path, "wb") as handle:
                     handle.write(data)
@@ -44,7 +44,7 @@ class TestRuntimeWrites:
         assert "atomic_write_bytes" in found[0].message
 
     def test_fires_on_append_and_mode_keyword(self, tmp_path):
-        path = write(tmp_path / "runtime" / "log.py", """\
+        path = write(tmp_path / "repro" / "runtime" / "log.py", """\
             def log(path, line):
                 with open(path, mode="a") as handle:
                     handle.write(line)
@@ -52,7 +52,7 @@ class TestRuntimeWrites:
         assert codes(lint_file(path, [RobustIORule()])) == ["RB001"]
 
     def test_read_mode_open_is_clean(self, tmp_path):
-        path = write(tmp_path / "runtime" / "state.py", """\
+        path = write(tmp_path / "repro" / "runtime" / "state.py", """\
             def load(path):
                 with open(path, "rb") as handle:
                     return handle.read()
@@ -60,7 +60,7 @@ class TestRuntimeWrites:
         assert lint_file(path, [RobustIORule()]) == []
 
     def test_fires_on_path_write_helpers(self, tmp_path):
-        path = write(tmp_path / "runtime" / "state.py", """\
+        path = write(tmp_path / "repro" / "runtime" / "state.py", """\
             def save(path, text, blob):
                 path.write_text(text)
                 path.write_bytes(blob)
@@ -68,7 +68,7 @@ class TestRuntimeWrites:
         assert codes(lint_file(path, [RobustIORule()])) == ["RB001", "RB001"]
 
     def test_atomic_writer_body_is_exempt(self, tmp_path):
-        path = write(tmp_path / "runtime" / "checkpoint.py", """\
+        path = write(tmp_path / "repro" / "runtime" / "checkpoint.py", """\
             def atomic_write_bytes(path, data):
                 tmp = path.with_name(path.name + ".tmp")
                 with open(tmp, "wb") as handle:
@@ -77,7 +77,7 @@ class TestRuntimeWrites:
         assert lint_file(path, [RobustIORule()]) == []
 
     def test_suppression_comment_is_honoured(self, tmp_path):
-        path = write(tmp_path / "runtime" / "log.py", """\
+        path = write(tmp_path / "repro" / "runtime" / "log.py", """\
             def log(path, line):
                 with open(path, "a") as handle:  # repro-lint: disable=RB001
                     handle.write(line)

@@ -93,10 +93,10 @@ class TestScoping:
                 return _REGISTRY[name].forward(ctx, x)
         """
         for name in ("engine.py", "tape.py"):
-            path = write(tmp_path / "tensor" / name, source)
+            path = write(tmp_path / "repro" / "tensor" / name, source)
             assert lint_file(path, [TapeBypassRule()]) == []
-        # same code outside tensor/ is not exempt
-        path = write(tmp_path / "nn" / "engine.py", source)
+        # same code outside repro.tensor is not exempt
+        path = write(tmp_path / "repro" / "nn" / "engine.py", source)
         assert codes(lint_file(path, [TapeBypassRule()])) == ["TAPE001", "TAPE001"]
 
     def test_suppression_comment(self, tmp_path):
