@@ -10,7 +10,8 @@ Commands
              picks the stream shape (task-free, blurry, domain-incremental,
              long streams; default class-incremental) and prints the
              transfer summary and writes the serialized transfer matrix
-             next to the result;
+             next to the result; ``run multitask`` refuses the stream,
+             output, checkpoint and guardrail flags it cannot honour;
 ``compare``  train several methods on one benchmark and print a ranking
              table (a single-seed Table III slice); ``--checkpoint-dir`` +
              ``--resume`` checkpoint each method in its own subdirectory and
@@ -24,9 +25,9 @@ Commands
 ``lint``     run the repo-specific static analysis — single-file rules
              (DET001/AD001/AD002/API001/SER001/PERF001/TAPE001/RB001)
              and whole-program dataflow rules (DET002/TAPE002/SER002)
-             — plus the gradcheck-coverage audit, with a baseline
-             ratchet; its flags come from ``repro.analysis.build_parser``;
-             exits non-zero on any non-baselined violation.
+             — plus the gradcheck-coverage audit; its flags come from
+             ``repro.analysis.build_parser``; exits non-zero on any
+             violation not silenced by an inline suppression comment.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ from repro.utils.serialization import (load_result, save_result,
                                        save_transfer_matrix)
 
 METHODS = list(METHOD_CLASSES)
+
+#: ``repro run`` flags that multitask cannot honour: it trains the joint
+#: upper bound in memory, with no stream, result file, checkpoints or
+#: guardrails, so each is refused rather than dropped.
+_NOT_FOR_MULTITASK = (
+    "--scenario", "--output", "--transfer-output", "--checkpoint-dir",
+    "--resume", "--guardrails", "--max-grad-norm", "--max-batch-skips",
+    "--lr-backoff", "--max-restores",
+)
 
 
 def _load_benchmark(name: str, scale: str, n_tasks: int | None):
@@ -179,10 +189,13 @@ def _transfer_output_path(args: argparse.Namespace):
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if args.method == "multitask" and args.scenario is not None:
-        print("error: multitask is the joint-training upper bound and takes "
-              "no --scenario", file=sys.stderr)
-        return 2
+    if args.method == "multitask":
+        for flag in _NOT_FOR_MULTITASK:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None and value is not False:
+                print("error: multitask is the joint-training upper bound "
+                      f"and takes no {flag}", file=sys.stderr)
+                return 2
     sequence = _load_benchmark(args.benchmark, args.scale, args.n_tasks)
     config = _config_from_args(args)
     if args.resume and not args.checkpoint_dir:

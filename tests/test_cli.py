@@ -121,11 +121,21 @@ class TestScenarioFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + flag)
 
-    def test_multitask_rejects_scenario(self, capsys):
-        code = main(["run", "multitask", "cifar10-like", "--epochs", "1",
-                     "--scenario", "task_free"])
+    @pytest.mark.parametrize("flag", [
+        ["--scenario", "task_free"], ["--output", "{tmp}/out.json"],
+        ["--transfer-output", "{tmp}/t.json"], ["--checkpoint-dir", "{tmp}/ck"],
+        ["--resume"], ["--guardrails"], ["--max-grad-norm", "0"],
+        ["--max-batch-skips", "1"], ["--lr-backoff", "0.5"],
+        ["--max-restores", "1"],
+    ], ids=lambda flag: flag[0])
+    def test_multitask_rejects_scenario(self, capsys, tmp_path, flag):
+        # Multitask writes no result, stream or checkpoint and runs no
+        # guardrails; these flags must be refused, not silently dropped.
+        code = main(["run", "multitask", "cifar10-like", "--epochs", "1"]
+                    + [arg.format(tmp=tmp_path) for arg in flag])
         assert code == 2
-        assert "--scenario" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
