@@ -75,8 +75,7 @@ def _demo_state(task_index: int, seed: int) -> dict:
 
 def _sweep_child(directory: str, site: str, seed: int) -> None:
     """Child body: arm a kill at ``site`` and attempt the task-1 save."""
-    plan = plane.FaultPlan(seed=seed, scenario=f"kill@{site}",
-                           events=(plane.FaultEvent(site=site, kind="kill"),))
+    plan = plane.FaultPlan(events=(plane.FaultEvent(site=site, kind="kill"),))
     plane.arm(plan)
     CheckpointManager(directory).save(1, _demo_state(1, seed))
     # Reached only when the armed site never fired on the save path; a
@@ -125,7 +124,7 @@ def run_sweep(directory: str | pathlib.Path, seed: int = 0,
 
     # Probe pass: one uninjected save under an empty armed plan records
     # which sites the write path actually visits.
-    with plane.armed(plane.FaultPlan(seed=seed, scenario="probe", events=())):
+    with plane.armed(plane.FaultPlan()):
         manager.save(1, state_b)
         observed = sorted(site for site in plane.site_counts()
                           if site.startswith("ckpt."))
@@ -159,7 +158,6 @@ def run_sweep(directory: str | pathlib.Path, seed: int = 0,
 
     for torn_site in ("ckpt.arrays.torn", "ckpt.manifest.torn"):
         torn_plan = plane.FaultPlan(
-            seed=seed, scenario=f"torn@{torn_site}",
             events=(plane.FaultEvent(site=torn_site, kind="torn_write"),))
         raised = False
         with plane.armed(torn_plan):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import signal
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "FAULT_KINDS",
@@ -71,9 +71,7 @@ class FaultEvent:
 class FaultPlan:
     """A deterministic schedule of fault events for one armed run."""
 
-    seed: int
-    scenario: str
-    events: tuple[FaultEvent, ...] = field(default_factory=tuple)
+    events: tuple[FaultEvent, ...] = ()
 
 
 class _PlaneState:

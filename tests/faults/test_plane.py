@@ -26,8 +26,7 @@ def always_disarmed():
 
 
 def torn_plan(site: str = "ckpt.manifest.torn") -> FaultPlan:
-    return FaultPlan(seed=0, scenario="test",
-                     events=(FaultEvent(site=site, kind="torn_write"),))
+    return FaultPlan(events=(FaultEvent(site=site, kind="torn_write"),))
 
 
 class TestEventValidation:
@@ -64,7 +63,7 @@ class TestArming:
             assert plane.take_torn("ckpt.manifest.torn") is True
 
     def test_site_counts_track_every_invocation(self):
-        with plane.armed(FaultPlan(seed=0, scenario="probe")):
+        with plane.armed(FaultPlan()):
             plane.fault_point("a")
             plane.fault_point("a")
             plane.take_torn("b.torn")

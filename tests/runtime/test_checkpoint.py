@@ -254,7 +254,6 @@ class TestCheckpointManager:
 def torn_manifest_save(manager, task_index, state):
     """Save with the manifest write torn (truncated bytes at the final path)."""
     plan = plane.FaultPlan(
-        seed=0, scenario="torn-manifest",
         events=(plane.FaultEvent(site="ckpt.manifest.torn",
                                  kind="torn_write"),))
     with plane.armed(plan), pytest.raises(plane.InjectedTornWrite):
